@@ -9,14 +9,35 @@ For a graph G with adjacency matrix A and a target distance d, the sets are
 
 C nonempty means the graph state sits inside a distance-d code together with
 the graph basis state labelled by any member.
+
+The enumerations run on plain ints (bit v is vertex v); BitString appears
+only at the API boundary.
+
+W by meet in the middle.  A.m ^ l is the syndrome of the Pauli with X part
+m and Z part l: at vertex v, X contributes column A_v, Z contributes e_v and
+Y contributes A_v ^ e_v, and the syndrome of a product is the xor of the
+syndromes.  Let T_w be the syndromes of the Paulis of weight <= w.  With
+a = ceil((d-1)/2) and b = floor((d-1)/2),
+
+  W = T_a ^ T_b = {s ^ t : s in T_a, t in T_b}.
+
+Every Pauli of weight <= d-1 splits into two Paulis on disjoint supports,
+of weights <= a and <= b; and the weight of a product is at most the sum of
+the weights.  So T_a is built once per (A, a) and h is in W iff h ^ t lies
+in T_a for some t in T_b, with T_b streamed by weight.
+
+The largest d: the kernel basis of Zp is fully reduced on its highest
+bits, so with its rows sorted, counting c = 1, 2, ... visits the span in
+increasing integer order, and the first member found outside W is the
+canonical-least member of C.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,19 +95,6 @@ class SetQuery:
             raise ValueError(f"need 1 <= d <= n+1, got d={self.d}")
 
 
-def weight_iter(n: int, w_max: int, deadline: Optional[Deadline] = None) -> Iterator[BitString]:
-    """All length-n bitstrings of weight <= w_max, by weight then support order."""
-    yield BitString(n, 0)
-    for w in range(1, min(w_max, n) + 1):
-        for support in itertools.combinations(range(n), w):
-            if deadline is not None:
-                deadline.check()
-            bits = 0
-            for i in support:
-                bits |= 1 << i
-            yield BitString(n, bits)
-
-
 def sigma(a: Gf2Matrix, k: BitString) -> int:
     """Parity of the number of edges with both endpoints in the support of k."""
     if a.rows != a.cols or a.cols != k.n:
@@ -122,33 +130,70 @@ def _check_weight_cap(q: SetQuery) -> None:
         )
 
 
+def _support_xors(
+    choices: Sequence[Tuple[int, ...]], w: int, deadline: Optional[Deadline]
+) -> Iterator[int]:
+    """Xors of one choice per vertex over the weight-w supports.
+
+    The kernel behind both Z (one choice per vertex: e_v with its column)
+    and W (three: the syndromes of X, Z and Y).  Supports come in
+    itertools.combinations order, and the choices of a vertex in their
+    given order.  The deadline is checked at each inner node of the support
+    tree, not per leaf.
+    """
+    n = len(choices)
+
+    def batches(start: int, left: int, acc: int) -> Iterator[List[int]]:
+        if deadline is not None:
+            deadline.check()
+        if left == 1:
+            yield [acc ^ c for options in choices[start:] for c in options]
+            return
+        for v in range(start, n - left + 1):
+            for c in choices[v]:
+                yield from batches(v + 1, left - 1, acc ^ c)
+
+    if w == 0:
+        yield 0
+    elif w <= n:
+        for batch in batches(0, w, 0):
+            yield from batch
+
+
 def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
     """Independent set spanning span(Z).
 
     weight(k) <= weight(k | A.k), so enumerating k up to weight d-1 sees
-    every member of Z; vectors are kept rank-incrementally, stopping early
-    once the span is the full space.
+    every member of Z.  Supports go by weight, each weight class in
+    itertools.combinations order, with A.k accumulated along the way;
+    vectors are kept rank-incrementally, stopping early once the span is
+    the full space.
     """
     _check_weight_cap(q)
-    g, d = q.graph, q.d
-    a = g.adjacency()
+    n, top = q.graph.n, q.d - 1
+    low = (1 << n) - 1
+    # one choice per vertex: k in the low n bits, A.k above them
+    cols = q.graph.adjacency().columns()
+    choices = [((1 << v) | (c << n),) for v, c in enumerate(cols)]
+    members = (
+        k
+        for w in range(1, min(top, n) + 1)
+        for x in _support_xors(choices, w, deadline)
+        if ((k := x & low) | (x >> n)).bit_count() <= top
+    )
     elim: List[int] = []
-    kept: List[BitString] = []
-    for k in weight_iter(g.n, d - 1, deadline):
-        if k.is_zero():
-            continue
-        if (k | a.mat_vec(k)).weight() > d - 1:
-            continue
-        r = k.bits
+    kept: List[int] = []
+    for k in members:
+        r = k
         for e in elim:
             if r & (e & -e):
                 r ^= e
         if r:
             elim.append(r)
             kept.append(k)
-            if len(kept) == g.n:
+            if len(kept) == n:
                 break
-    return kept
+    return [BitString(n, k) for k in kept]
 
 
 def zperp_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
@@ -157,19 +202,46 @@ def zperp_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitStr
     return Gf2Matrix.from_rows(rows, cols=q.graph.n).kernel_basis()
 
 
+# (A, w, T_w) of the last table built: one entry, so a walk over one (G, d)
+# builds its table once, and memory stays bounded by the largest table.
+_last_w_table: Optional[Tuple[Gf2Matrix, int, frozenset]] = None
+
+
+def _pauli_choices(a: Gf2Matrix) -> List[Tuple[int, int, int]]:
+    """Syndromes of X, Z and Y at each vertex v: A_v, e_v and their xor."""
+    return [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.columns())]
+
+
+def _w_table(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> frozenset:
+    """T_w, the syndromes of the Paulis of weight <= w."""
+    global _last_w_table
+    cached = _last_w_table
+    if cached is not None and cached[1] == w and cached[0] == a:
+        return cached[2]
+    choices = _pauli_choices(a)
+    table = frozenset(itertools.chain.from_iterable(
+        _support_xors(choices, k, deadline) for k in range(w + 1)))
+    _last_w_table = (a, w, table)
+    return table
+
+
 def in_W(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
     """True iff h = A.m ^ l for some weight(m | l) <= d - 1.
 
-    m is enumerated by weight; l is forced to h ^ A.m, never enumerated.
+    Meet in the middle: h ^ t in T_a for some t in T_b (module docstring),
+    with t streamed by weight so that a hit returns early.
     """
     _check_weight_cap(q)
+    if h.n != q.graph.n:
+        raise ValueError(f"label length {h.n} != {q.graph.n}")
     a = q.graph.adjacency()
-    d = q.d
-    for m in weight_iter(q.graph.n, d - 1, deadline):
-        l = h ^ a.mat_vec(m)
-        if (m | l).weight() <= d - 1:
-            return True
-    return False
+    table = _w_table(a, q.d // 2, deadline)
+    bits, choices = h.bits, _pauli_choices(a)
+    return any(
+        bits ^ t in table
+        for w in range((q.d - 1) // 2 + 1)
+        for t in _support_xors(choices, w, deadline)
+    )
 
 
 def in_zperp(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
@@ -201,7 +273,8 @@ def c_set(q: SetQuery, deadline: Optional[Deadline] = None) -> CSetResult:
 
     Emits at most caps.max_members members (exhaustive flag cleared on
     truncation); emptiness is decided as soon as one member appears, so
-    truncation never affects it.
+    truncation never affects it.  The span is walked in Gray-code order,
+    which decides the members kept on truncation.
     """
     zb = z_span_basis(q, deadline)
     zp = Gf2Matrix.from_rows(zb, cols=q.graph.n).kernel_basis()
@@ -224,50 +297,42 @@ def c_set(q: SetQuery, deadline: Optional[Deadline] = None) -> CSetResult:
     return CSetResult(q.d, tuple(zb), tuple(zp), tuple(members), exhaustive)
 
 
-def _c_first_member(
-    g: Graph, d: int, caps: Caps, deadline: Optional[Deadline]
-) -> Optional[BitString]:
-    q = SetQuery(g, d, caps)
-    zp = zperp_basis(q, deadline)
-    try:
-        for h in span_iter(zp, n=g.n, cap=caps.max_span_dim):
-            if deadline is not None:
-                deadline.check()
-            if not h.is_zero() and not in_W(q, h, deadline):
-                return h
-    except SubspaceTooLargeError as exc:
-        raise BudgetExceededError(str(exc)) from exc
+def _increasing_span(basis: Sequence[BitString], cap: int) -> Iterator[int]:
+    """Nonzero members of the span of a kernel basis, in increasing order.
+
+    A kernel basis is fully reduced on its highest bits (see
+    Gf2Matrix.kernel_basis), so with the rows sorted, member c (the xor of
+    the rows picked by the bits of c) grows with c.  Stepping from c - 1 to
+    c xors in the prefix of rows up to the lowest set bit of c.
+    """
+    if len(basis) > cap:
+        raise BudgetExceededError(
+            f"subspace too large: dimension {len(basis)} exceeds cap {cap}"
+        )
+    prefix = list(itertools.accumulate(sorted(b.bits for b in basis), operator.xor))
+    h = 0
+    for c in range(1, 1 << len(prefix)):
+        h ^= prefix[(c & -c).bit_length() - 1]
+        yield h
+
+
+def _least_member(q: SetQuery, deadline: Optional[Deadline]) -> Optional[BitString]:
+    """The canonical-least member of C, or None when C is empty."""
+    for bits in _increasing_span(zperp_basis(q, deadline), q.caps.max_span_dim):
+        if deadline is not None:
+            deadline.check()
+        h = BitString(q.graph.n, bits)
+        if not in_W(q, h, deadline):
+            return h
     return None
-
-
-def _c_least_member(
-    g: Graph, d: int, caps: Caps, deadline: Optional[Deadline]
-) -> Optional[BitString]:
-    if d == 1:
-        # C(G, n, 1) is every nonzero bitstring; no need to span the space.
-        return BitString.basis(g.n, 0) if g.n else None
-    q = SetQuery(g, d, caps)
-    zp = zperp_basis(q, deadline)
-    best: Optional[BitString] = None
-    try:
-        for h in span_iter(zp, n=g.n, cap=caps.max_span_dim):
-            if deadline is not None:
-                deadline.check()
-            if h.is_zero() or (best is not None and h.bits >= best.bits):
-                continue
-            if not in_W(q, h, deadline):
-                best = h
-    except SubspaceTooLargeError as exc:
-        raise BudgetExceededError(str(exc)) from exc
-    return best
 
 
 @dataclass(frozen=True)
 class DMaxResult:
     value: Optional[int]
     certificate: Optional[BitString]
-    strategy: str
-    # On a budget error: largest d with C known nonempty, smallest known empty.
+    # On a budget error: largest d with C known nonempty, and None, since the
+    # search stops at the first empty C and so never knows an upper end.
     bracket: Optional[Tuple[int, Optional[int]]] = None
     error: Optional[str] = None
 
@@ -278,45 +343,29 @@ class DMaxResult:
 
 def d_max(
     g: Graph,
-    strategy: str = "incremental",
     caps: Caps = Caps(),
     deadline: Optional[Deadline] = None,
 ) -> DMaxResult:
     """Largest d with C(G, n, d) nonempty, plus the canonical-least witness.
 
     C(G, n, 1) is all nonzero strings and C(G, n, n+1) is empty, so the
-    answer lies in [1, n]; ``incremental`` walks up from d = 2, ``bisection``
-    halves the bracket.  On budget exhaustion the bracket found so far is
-    returned instead of a value.
+    answer lies in [1, n].  The search walks up from d = 1 and stops at the
+    first empty C; the least member found at the last nonempty d is the
+    certificate.  On budget exhaustion the bracket found so far is returned
+    instead of a value.
     """
     if g.n == 0:
-        return DMaxResult(None, None, strategy, error="empty graph")
-    lo, hi = 1, g.n + 1  # C(lo) nonempty, C(hi) empty
+        return DMaxResult(None, None, error="empty graph")
+    lo, cert = 1, None  # C(lo) nonempty, with least member cert
     try:
-        if strategy == "incremental":
-            d = 2
-            while d < hi:
-                if _c_first_member(g, d, caps, deadline) is None:
-                    hi = d
-                    break
-                lo = d
-                d += 1
-        elif strategy == "bisection":
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _c_first_member(g, mid, caps, deadline) is None:
-                    hi = mid
-                else:
-                    lo = mid
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        cert = _c_least_member(g, lo, caps, deadline)
-        return DMaxResult(lo, cert, strategy)
+        for d in range(1, g.n + 1):
+            member = _least_member(SetQuery(g, d, caps), deadline)
+            if member is None:
+                break
+            lo, cert = d, member
     except BudgetExceededError as exc:
-        return DMaxResult(
-            None, None, strategy, bracket=(lo, hi if hi <= g.n else None),
-            error=str(exc),
-        )
+        return DMaxResult(None, None, bracket=(lo, None), error=str(exc))
+    return DMaxResult(lo, cert)
 
 
 @dataclass(frozen=True)

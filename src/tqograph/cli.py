@@ -27,9 +27,13 @@ SCHEMA = "tqograph-report/1"
 
 COST_NOTE = (
     "Cost notes: the state-vector check enumerates sum_{w<=d-1} C(n,w)*3^w "
-    "Pauli operators on 2^n amplitudes (n capped at 14); set enumerations "
-    "scan sum_{w<=d-1} C(n,w) bitstrings, and C-set listing walks the "
-    "2^r-element orthogonal span (r capped by --max-span-dim)."
+    "Pauli operators on 2^n amplitudes (n capped at 14).  W membership builds "
+    "a table of sum_{w<=a} C(n,w)*3^w syndromes once per (G, d), with "
+    "a = ceil((d-1)/2), and each query then streams sum_{w<=b} C(n,w)*3^w, "
+    "with b = floor((d-1)/2); the Z span scans sum_{w<=d-1} C(n,w) supports.  "
+    "C-set listing walks the 2^r-element orthogonal span (r capped by "
+    "--max-span-dim); dmax walks it in increasing order and stops at the "
+    "first member."
 )
 
 
@@ -163,8 +167,7 @@ def cmd_dmax(args) -> int:
     t0 = time.monotonic()
     g = _build_graph(args)
     config = _graph_config(args, g)
-    config["strategy"] = args.strategy
-    res = analysis.d_max(g, args.strategy, _caps(args), _deadline())
+    res = analysis.d_max(g, _caps(args), _deadline())
     results = {
         "d_max": res.value,
         "certificate": res.certificate.to_text() if res.certificate else None,
@@ -335,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dmax", help="largest d with C(G, n, d) nonempty")
     _add_graph(p)
-    p.add_argument("--strategy", choices=("incremental", "bisection"),
-                   default="incremental")
     _add_caps(p)
     _add_common(p)
     p.set_defaults(func=cmd_dmax)

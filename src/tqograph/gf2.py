@@ -229,7 +229,13 @@ class Gf2Matrix:
         return len(self._row_reduce()[0])
 
     def kernel_basis(self) -> List[BitString]:
-        """Basis of {x : A.x = 0}; size is cols - rank."""
+        """Basis of {x : A.x = 0}; size is cols - rank.
+
+        Vector j's highest bit is its free column, which no other vector
+        has: pivots sit on lowest bits, so every other bit of the vector is
+        a pivot column below it.  The basis is thus fully reduced on highest
+        bits, and its span in sorted-row binary counting order is increasing.
+        """
         pivots, reduced = self._row_reduce()
         pivot_set = set(pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]

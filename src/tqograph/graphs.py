@@ -44,6 +44,8 @@ class Graph:
     edges: Tuple[Tuple[int, int], ...]
     name: str = ""
     x_part: Optional[Tuple[int, ...]] = None
+    _adjacency: Optional[Gf2Matrix] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -82,11 +84,14 @@ class Graph:
         return max(self.degrees(), default=0)
 
     def adjacency(self) -> Gf2Matrix:
-        rows = [0] * self.n
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Gf2Matrix(self.n, self.n, rows)
+        """The adjacency matrix, built once per graph (it is immutable)."""
+        if self._adjacency is None:
+            rows = [0] * self.n
+            for u, v in self.edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            object.__setattr__(self, "_adjacency", Gf2Matrix(self.n, self.n, rows))
+        return self._adjacency
 
     def edge_index(self) -> Dict[Tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,6 @@ from tqograph.analysis import (
     read_classical_code,
     sigma,
     verify_codewords,
-    weight_iter,
     z_span_basis,
     zperp_basis,
 )
@@ -43,6 +44,44 @@ from tqograph.oracle import graph_basis_state, pauli_matrix_element
 def random_graph(rng, n):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     return Graph.from_edges(n, edges)
+
+
+# Plain enumerators the syndrome kernel replaced, kept as its reference.
+
+def weight_iter(n, w_max):
+    """All length-n bitstrings of weight <= w_max, by weight then support order."""
+    yield BitString(n, 0)
+    for w in range(1, min(w_max, n) + 1):
+        for support in itertools.combinations(range(n), w):
+            yield BitString.from_indices(n, support)
+
+
+def reference_in_W(q, h):
+    """h = A.m ^ l with weight(m | l) <= d - 1: enumerate m, force l = h ^ A.m."""
+    a = q.graph.adjacency()
+    return any(
+        (m | (h ^ a.mat_vec(m))).weight() <= q.d - 1
+        for m in weight_iter(q.graph.n, q.d - 1)
+    )
+
+
+def reference_z_span_basis(q):
+    """Members of Z kept rank-incrementally, in weight_iter order."""
+    a = q.graph.adjacency()
+    elim, kept = [], []
+    for k in weight_iter(q.graph.n, q.d - 1):
+        if k.is_zero() or (k | a.mat_vec(k)).weight() > q.d - 1:
+            continue
+        r = k.bits
+        for e in elim:
+            if r & (e & -e):
+                r ^= e
+        if r:
+            elim.append(r)
+            kept.append(k)
+            if len(kept) == q.graph.n:
+                break
+    return kept
 
 
 class TestWeightIter:
@@ -136,6 +175,35 @@ class TestSetQueries:
                         assert in_zperp(q, h) and not in_W(q, h)
 
 
+# Seeded random graphs with n <= 10; every d in 1..n+1 is checked on each.
+DIFF_GRAPHS = [
+    random_graph(random.Random(seed), n)
+    for seed, n in ((1, 1), (2, 3), (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10))
+]
+
+
+@pytest.mark.parametrize("g", DIFF_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+class TestKernelMatchesReference:
+    def test_in_W_on_every_label(self, g):
+        for d in range(1, g.n + 2):
+            q = SetQuery(g, d)
+            for hb in range(1 << g.n):
+                h = BitString(g.n, hb)
+                assert in_W(q, h) == reference_in_W(q, h), (d, h)
+
+    def test_z_span_basis_identical(self, g):
+        for d in range(1, g.n + 2):
+            q = SetQuery(g, d)
+            assert z_span_basis(q) == reference_z_span_basis(q), d
+
+    def test_d_max_certificate_is_least_member(self, g):
+        res = d_max(g)
+        everything = Caps(max_members=1 << g.n)
+        members = c_set(SetQuery(g, res.value, everything)).members
+        assert res.certificate == members[0]
+        assert c_set(SetQuery(g, res.value + 1, everything)).empty
+
+
 class TestCSet:
     def test_star_distance_two(self):
         res = c_set(SetQuery(star(4), 2))
@@ -193,15 +261,6 @@ class TestDMax:
         for q, m in ((3, 3), (4, 3), (4, 4)):
             assert d_max(multi_star(q, m)).value == m
 
-    def test_strategies_agree(self):
-        rng = random.Random(5)
-        for _ in range(8):
-            g = random_graph(rng, 6)
-            a = d_max(g, "incremental")
-            b = d_max(g, "bisection")
-            assert a.value == b.value
-            assert a.certificate == b.certificate
-
     def test_certificate_is_canonical_least_member(self):
         g = star(4)
         res = d_max(g)
@@ -210,19 +269,25 @@ class TestDMax:
         assert in_C(SetQuery(g, res.value), res.certificate)
         assert c_set(SetQuery(g, res.value + 1)).empty
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            d_max(star(3), "magic")
-
     def test_budget_returns_bracket(self):
         dl = Deadline(0.0)
-        import time
-
         time.sleep(0.01)
         res = d_max(multi_star(4, 4), deadline=dl)
         assert not res.ok
         assert res.bracket is not None and res.bracket[0] >= 1
         assert res.error is not None
+
+    def test_expired_deadline_stops_the_kernels(self):
+        # a graph no other test uses, so that no cached W table hides the build
+        g = Graph.from_edges(9, [(v, v + 1) for v in range(8)] + [(0, 5), (2, 7)])
+        dl = Deadline(0.0)
+        time.sleep(0.01)
+        with pytest.raises(BudgetExceededError):
+            in_W(SetQuery(g, 5), BitString.zeros(9), dl)  # T_2 build; weight 0 would hit
+        with pytest.raises(BudgetExceededError):
+            z_span_basis(SetQuery(g, 5), dl)
+        res = d_max(g, deadline=dl)
+        assert not res.ok and res.bracket == (1, None) and "budget" in res.error
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))

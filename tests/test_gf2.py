@@ -108,6 +108,11 @@ class TestGf2Matrix:
         assert rank(m) + len(kernel_basis(m)) == 8
         for v in kernel_basis(m):
             assert m.mat_vec(v).is_zero()
+        # fully reduced on highest bits: no other vector has a vector's top bit
+        ker = [v.bits for v in kernel_basis(m)]
+        for v in ker:
+            top = 1 << (v.bit_length() - 1)
+            assert [u for u in ker if u & top] == [v]
 
     @given(
         st.lists(st.integers(0, 2**6 - 1), min_size=1, max_size=6),
