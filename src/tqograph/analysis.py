@@ -48,6 +48,7 @@ from .gf2 import (
     SubspaceTooLargeError,
     dot,
     span_iter,
+    support_xors,
 )
 from .graphs import FamilySpec, Graph, gen_family
 
@@ -77,7 +78,7 @@ class Deadline:
 
 @dataclass(frozen=True)
 class Caps:
-    """Enumeration budgets: weight classes, span dimension, emitted members."""
+    """Enumeration budgets: weight classes, span walk length, emitted members."""
 
     max_weight: Optional[int] = None
     max_span_dim: int = DEFAULT_MAX_SPAN_DIM
@@ -130,36 +131,6 @@ def _check_weight_cap(q: SetQuery) -> None:
         )
 
 
-def _support_xors(
-    choices: Sequence[Tuple[int, ...]], w: int, deadline: Optional[Deadline]
-) -> Iterator[int]:
-    """Xors of one choice per vertex over the weight-w supports.
-
-    The kernel behind both Z (one choice per vertex: e_v with its column)
-    and W (three: the syndromes of X, Z and Y).  Supports come in
-    itertools.combinations order, and the choices of a vertex in their
-    given order.  The deadline is checked at each inner node of the support
-    tree, not per leaf.
-    """
-    n = len(choices)
-
-    def batches(start: int, left: int, acc: int) -> Iterator[List[int]]:
-        if deadline is not None:
-            deadline.check()
-        if left == 1:
-            yield [acc ^ c for options in choices[start:] for c in options]
-            return
-        for v in range(start, n - left + 1):
-            for c in choices[v]:
-                yield from batches(v + 1, left - 1, acc ^ c)
-
-    if w == 0:
-        yield 0
-    elif w <= n:
-        for batch in batches(0, w, 0):
-            yield from batch
-
-
 def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
     """Independent set spanning span(Z).
 
@@ -178,7 +149,7 @@ def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitSt
     members = (
         k
         for w in range(1, min(top, n) + 1)
-        for x in _support_xors(choices, w, deadline)
+        for x in support_xors(choices, w, deadline)
         if ((k := x & low) | (x >> n)).bit_count() <= top
     )
     elim: List[int] = []
@@ -220,7 +191,7 @@ def _w_table(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> frozenset:
         return cached[2]
     choices = _pauli_choices(a)
     table = frozenset(itertools.chain.from_iterable(
-        _support_xors(choices, k, deadline) for k in range(w + 1)))
+        support_xors(choices, k, deadline) for k in range(w + 1)))
     _last_w_table = (a, w, table)
     return table
 
@@ -240,7 +211,7 @@ def in_W(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool
     return any(
         bits ^ t in table
         for w in range((q.d - 1) // 2 + 1)
-        for t in _support_xors(choices, w, deadline)
+        for t in support_xors(choices, w, deadline)
     )
 
 
@@ -303,17 +274,20 @@ def _increasing_span(basis: Sequence[BitString], cap: int) -> Iterator[int]:
     A kernel basis is fully reduced on its highest bits (see
     Gf2Matrix.kernel_basis), so with the rows sorted, member c (the xor of
     the rows picked by the bits of c) grows with c.  Stepping from c - 1 to
-    c xors in the prefix of rows up to the lowest set bit of c.
+    c xors in the prefix of rows up to the lowest set bit of c.  At most
+    2^cap - 1 members are walked; a larger span that the caller walks that
+    far raises BudgetExceededError.
     """
-    if len(basis) > cap:
-        raise BudgetExceededError(
-            f"subspace too large: dimension {len(basis)} exceeds cap {cap}"
-        )
     prefix = list(itertools.accumulate(sorted(b.bits for b in basis), operator.xor))
     h = 0
-    for c in range(1, 1 << len(prefix)):
+    for c in range(1, min(1 << len(prefix), 1 << cap)):
         h ^= prefix[(c & -c).bit_length() - 1]
         yield h
+    if len(prefix) > cap:
+        raise BudgetExceededError(
+            f"span walk reached its cap of 2^{cap} elements "
+            f"in a subspace of dimension {len(prefix)}"
+        )
 
 
 def _least_member(q: SetQuery, deadline: Optional[Deadline]) -> Optional[BitString]:

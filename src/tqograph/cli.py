@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import __version__
 from .gf2 import BitString
-from .graphs import FamilySpec, Graph, format_edge_list, gen_family, s_vector
+from .graphs import FamilySpec, Graph, format_edge_list, gen_family
 from . import analysis
 from .analysis import BudgetExceededError, Caps, Deadline, SetQuery
 from . import oracle as qoracle
@@ -32,8 +32,10 @@ COST_NOTE = (
     "a = ceil((d-1)/2), and each query then streams sum_{w<=b} C(n,w)*3^w, "
     "with b = floor((d-1)/2); the Z span scans sum_{w<=d-1} C(n,w) supports.  "
     "C-set listing walks the 2^r-element orthogonal span (r capped by "
-    "--max-span-dim); dmax walks it in increasing order and stops at the "
-    "first member."
+    "--max-span-dim); dmax walks it in increasing order, at most "
+    "2^max-span-dim elements, and stops at the first member.  The code3d "
+    "distance scan streams sum_{w<=L} C(n,w)*3^w syndromes against the "
+    "n = L^3 generators and row-reduces only the commuting operators."
 )
 
 
@@ -41,16 +43,12 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-weight", type=int, default=None,
                    help="refuse enumerations above this weight class")
     p.add_argument("--max-span-dim", type=int, default=analysis.DEFAULT_MAX_SPAN_DIM,
-                   help="refuse subspace walks above this dimension (default 30)")
+                   help="walk at most 2^N span elements (default 30)")
     p.add_argument("--max-members", type=int, default=analysis.DEFAULT_MAX_MEMBERS,
                    help="truncate emitted C members at this count (default 1024)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count for partitionable scans (result-invariant)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled property checks")
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table"), default="json")
 
 
@@ -126,8 +124,6 @@ def _graph_config(args, g: Graph) -> dict:
         "max_weight": args.max_weight,
         "max_span_dim": args.max_span_dim,
         "max_members": args.max_members,
-        "threads": args.threads,
-        "seed": args.seed,
     }
 
 
@@ -223,7 +219,7 @@ def cmd_oracle(args) -> int:
     g = _build_graph(args)
     config = _graph_config(args, g)
     config.update({"d": args.d, "h": args.h, "matrix_elements": args.matrix_elements,
-                   "samples": args.samples})
+                   "samples": args.samples, "seed": args.seed})
     deadline = _deadline()
     try:
         if args.matrix_elements:
@@ -271,12 +267,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_code3d(args) -> int:
     t0 = time.monotonic()
-    config = {"L": args.L, "distance_scan": args.distance_scan,
-              "threads": args.threads, "seed": args.seed}
+    config = {"L": args.L, "distance_scan": args.distance_scan}
     try:
         rep = stabilizer.verify_3d_code(
-            args.L, distance_scan=args.distance_scan,
-            threads=args.threads, deadline=_deadline())
+            args.L, distance_scan=args.distance_scan, deadline=_deadline())
     except BudgetExceededError as exc:
         return _report(args, "code3d", config, {"error": str(exc)}, False, True, t0)
     results = {
@@ -300,8 +294,7 @@ def cmd_scan(args) -> int:
     params_list = [tuple(int(x) for x in chunk.split(",")) for chunk in args.params]
     config = {"family": args.family, "params": args.params,
               "max_weight": args.max_weight, "max_span_dim": args.max_span_dim,
-              "max_members": args.max_members, "threads": args.threads,
-              "seed": args.seed}
+              "max_members": args.max_members}
     res = analysis.family_scan(args.family, params_list, _caps(args), _deadline())
     ok = all(e.d_max is not None for e in res.entries)
     results = {
@@ -333,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph(p)
     p.add_argument("--d", type=int, required=True)
     _add_caps(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_cset)
 
     p = sub.add_parser("dmax", help="largest d with C(G, n, d) nonempty")
     _add_graph(p)
     _add_caps(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_dmax)
 
     p = sub.add_parser("verify", help="check a codeword label set at distance d")
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ldpc", default=None, help="classical generator-matrix file")
     p.add_argument("--m", type=int, default=None, help="star size for --ldpc")
     _add_caps(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="state-vector cross-checks")
@@ -359,16 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-elements", action="store_true",
                    help="compare analytic vs state-vector matrix elements")
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the --matrix-elements samples")
     _add_caps(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("code3d", help="verify the 3D toric-layer code")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--no-distance-scan", dest="distance_scan",
                    action="store_false",
-                   help="structure checks only (use for L >= 4)")
-    _add_common(p)
+                   help="structure checks only (use for L >= 5; the L = 4 scan "
+                        "takes about 13 s)")
+    _add_format(p)
     p.set_defaults(func=cmd_code3d)
 
     p = sub.add_parser("scan", help="d_max across family sizes with exponent fit")
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+",
                    help="comma-joined parameter tuples, e.g. 2,2 3,3 4,4")
     _add_caps(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_scan)
     return ap
 

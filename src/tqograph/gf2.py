@@ -6,7 +6,7 @@ is an ASCII '0'/'1' string whose leftmost character is bit 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 SPAN_DIM_CAP = 30
 
@@ -314,3 +314,33 @@ def span_iter(
         flip = (i & -i).bit_length() - 1
         cur ^= basis[flip].bits
         yield BitString(n, cur)
+
+
+def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> Iterator[int]:
+    """Xors of one choice per position over the weight-w supports.
+
+    The low-weight Pauli kernel: a position's choices are the ints its
+    single-position operators contribute (syndrome bits, often with the
+    operator's own bits packed above them), and the xor of one choice per
+    support position is the product's.  Supports come in
+    itertools.combinations order, and the choices of a position in their
+    given order.  The deadline (anything with a check() method) is checked
+    at each inner node of the support tree, not per leaf.
+    """
+    n = len(choices)
+
+    def batches(start: int, left: int, acc: int) -> Iterator[List[int]]:
+        if deadline is not None:
+            deadline.check()
+        if left == 1:
+            yield [acc ^ c for options in choices[start:] for c in options]
+            return
+        for v in range(start, n - left + 1):
+            for c in choices[v]:
+                yield from batches(v + 1, left - 1, acc ^ c)
+
+    if w == 0:
+        yield 0
+    elif w <= n:
+        for batch in batches(0, w, 0):
+            yield from batch

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import BitString, Gf2Matrix
 
@@ -80,9 +80,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def adjacency(self) -> Gf2Matrix:
         """The adjacency matrix, built once per graph (it is immutable)."""
         if self._adjacency is None:
@@ -92,13 +89,6 @@ class Graph:
                 rows[v] |= 1 << u
             object.__setattr__(self, "_adjacency", Gf2Matrix(self.n, self.n, rows))
         return self._adjacency
-
-    def edge_index(self) -> Dict[Tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-
-def adjacency(g: Graph) -> Gf2Matrix:
-    return g.adjacency()
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ and brute-force code distance via minimum-weight normalizer search.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .gf2 import BitString, Gf2Matrix, dot
+from .gf2 import BitString, Gf2Matrix, dot, support_xors
 from .graphs import Graph, toric3d, toric3d_vertex
 
 
@@ -132,8 +131,9 @@ class StabilizerGroup:
     def rank(self) -> int:
         return len(self._reduced_basis())
 
-    def _reduce(self, p: Pauli) -> Tuple[int, int]:
-        r, comb = _sym_bits(p, self.n), 0
+    def _reduce(self, r: int) -> Tuple[int, int]:
+        """Remainder and generator combination of a symplectic int x | z << n."""
+        comb = 0
         for piv, row, c in self._reduced_basis():
             if (r >> piv) & 1:
                 r ^= row
@@ -148,7 +148,7 @@ class StabilizerGroup:
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
-        r, comb = self._reduce(p)
+        r, comb = self._reduce(_sym_bits(p, self.n))
         if r:
             return False
         if not sign_sensitive:
@@ -290,55 +290,44 @@ def logical_strings(L: int) -> List[Pauli]:
     return out
 
 
-def _scan_chunk(group, supports, n, w, deadline):
-    best = None
-    for support in supports:
-        if deadline is not None:
-            deadline.check()
-        for choice in itertools.product((1, 2, 3), repeat=w):
-            xb = zb = 0
-            for pos, c in zip(support, choice):
-                if c & 1:
-                    xb |= 1 << pos
-                if c & 2:
-                    zb |= 1 << pos
-            key = (xb, zb)
-            if best is not None and key >= best[0]:
-                continue
-            p = Pauli(BitString(n, xb), BitString(n, zb))
-            if group.in_normalizer(p) and not group.in_group(p):
-                best = (key, p)
-    return best
-
-
 def normalizer_min_weight(
     s: StabilizerGroup,
     w_max: int,
-    threads: int = 1,
     deadline=None,
 ) -> Optional[Tuple[int, Pauli]]:
     """Least-weight Pauli commuting with all generators but outside the group.
 
-    Scans weight classes in increasing order; within a class the canonical
-    (x, z) least operator wins, so the result is independent of how the scan
-    is partitioned.  Returns None when nothing of weight <= w_max exists.
+    Runs on gf2.support_xors.  The choices at qubit v are X, Z and Y, each
+    one int: its syndrome against the m generators in the low m bits (X_v
+    flips generator i iff g_i has Z on v, Z_v iff g_i has X on v), then its
+    z bits, then its x bits.  An operator is in the normalizer iff its low m
+    bits are 0, and only those get the group-membership row reduction.
+    Weight classes go in increasing order; within a class x >> m compares
+    as the canonical (x, z) key, and the least operator outside the group
+    wins.  Returns None when nothing of weight <= w_max exists.
     """
-    n = s.n
+    n, m = s.n, len(s.generators)
+    flips_x = Gf2Matrix(m, n, [g.z.bits for g in s.generators]).columns()
+    flips_z = Gf2Matrix(m, n, [g.x.bits for g in s.generators]).columns()
+    choices = []
+    for v in range(n):
+        xv, zv = 1 << (m + n + v), 1 << (m + v)
+        sx, sz = flips_x[v] | xv, flips_z[v] | zv
+        choices.append((sx, sz, sx ^ sz))
+    syndrome, low = (1 << m) - 1, (1 << n) - 1
     for w in range(1, min(w_max, n) + 1):
-        supports = list(itertools.combinations(range(n), w))
-        if threads > 1:
-            chunk = max(1, len(supports) // (4 * threads))
-            parts = [supports[i : i + chunk] for i in range(0, len(supports), chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(
-                    ex.map(lambda part: _scan_chunk(s, part, n, w, deadline), parts)
-                )
-            hits = [r for r in results if r is not None]
-            best = min(hits, default=None)
-        else:
-            best = _scan_chunk(s, supports, n, w, deadline)
+        best = None
+        for op in support_xors(choices, w, deadline):
+            if op & syndrome:
+                continue
+            key = op >> m
+            if best is not None and key >= best:
+                continue
+            xb, zb = key >> n, key & low
+            if s._reduce(xb | (zb << n))[0]:
+                best = key
         if best is not None:
-            return w, best[1]
+            return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
     return None
 
 
@@ -381,7 +370,6 @@ class Code3DReport:
 def verify_3d_code(
     L: int,
     distance_scan: bool = True,
-    threads: int = 1,
     deadline=None,
 ) -> Code3DReport:
     """Full check of the layered toric code at size L.
@@ -427,7 +415,7 @@ def verify_3d_code(
     distance = None
     dist_op = None
     if distance_scan:
-        hit = normalizer_min_weight(s, L, threads=threads, deadline=deadline)
+        hit = normalizer_min_weight(s, L, deadline=deadline)
         if hit is not None:
             distance, op = hit
             dist_op = op.to_text()

@@ -15,6 +15,7 @@ from tqograph.graphs import (
     multi_star,
     s_vector,
     star,
+    toric,
 )
 from tqograph.analysis import (
     BudgetExceededError,
@@ -288,6 +289,13 @@ class TestDMax:
             z_span_basis(SetQuery(g, 5), dl)
         res = d_max(g, deadline=dl)
         assert not res.ok and res.bracket == (1, None) and "budget" in res.error
+
+    def test_span_walk_cap_is_exact(self):
+        # toric(2) finds no member at d = 4 and walks all of that probe's
+        # 4-dimensional Z^perp, so a cap of 4 suffices and 3 does not
+        assert d_max(toric(2), Caps(max_span_dim=4)).value == 3
+        res = d_max(toric(2), Caps(max_span_dim=3))
+        assert not res.ok and res.bracket[1] is None and "2^3" in res.error
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))

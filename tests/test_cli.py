@@ -96,6 +96,16 @@ class TestDmax:
         assert rep["budget_exceeded"]
         assert rep["results"]["bracket"] is not None
 
+    def test_toric_4_beyond_the_dimension_cap(self, capsys):
+        # Z^perp has dimension 32 > 30 at d = 1, but each walk stops early
+        code, rep = run_json(capsys, ["dmax", "toric", "4"])
+        assert code == 0 and rep["results"]["d_max"] == 4
+
+    def test_span_walk_cap(self, capsys):
+        code, rep = run_json(capsys, ["dmax", "star", "8", "--max-span-dim", "2"])
+        assert code == 2 and rep["budget_exceeded"]
+        assert rep["results"]["bracket"] == [1, None]
+
 
 class TestVerify:
     def test_codeword_file_pass(self, capsys, tmp_path):
@@ -178,6 +188,12 @@ class TestCode3D:
     def test_no_scan(self, capsys):
         code, rep = run_json(capsys, ["code3d", "--L", "2", "--no-distance-scan"])
         assert rep["results"]["distance"] is None
+
+    def test_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TQO_BUDGET_MS", "0.0001")
+        code, rep = run_json(capsys, ["code3d", "--L", "4"])
+        assert code == 2 and rep["budget_exceeded"]
+        assert "time budget" in rep["results"]["error"]
 
 
 class TestScan:

@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from tqograph.gf2 import BitString
-from tqograph.graphs import complete, star, toric, toric3d, toric3d_vertex
+from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
 from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
 from tqograph.stabilizer import (
     Code3DReport,
@@ -20,6 +23,56 @@ from tqograph.stabilizer import (
 )
 
 TOL = 1e-12
+
+
+def reference_normalizer_min_weight(s, w_max):
+    """Per-operator scan the syndrome kernel replaced, kept as its reference.
+
+    Every Pauli by weight, support and (X, Z, Y) choice goes through
+    in_normalizer and in_group; the canonical (x, z) least hit of the first
+    weight class with one wins.
+    """
+    n = s.n
+    for w in range(1, min(w_max, n) + 1):
+        best = None
+        for support in itertools.combinations(range(n), w):
+            for choice in itertools.product((1, 2, 3), repeat=w):
+                xb = zb = 0
+                for pos, c in zip(support, choice):
+                    if c & 1:
+                        xb |= 1 << pos
+                    if c & 2:
+                        zb |= 1 << pos
+                key = (xb, zb)
+                if best is not None and key >= best[0]:
+                    continue
+                p = Pauli(BitString(n, xb), BitString(n, zb))
+                if s.in_normalizer(p) and not s.in_group(p):
+                    best = (key, p)
+        if best is not None:
+            return w, best[1]
+    return None
+
+
+def _seeded_code_pairs():
+    """code_pair_stabilizers of 8 seeded random graphs (n <= 10), and a
+    Hadamard conjugate of each on a seeded random qubit subset."""
+    out = []
+    for seed, n in ((1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10)):
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        s = code_pair_stabilizers(
+            Graph.from_edges(n, edges), BitString(n, rng.randrange(1, 1 << n)))
+        out.append(pytest.param(s, id=f"pair-n{n}"))
+        flip = [q for q in range(n) if rng.random() < 0.5]
+        out.append(pytest.param(hadamard_conjugate(s, flip), id=f"hadamard-n{n}"))
+    return out
+
+
+DIFF_GROUPS = _seeded_code_pairs() + [
+    pytest.param(gen_3d_code(2), id="3d-L2"),
+    pytest.param(gen_3d_code(3), id="3d-L3"),
+]
 
 
 class TestPauli:
@@ -185,11 +238,14 @@ class TestNormalizerScan:
         w, p = normalizer_min_weight(s, 3)
         assert w == 1 and p.to_text() == "+ZII"
 
-    def test_thread_invariance(self):
-        s = gen_3d_code(2)
-        a = normalizer_min_weight(s, 2, threads=1)
-        b = normalizer_min_weight(s, 2, threads=4)
-        assert a[0] == b[0] and a[1] == b[1]
+    @pytest.mark.parametrize("s", DIFF_GROUPS)
+    def test_kernel_matches_reference(self, s):
+        def text(hit):
+            return None if hit is None else (hit[0], hit[1].to_text())
+
+        for w_max in (1, 2, 3):
+            assert text(normalizer_min_weight(s, w_max)) == text(
+                reference_normalizer_min_weight(s, w_max)), w_max
 
 
 class Test3DCode:
