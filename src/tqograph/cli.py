@@ -26,8 +26,9 @@ from . import stabilizer
 SCHEMA = "tqograph-report/1"
 
 COST_NOTE = (
-    "Cost notes: the state-vector check enumerates sum_{w<=d-1} C(n,w)*3^w "
-    "Pauli operators on 2^n amplitudes (n capped at 14).  W membership builds "
+    "Cost notes: the state-vector check runs one n*2^n Walsh-Hadamard "
+    "transform per codeword pair and per X pattern, over the sum_{w<=d-1} "
+    "C(n,w) patterns of weight <= d-1 (n capped at 14).  W membership builds "
     "a table of sum_{w<=a} C(n,w)*3^w syndromes once per (G, d), with "
     "a = ceil((d-1)/2), and each query then streams sum_{w<=b} C(n,w)*3^w, "
     "with b = floor((d-1)/2); the Z span scans sum_{w<=d-1} C(n,w) supports.  "

@@ -16,11 +16,8 @@ both edges), each cross-checked by the state-vector oracle.
 """
 
 import itertools
-import math
 import random
 import time
-
-import pytest
 
 from tqograph.gf2 import BitString, Gf2Matrix
 from tqograph.graphs import (
@@ -45,7 +42,6 @@ from tqograph.analysis import (
     in_C,
     in_W,
     in_Z,
-    in_zperp,
     ldpc_embed,
     verify_codewords,
 )

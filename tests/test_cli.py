@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from tqograph.cli import main
 
 
@@ -172,6 +170,12 @@ class TestOracle:
     def test_requires_mode(self, capsys):
         code, _, err = run(capsys, ["oracle", "star", "4"])
         assert code == 1 and "need --h/--d or --matrix-elements" in err
+
+    def test_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TQO_BUDGET_MS", "0.0001")
+        code, rep = run_json(capsys, ["oracle", "star", "4", "--h", "0110", "--d", "2"])
+        assert code == 2 and rep["budget_exceeded"]
+        assert "time budget" in rep["results"]["error"]
 
 
 class TestCode3D:

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from tqograph.gf2 import BitString

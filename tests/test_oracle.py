@@ -1,11 +1,16 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
+from tqograph.analysis import BudgetExceededError, Deadline
 from tqograph.gf2 import BitString
-from tqograph.graphs import complete, star, toric
+from tqograph.graphs import Graph, complete, star, toric
 from tqograph.oracle import (
+    DEFAULT_TOL,
+    QeccVerdict,
     QubitCapExceededError,
     StateVector,
     brute_force_qecc_check,
@@ -14,10 +19,56 @@ from tqograph.oracle import (
     inner,
     pauli_expectation,
     pauli_matrix_element,
-    pauli_pairs,
 )
 
 TOL = 1e-12
+
+
+# --------------------------------------------------------------------------
+# Reference: the per-operator check that brute_force_qecc_check replaced.
+
+def pauli_pairs(n: int, w_max: int):
+    """All (k, l) with weight(k | l) <= w_max, in canonical (w, k, l) order.
+
+    Count is sum over w of C(n, w) * 3^w: each support position carries X,
+    Z, or both.  Each weight class is built and sorted only when reached.
+    """
+    for w in range(w_max + 1):
+        out = []
+        for support in itertools.combinations(range(n), w):
+            for choice in itertools.product((1, 2, 3), repeat=w):
+                kb = lb = 0
+                for pos, c in zip(support, choice):
+                    if c & 1:
+                        kb |= 1 << pos
+                    if c & 2:
+                        lb |= 1 << pos
+                out.append((kb, lb))
+        out.sort()
+        for kb, lb in out:
+            yield BitString(n, kb), BitString(n, lb)
+
+
+def reference_qecc_check(codewords, d, tol=DEFAULT_TOL):
+    """One pauli_matrix_element per operator and codeword pair, in order."""
+    n = codewords[0].n
+    count = 0
+    for k, l in pauli_pairs(n, d - 1):
+        count += 1
+        diag0 = pauli_matrix_element(codewords[0], codewords[0], k, l)
+        for i in range(len(codewords)):
+            for j in range(i, len(codewords)):
+                val = (
+                    diag0
+                    if (i, j) == (0, 0)
+                    else pauli_matrix_element(codewords[i], codewords[j], k, l)
+                )
+                if i == j:
+                    if abs(val - diag0) > tol:
+                        return QeccVerdict(False, (i, i, k, l), count)
+                elif abs(val) > tol:
+                    return QeccVerdict(False, (i, j, k, l), count)
+    return QeccVerdict(True, None, count)
 
 
 class TestStateVector:
@@ -155,8 +206,9 @@ class TestQeccCheck:
         verdict = brute_force_qecc_check(states, 2)
         assert not verdict.ok
         i, j, k, l = verdict.witness
-        assert (i, j) != (0, 0) or True
-        assert (k | l).weight() <= 1
+        # X Z on qubit 0 (Y up to phase) maps |G> onto the all-ones label
+        assert (i, j, k.to_text(), l.to_text()) == (0, 1, "1000", "1000")
+        assert verdict.operators_checked == 7
 
     def test_distance_three_fails_on_star_pair(self):
         g = star(4)
@@ -174,6 +226,85 @@ class TestQeccCheck:
         with pytest.raises(ValueError, match="1 <= d"):
             brute_force_qecc_check([psi], 4)
 
+    def test_deadline_checked(self):
+        g = star(4)
+        states = [build_graph_state(g), graph_basis_state(g, BitString.from_text("0110"))]
+        with pytest.raises(BudgetExceededError, match="time budget"):
+            brute_force_qecc_check(states, 2, deadline=Deadline(0.0))
+
     def test_single_codeword_trivially_consistent(self):
         verdict = brute_force_qecc_check([build_graph_state(star(3))], 2)
         assert verdict.ok
+
+
+def _verdict_key(verdict):
+    w = verdict.witness
+    return (verdict.ok,
+            None if w is None else (w[0], w[1], w[2].bits, w[3].bits),
+            verdict.operators_checked)
+
+
+def _phase_twist(states, rng):
+    """A generic phase on |1> of each qubit, and a global phase per state.
+
+    Both are local unitaries, so they map the operators of weight <= d - 1
+    onto their own span: the verdict's ok is kept, while the amplitudes and
+    matrix elements become generic complex numbers.
+    """
+    n = states[0].n
+    idx = np.arange(1 << n)
+    twist = np.ones(1 << n, dtype=np.complex128)
+    for q in range(n):
+        twist[(idx >> q) & 1 == 1] *= np.exp(1j * rng.uniform(0, 2 * math.pi))
+    return [StateVector(n, s.amps * twist * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            for s in states]
+
+
+class TestQeccMatchesReference:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_distance(self, n):
+        rng = random.Random(f"qecc-reference:{n}")
+        density = rng.choice((0.2, 0.4, 0.6))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph.from_edges(n, edges)
+        labels = rng.sample(range(1, 1 << n), rng.randint(1, min(3, (1 << n) - 1)))
+        plain = [build_graph_state(g)] + [graph_basis_state(g, BitString(n, h)) for h in labels]
+        twisted = _phase_twist(plain, rng)
+        for d in range(1, n + 1):
+            want = _verdict_key(reference_qecc_check(plain, d))
+            assert _verdict_key(brute_force_qecc_check(plain, d)) == want, (d, labels)
+            got = _verdict_key(brute_force_qecc_check(twisted, d))
+            assert got == _verdict_key(reference_qecc_check(twisted, d)), (d, labels)
+            assert got[0] == want[0]
+
+    def test_distance_three_member(self):
+        # d_max(toric(2)) = 3 with this certificate, so d = 3 scans every operator
+        g = toric(2)
+        plain = [build_graph_state(g), graph_basis_state(g, BitString.from_text("10100101"))]
+        for states in (plain, _phase_twist(plain, random.Random("qecc-reference:toric"))):
+            verdicts = [_verdict_key(brute_force_qecc_check(states, d)) for d in range(1, 5)]
+            assert verdicts == [_verdict_key(reference_qecc_check(states, d)) for d in range(1, 5)]
+            assert [ok for ok, _, _ in verdicts] == [True, True, True, False]
+
+    def test_lightest_z_pattern_wins_over_smallest_integer(self):
+        # <+++| Z^l |c1> is nonzero only at l = 3 (weight 2) and l = 4
+        # (weight 1): the witness is Z on qubit 2, although 3 < 4
+        plain = [StateVector(3, np.full(8, 8**-0.5)),
+                 StateVector(3, np.array([0, -1, -1, 0, 1, 0, 0, 1]) / 2)]
+        for d in (1, 2, 3):
+            want = _verdict_key(reference_qecc_check(plain, d))
+            assert _verdict_key(brute_force_qecc_check(plain, d)) == want
+        verdict = brute_force_qecc_check(plain, 3)
+        i, j, k, l = verdict.witness
+        assert (i, j, k.to_text(), l.to_text()) == (0, 1, "000", "001")
+        assert verdict.operators_checked == 4
+
+    def test_later_pattern_of_the_same_weight_can_win(self):
+        # X0 X1 is a stabilizer (vertices 0 and 1 share neighbours 3 and 5)
+        # whose sign the label flips.  Pattern X2 is reached first and gives a
+        # weight-2 violation, but pattern X0 X1 = 3 < 4 comes before it
+        g = Graph.from_edges(6, [(0, 3), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5)])
+        plain = [build_graph_state(g), graph_basis_state(g, BitString(6, 62))]
+        verdict = brute_force_qecc_check(plain, 3)
+        assert _verdict_key(verdict) == _verdict_key(reference_qecc_check(plain, 3))
+        assert _verdict_key(verdict) == (False, (1, 1, 3, 0), 55)

@@ -7,7 +7,6 @@ from tqograph.gf2 import BitString
 from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
 from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
 from tqograph.stabilizer import (
-    Code3DReport,
     Pauli,
     StabilizerGroup,
     code_pair_stabilizers,
