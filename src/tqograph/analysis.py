@@ -119,11 +119,6 @@ def graph_basis_inner_analytic(
     return -1 if (dot(h, k) ^ sigma(a, k)) else 1
 
 
-def in_Z(q: SetQuery, k: BitString) -> bool:
-    a = q.graph.adjacency()
-    return ((k | a.mat_vec(k)).weight()) <= q.d - 1
-
-
 def _check_weight_cap(q: SetQuery) -> None:
     if q.caps.max_weight is not None and q.d - 1 > q.caps.max_weight:
         raise BudgetExceededError(

@@ -114,11 +114,6 @@ class BitString:
         return f"BitString({self.to_text()!r})"
 
 
-def weight(k: BitString) -> int:
-    """Hamming weight of k."""
-    return k.weight()
-
-
 def dot(k: BitString, l: BitString) -> int:
     """GF(2) inner product of two equal-length bitstrings."""
     k._check_len(l)
@@ -184,12 +179,6 @@ class Gf2Matrix:
 
     def column(self, j: int) -> BitString:
         return BitString(self.rows, self.columns()[j])
-
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.cols, self.rows, self.columns())
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.row_bits == self.columns()
 
     def mat_vec(self, k: BitString) -> BitString:
         """GF(2) matrix-vector product A.k, as the XOR of selected columns."""
@@ -263,35 +252,6 @@ class Gf2Matrix:
         return f"Gf2Matrix({self.rows}x{self.cols})"
 
 
-def rank(m: Gf2Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Gf2Matrix) -> List[BitString]:
-    return m.kernel_basis()
-
-
-def independent_subset(vectors: List[BitString]) -> List[BitString]:
-    """Maximal independent sublist, greedy in input order."""
-    if not vectors:
-        return []
-    n = vectors[0].n
-    elim: List[int] = []  # elimination basis, each with a distinct pivot
-    kept: List[BitString] = []
-    for v in vectors:
-        if v.n != n:
-            raise ValueError("inconsistent vector lengths")
-        r = v.bits
-        for e in elim:
-            low = e & -e
-            if r & low:
-                r ^= e
-        if r:
-            elim.append(r)
-            kept.append(v)
-    return kept
-
-
 def span_iter(
     basis: List[BitString], n: int | None = None, cap: int = SPAN_DIM_CAP
 ) -> Iterator[BitString]:
@@ -343,4 +303,40 @@ def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> I
         yield 0
     elif w <= n:
         for batch in batches(0, w, 0):
+            yield from batch
+
+
+def connected_support_xors(
+    choices: Sequence[Tuple[int, ...]], nbrs: Sequence[int], w: int, deadline=None
+) -> Iterator[int]:
+    """support_xors over only the weight-w supports connected in a graph.
+
+    nbrs[v] is the neighbour bitmask of position v.  Each connected support
+    is grown once, from its least position (ESU, or Redelmeier's polyomino
+    growth): a position becomes a candidate only when it first touches the
+    support, and only above the root.  Choices, packing and deadline checks
+    are as in support_xors; supports come in growth order.
+    """
+
+    def batches(seen: int, ext: int, above: int, left: int, acc: int) -> Iterator[List[int]]:
+        if deadline is not None:
+            deadline.check()
+        picks = []
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            picks.append((low.bit_length() - 1, ext))
+        if left == 1:
+            yield [acc ^ c for v, _ in picks for c in choices[v]]
+            return
+        for v, rest in picks:
+            grown = rest | (nbrs[v] & above & ~seen)
+            for c in choices[v]:
+                yield from batches(seen | nbrs[v], grown, above, left - 1, acc ^ c)
+
+    if w == 0:
+        yield 0
+        return
+    for root in range(len(choices)):
+        for batch in batches(0, 1 << root, -2 << root, w, 0):
             yield from batch

@@ -264,29 +264,33 @@ def toric3d(L: int) -> Graph:
     """L^3-vertex generalized toric graph: L multi-star layers on a 3-torus.
 
     Entries follow the generalized delta/theta adjacency formula, with the
-    j and k indices cyclic mod L.
+    j and k indices cyclic mod L; each term needs both to differ by 0 or
+    +-1 mod L, so only those 9L partners per vertex are evaluated.
     """
     if L < 2:
         raise ValueError("toric3d needs L >= 2")
     rng = range(1, L + 1)
-    labels = [(i, j, k) for k in rng for j in rng for i in rng]
     edges = set()
-    for (i1, j1, k1), (i2, j2, k2) in itertools.combinations(labels, 2):
-        a = 0
-        if _delta_cyclic(j1, j2, L) and _delta_cyclic(k1, k2, L):
-            a ^= (1 if i1 == 1 else 0) * _theta(2, i2)
-            a ^= (1 if i2 == 1 else 0) * _theta(2, i1)
-        if _delta_cyclic(j1, j2, L):
-            a ^= _delta_cyclic(k1, k2 + 1, L) * _theta(i2, i1) * _theta(2, i2)
-            a ^= _delta_cyclic(k2, k1 + 1, L) * _theta(i1, i2) * _theta(2, i1)
-        if _delta_cyclic(j1, j2 + 1, L) and _delta_cyclic(k1, k2 + 1, L):
-            a ^= _theta(i2, i1) * _theta(2, i2)
-        if _delta_cyclic(j2, j1 + 1, L) and _delta_cyclic(k2, k1 + 1, L):
-            a ^= _theta(i1, i2) * _theta(2, i1)
-        if a:
-            u = toric3d_vertex(i1, j1, k1, L)
+    for k1, j1, i1 in itertools.product(rng, rng, rng):
+        u = toric3d_vertex(i1, j1, k1, L)
+        near = [{(c + e - 1) % L + 1 for e in (-1, 0, 1)} for c in (k1, j1)]
+        for k2, j2, i2 in itertools.product(*near, rng):
             v = toric3d_vertex(i2, j2, k2, L)
-            edges.add((min(u, v), max(u, v)))
+            if v <= u:
+                continue
+            a = 0
+            if _delta_cyclic(j1, j2, L) and _delta_cyclic(k1, k2, L):
+                a ^= (1 if i1 == 1 else 0) * _theta(2, i2)
+                a ^= (1 if i2 == 1 else 0) * _theta(2, i1)
+            if _delta_cyclic(j1, j2, L):
+                a ^= _delta_cyclic(k1, k2 + 1, L) * _theta(i2, i1) * _theta(2, i2)
+                a ^= _delta_cyclic(k2, k1 + 1, L) * _theta(i1, i2) * _theta(2, i1)
+            if _delta_cyclic(j1, j2 + 1, L) and _delta_cyclic(k1, k2 + 1, L):
+                a ^= _theta(i2, i1) * _theta(2, i2)
+            if _delta_cyclic(j2, j1 + 1, L) and _delta_cyclic(k2, k1 + 1, L):
+                a ^= _theta(i1, i2) * _theta(2, i1)
+            if a:
+                edges.add((u, v))
     return Graph.from_edges(L**3, sorted(edges), name=f"toric3d({L})")
 
 

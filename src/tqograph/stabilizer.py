@@ -9,11 +9,10 @@ and brute-force code distance via minimum-weight normalizer search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .gf2 import BitString, Gf2Matrix, dot, support_xors
+from .gf2 import BitString, Gf2Matrix, connected_support_xors, dot
 from .graphs import Graph, toric3d, toric3d_vertex
 
 
@@ -78,34 +77,39 @@ def pauli_mul(p: Pauli, q: Pauli) -> Pauli:
     return Pauli(p.x ^ q.x, p.z ^ q.z, sign)
 
 
-def commutes(p: Pauli, q: Pauli) -> bool:
-    if p.n != q.n:
-        raise ValueError("length mismatch")
-    return (dot(p.x, q.z) ^ dot(p.z, q.x)) == 0
-
-
 def _sym_bits(p: Pauli, n: int) -> int:
     return p.x.bits | (p.z.bits << n)
 
 
 class StabilizerGroup:
-    """Pairwise-commuting Pauli generators (need not be independent)."""
+    """Pairwise-commuting Pauli generators (need not be independent).
 
-    __slots__ = ("n", "generators", "_basis")
+    A Pauli's syndrome (the generators it anticommutes with) xors the cached
+    per-qubit columns of the generators' opposite-type part over its support.
+    """
+
+    __slots__ = ("n", "generators", "_x", "_z", "_basis")
 
     def __init__(self, n: int, generators: Sequence[Pauli]):
         generators = tuple(generators)
         for g in generators:
             if g.n != n:
                 raise ValueError("generator length mismatch")
-        for a, b in itertools.combinations(generators, 2):
-            if not commutes(a, b):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
+        m = len(generators)
+        object.__setattr__(self, "_x", Gf2Matrix(m, n, [g.x.bits for g in generators]))
+        object.__setattr__(self, "_z", Gf2Matrix(m, n, [g.z.bits for g in generators]))
+        object.__setattr__(self, "_basis", None)
+        # Anticommutation is symmetric: the first generator with a syndrome has
+        # its lowest partner above it, the first bad pair in combinations order.
+        for a in generators:
+            syn = self._syndrome(a)
+            if syn:
+                b = generators[(syn & -syn).bit_length() - 1]
                 raise ValueError(
                     f"generators do not commute: {a.to_text()} vs {b.to_text()}"
                 )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         if name == "_basis" and getattr(self, name, None) is None:
@@ -159,8 +163,12 @@ class StabilizerGroup:
                 prod = pauli_mul(prod, self.generators[idx])
         return prod.sign == p.sign
 
+    def _syndrome(self, p: Pauli) -> int:
+        """Bit i set iff p anticommutes with generator i."""
+        return self._z.mat_vec(p.x).bits ^ self._x.mat_vec(p.z).bits
+
     def in_normalizer(self, p: Pauli) -> bool:
-        return all(commutes(p, g) for g in self.generators)
+        return not self._syndrome(p)
 
 
 def graph_stabilizers(g: Graph) -> StabilizerGroup:
@@ -223,6 +231,14 @@ def gen_3d_code(L: int) -> StabilizerGroup:
     Generator (i,j,k): X on (i,j,k) and (i+1,j,k); Z on (i,j,k+1),
     (i,j+1,k+1), (i+1,j,k-1) and (i+1,j-1,k-1); all coordinates mod L.
     Coinciding Z positions cancel, which xor accumulation gives for free.
+
+    k(L) = n - rank = 2L - (L mod 2).  In R = F2[y,z]/(y^L - 1, z^L - 1) with
+    g = 1 + y, h = 1 + y z^2, the deficiency is dim Ann((1 + y)(z^2 + y^-1))
+    = dim Ann(gh) = dim R/(gh) (R is a group algebra, hence Frobenius)
+    = dim R/(g) + dim R/(Ann(g) + (h)).  The first term is L; Ann(g) is
+    generated by N_y = sum_{i<L} y^i and y = z^-2 in R/(h), so the second is
+    dim F2[z]/(z^L - 1, sum_{i<L} z^-2i): L - 1 for odd L, where the sum is
+    N_z, and L for even L, where each even power appears twice.
     """
     if L < 2:
         raise ValueError("need L >= 2")
@@ -297,27 +313,35 @@ def normalizer_min_weight(
 ) -> Optional[Tuple[int, Pauli]]:
     """Least-weight Pauli commuting with all generators but outside the group.
 
-    Runs on gf2.support_xors.  The choices at qubit v are X, Z and Y, each
-    one int: its syndrome against the m generators in the low m bits (X_v
-    flips generator i iff g_i has Z on v, Z_v iff g_i has X on v), then its
-    z bits, then its x bits.  An operator is in the normalizer iff its low m
-    bits are 0, and only those get the group-membership row reduction.
-    Weight classes go in increasing order; within a class x >> m compares
-    as the canonical (x, z) key, and the least operator outside the group
-    wins.  Returns None when nothing of weight <= w_max exists.
+    Runs on gf2.connected_support_xors over the qubit-interaction graph
+    (u ~ v iff a generator acts on both): a hit whose support splits into
+    parts no generator bridges is a product of normalizer elements, one of
+    them outside the group and lighter, so minimum-weight hits are connected.
+    The choices at qubit v are X, Z and Y, each one int: its syndrome
+    against the m generators in the low m bits (X_v flips generator i iff
+    g_i has Z on v, Z_v iff g_i has X on v), then its z bits, then its x
+    bits.  An operator is in the normalizer iff its low m bits are 0, and
+    only those get the group-membership row reduction.  Weight classes go in
+    increasing order; within a class x >> m compares as the canonical (x, z)
+    key, and the least operator outside the group wins.  Returns None when
+    nothing of weight <= w_max exists.
     """
     n, m = s.n, len(s.generators)
-    flips_x = Gf2Matrix(m, n, [g.z.bits for g in s.generators]).columns()
-    flips_z = Gf2Matrix(m, n, [g.x.bits for g in s.generators]).columns()
+    xcols, zcols = s._x.columns(), s._z.columns()
     choices = []
     for v in range(n):
         xv, zv = 1 << (m + n + v), 1 << (m + v)
-        sx, sz = flips_x[v] | xv, flips_z[v] | zv
+        sx, sz = zcols[v] | xv, xcols[v] | zv
         choices.append((sx, sz, sx ^ sz))
+    nbrs = [0] * n
+    for g in s.generators:
+        acted = g.x | g.z
+        for v in acted.support():
+            nbrs[v] |= acted.bits ^ (1 << v)
     syndrome, low = (1 << m) - 1, (1 << n) - 1
     for w in range(1, min(w_max, n) + 1):
         best = None
-        for op in support_xors(choices, w, deadline):
+        for op in connected_support_xors(choices, nbrs, w, deadline):
             if op & syndrome:
                 continue
             key = op >> m

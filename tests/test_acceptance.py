@@ -41,7 +41,6 @@ from tqograph.analysis import (
     graph_basis_inner_analytic,
     in_C,
     in_W,
-    in_Z,
     ldpc_embed,
     verify_codewords,
 )
@@ -95,6 +94,11 @@ def random_connected_graph(rng, n):
         ]
         if connected(n, edges):
             return Graph.from_edges(n, edges)
+
+
+def in_Z(q, k):
+    """k is in Z(G, d) iff wt(k | A.k) <= d - 1."""
+    return (k | q.graph.adjacency().mat_vec(k)).weight() <= q.d - 1
 
 
 def test_criterion_01_matrix_element_closed_form():

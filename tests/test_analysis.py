@@ -29,7 +29,6 @@ from tqograph.analysis import (
     graph_basis_inner_analytic,
     in_C,
     in_W,
-    in_Z,
     in_zperp,
     ldpc_embed,
     read_classical_code,
@@ -56,6 +55,11 @@ def weight_iter(n, w_max):
             yield BitString.from_indices(n, support)
 
 
+def in_Z(q, k):
+    """k is in Z(G, d) iff wt(k | A.k) <= d - 1."""
+    return (k | q.graph.adjacency().mat_vec(k)).weight() <= q.d - 1
+
+
 def reference_in_W(q, h):
     """h = A.m ^ l with weight(m | l) <= d - 1: enumerate m, force l = h ^ A.m."""
     a = q.graph.adjacency()
@@ -67,10 +71,9 @@ def reference_in_W(q, h):
 
 def reference_z_span_basis(q):
     """Members of Z kept rank-incrementally, in weight_iter order."""
-    a = q.graph.adjacency()
     elim, kept = [], []
     for k in weight_iter(q.graph.n, q.d - 1):
-        if k.is_zero() or (k | a.mat_vec(k)).weight() > q.d - 1:
+        if k.is_zero() or not in_Z(q, k):
             continue
         r = k.bits
         for e in elim:

@@ -177,6 +177,13 @@ class TestOracle:
         assert code == 2 and rep["budget_exceeded"]
         assert "time budget" in rep["results"]["error"]
 
+    def test_qubit_cap_is_an_error_line(self, capsys):
+        code, out, err = run(
+            capsys, ["oracle", "lattice", "4", "2", "--h", "0" * 15 + "1", "--d", "2"]
+        )
+        assert code == 1 and out == ""
+        assert err == "error: 16 qubits exceeds cap 14\n"
+
 
 class TestCode3D:
     def test_L2(self, capsys):
@@ -188,6 +195,11 @@ class TestCode3D:
         assert r["params"] == "[[8,4,2]]"
         assert r["constraints_hold"] and r["derivation_ok"] and r["logicals_ok"]
         assert r["rank_deficiency"] == 4 and r["distance"] == 2
+
+    def test_k_matches_closed_form(self, capsys):
+        for L in range(2, 9):
+            code, rep = run_json(capsys, ["code3d", "--L", str(L), "--no-distance-scan"])
+            assert rep["results"]["k"] == rep["results"]["k_formula"] == 2 * L - L % 2
 
     def test_no_scan(self, capsys):
         code, rep = run_json(capsys, ["code3d", "--L", "2", "--no-distance-scan"])

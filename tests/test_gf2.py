@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,12 +8,10 @@ from tqograph.gf2 import (
     BitString,
     Gf2Matrix,
     SubspaceTooLargeError,
+    connected_support_xors,
     dot,
-    independent_subset,
-    kernel_basis,
-    rank,
     span_iter,
-    weight,
+    support_xors,
 )
 
 
@@ -18,11 +19,40 @@ def bits(text):
     return BitString.from_text(text)
 
 
+def independent_subset(vectors):
+    """Maximal independent sublist, greedy in input order: the reference
+    that Gf2Matrix.rank is checked against."""
+    elim, kept = [], []  # elimination basis, each with a distinct pivot
+    for v in vectors:
+        r = v.bits
+        for e in elim:
+            if r & (e & -e):
+                r ^= e
+        if r:
+            elim.append(r)
+            kept.append(v)
+    return kept
+
+
+def is_connected(support, nbrs):
+    """Plain search: is the vertex set connected in the neighbour-mask graph?"""
+    if not support:
+        return True
+    todo, seen = [min(support)], {min(support)}
+    while todo:
+        u = todo.pop()
+        for v in support:
+            if v not in seen and (nbrs[u] >> v) & 1:
+                seen.add(v)
+                todo.append(v)
+    return seen == set(support)
+
+
 class TestBitString:
     def test_weight(self):
-        assert weight(BitString.zeros(5)) == 0
-        assert weight(BitString.ones(4)) == 4
-        assert weight(bits("0110")) == 2
+        assert BitString.zeros(5).weight() == 0
+        assert BitString.ones(4).weight() == 4
+        assert bits("0110").weight() == 2
 
     def test_text_round_trip(self):
         for t in ("", "0", "1", "0110", "111100"):
@@ -58,7 +88,7 @@ class TestBitString:
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
     def test_xor_weight_identity(self, a, b):
         x, y = BitString(12, a), BitString(12, b)
-        assert weight(x ^ y) == weight(x) + weight(y) - 2 * weight(x & y)
+        assert (x ^ y).weight() == x.weight() + y.weight() - 2 * (x & y).weight()
 
     @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
     def test_support_matches_bits(self, a, b):
@@ -71,12 +101,15 @@ class TestGf2Matrix:
         m = Gf2Matrix(2, 3, [0b011, 0b110])
         assert m.row(0).to_text() == "110"
         assert m.column(0).to_text() == "10"
-        assert m.transpose().row_bits == m.columns()
-        assert m.transpose().transpose() == m
+        assert m.columns() == (0b01, 0b11, 0b10)
+        t = Gf2Matrix(3, 2, m.columns())
+        assert Gf2Matrix(2, 3, t.columns()) == m
 
     def test_is_symmetric(self):
-        assert Gf2Matrix.identity(3).is_symmetric()
-        assert not Gf2Matrix(2, 2, [0b10, 0b00]).is_symmetric()
+        # a matrix is symmetric iff its column bitsets equal its rows
+        assert Gf2Matrix.identity(3).columns() == Gf2Matrix.identity(3).row_bits
+        m = Gf2Matrix(2, 2, [0b10, 0b00])
+        assert m.columns() != m.row_bits
 
     def test_mat_vec(self):
         star = Gf2Matrix(4, 4, [0b1110, 0b0001, 0b0001, 0b0001])
@@ -89,15 +122,15 @@ class TestGf2Matrix:
             star.mat_vec(BitString.zeros(3))
 
     def test_rank_kernel_identity_and_zero(self):
-        assert rank(Gf2Matrix.identity(4)) == 4
-        assert kernel_basis(Gf2Matrix.identity(4)) == []
+        assert Gf2Matrix.identity(4).rank() == 4
+        assert Gf2Matrix.identity(4).kernel_basis() == []
         z = Gf2Matrix.zeros(3, 3)
-        assert rank(z) == 0
-        assert kernel_basis(z) == [BitString.basis(3, i) for i in range(3)]
+        assert z.rank() == 0
+        assert z.kernel_basis() == [BitString.basis(3, i) for i in range(3)]
 
     def test_kernel_orthogonal_to_rows(self):
         m = Gf2Matrix.from_rows([bits("1100"), bits("0110")])
-        ker = kernel_basis(m)
+        ker = m.kernel_basis()
         assert len(ker) == 2
         for v in ker:
             assert m.mat_vec(v).is_zero()
@@ -105,11 +138,11 @@ class TestGf2Matrix:
     @given(st.lists(st.integers(0, 2**8 - 1), min_size=1, max_size=8))
     def test_rank_plus_nullity(self, rows):
         m = Gf2Matrix(len(rows), 8, rows)
-        assert rank(m) + len(kernel_basis(m)) == 8
-        for v in kernel_basis(m):
+        assert m.rank() + len(m.kernel_basis()) == 8
+        for v in m.kernel_basis():
             assert m.mat_vec(v).is_zero()
         # fully reduced on highest bits: no other vector has a vector's top bit
-        ker = [v.bits for v in kernel_basis(m)]
+        ker = [v.bits for v in m.kernel_basis()]
         for v in ker:
             top = 1 << (v.bit_length() - 1)
             assert [u for u in ker if u & top] == [v]
@@ -122,7 +155,8 @@ class TestGf2Matrix:
     def test_transpose_adjoint(self, rows, kb, lb):
         m = Gf2Matrix(len(rows), 6, rows)
         k, l = BitString(len(rows), kb % (1 << len(rows))), BitString(6, lb)
-        assert dot(k, m.mat_vec(l)) == dot(m.transpose().mat_vec(k), l)
+        mt = Gf2Matrix(6, len(rows), m.columns())
+        assert dot(k, m.mat_vec(l)) == dot(mt.mat_vec(k), l)
 
 
 class TestIndependentSubset:
@@ -142,7 +176,7 @@ class TestIndependentSubset:
         out = independent_subset(vs)
         m_in = Gf2Matrix.from_rows(vs, cols=7)
         m_out = Gf2Matrix.from_rows(out, cols=7)
-        assert rank(m_out) == len(out) == rank(m_in)
+        assert m_out.rank() == len(out) == m_in.rank()
 
 
 class TestSpanIter:
@@ -171,3 +205,47 @@ class TestSpanIter:
         a = [v.bits for v in span_iter(basis)]
         b = [v.bits for v in span_iter(basis)]
         assert a == b and len(set(a)) == 8
+
+
+class TestConnectedSupportXors:
+    def test_matches_filtered_support_xors(self):
+        # random graphs, isolated vertices included; each choice carries
+        # its position's bit above 8 junk bits, so the support is readable
+        rng = random.Random(6)
+        for _ in range(40):
+            n = rng.randrange(1, 13)
+            p = rng.choice((0.15, 0.3, 0.6))
+            nbrs = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        nbrs[u] |= 1 << v
+                        nbrs[v] |= 1 << u
+            choices = [tuple(rng.getrandbits(8) | 1 << (8 + v)
+                             for _ in range(rng.randrange(1, 3))) for v in range(n)]
+            for w in range(5):
+                want = Counter(
+                    op for op in support_xors(choices, w)
+                    if is_connected([v for v in range(n) if (op >> (8 + v)) & 1], nbrs))
+                assert Counter(connected_support_xors(choices, nbrs, w)) == want, (n, w)
+
+    def test_path_and_isolated(self):
+        # 0 - 1 - 2 and isolated 3: connected pairs {0,1} and {1,2} only
+        nbrs = [0b010, 0b101, 0b010, 0]
+        choices = [(1 << v,) for v in range(4)]
+        assert sorted(connected_support_xors(choices, nbrs, 1)) == [1, 2, 4, 8]
+        assert sorted(connected_support_xors(choices, nbrs, 2)) == [0b011, 0b110]
+        assert list(connected_support_xors(choices, nbrs, 3)) == [0b111]
+        assert list(connected_support_xors(choices, nbrs, 4)) == []
+        assert list(connected_support_xors(choices, nbrs, 0)) == [0]
+
+    def test_deadline_checked(self):
+        class Expired(Exception):
+            pass
+
+        class Deadline:
+            def check(self):
+                raise Expired
+
+        with pytest.raises(Expired):
+            list(connected_support_xors([(1,), (2,)], [2, 1], 2, Deadline()))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tqograph.gf2 import BitString
@@ -42,7 +44,7 @@ class TestGraphBasics:
     def test_adjacency_symmetric_zero_diagonal(self):
         g = complete(4)
         a = g.adjacency()
-        assert a.is_symmetric()
+        assert a.row_bits == a.columns()
         assert all((a.row_bits[i] >> i) & 1 == 0 for i in range(4))
 
     def test_degrees_handshake(self):
@@ -201,7 +203,40 @@ class TestConnectedMultiStar:
         assert len(seen) == g.n
 
 
+def reference_toric3d_edges(L):
+    """The O(n^2) transcription windowed toric3d replaced: every vertex pair
+    against the generalized delta/theta formula, j and k cyclic mod L."""
+    def delta(a, b):
+        return 1 if (a - b) % L == 0 else 0
+
+    def theta(a, b):
+        return 1 if a <= b else 0
+
+    rng = range(1, L + 1)
+    labels = [(i, j, k) for k in rng for j in rng for i in rng]
+    edges = []
+    for (i1, j1, k1), (i2, j2, k2) in itertools.combinations(labels, 2):
+        a = 0
+        if delta(j1, j2) and delta(k1, k2):
+            a ^= (1 if i1 == 1 else 0) * theta(2, i2)
+            a ^= (1 if i2 == 1 else 0) * theta(2, i1)
+        if delta(j1, j2):
+            a ^= delta(k1, k2 + 1) * theta(i2, i1) * theta(2, i2)
+            a ^= delta(k2, k1 + 1) * theta(i1, i2) * theta(2, i1)
+        if delta(j1, j2 + 1) and delta(k1, k2 + 1):
+            a ^= theta(i2, i1) * theta(2, i2)
+        if delta(j2, j1 + 1) and delta(k2, k1 + 1):
+            a ^= theta(i1, i2) * theta(2, i1)
+        if a:
+            edges.append((toric3d_vertex(i1, j1, k1, L), toric3d_vertex(i2, j2, k2, L)))
+    return tuple(sorted(edges))
+
+
 class TestToric3D:
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_matches_all_pairs_formula(self, L):
+        assert toric3d(L).edges == reference_toric3d_edges(L)
+
     def test_L2_is_disjoint_dimers(self):
         # mod-2 cancellation collapses every inter-layer pair at L = 2
         g = toric3d(2)

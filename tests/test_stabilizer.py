@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from tqograph.gf2 import BitString
+from tqograph.gf2 import BitString, dot, support_xors
 from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
 from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
 from tqograph.stabilizer import (
     Pauli,
     StabilizerGroup,
     code_pair_stabilizers,
-    commutes,
     gen_3d_code,
     gen_3d_code_derived,
     graph_stabilizers,
@@ -22,6 +21,73 @@ from tqograph.stabilizer import (
 )
 
 TOL = 1e-12
+
+
+# Pairwise commutation check the syndrome columns replaced, kept as reference.
+
+def commutes(p, q):
+    return (dot(p.x, q.z) ^ dot(p.z, q.x)) == 0
+
+
+def reference_commutation_error(gens):
+    """The error StabilizerGroup(n, gens) raised from the pairwise loop, or None."""
+    for a, b in itertools.combinations(gens, 2):
+        if not commutes(a, b):
+            return f"generators do not commute: {a.to_text()} vs {b.to_text()}"
+    return None
+
+
+def random_pauli(rng, n):
+    return Pauli(BitString(n, rng.getrandbits(n)), BitString(n, rng.getrandbits(n)))
+
+
+def seeded_pauli_lists():
+    """Commuting lists (products of graph-state generators, some Hadamard
+    conjugated), then with 0-2 random Paulis planted at random positions."""
+    out = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 13)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        base = graph_stabilizers(Graph.from_edges(n, edges))
+        base = hadamard_conjugate(base, [q for q in range(n) if rng.random() < 0.3])
+        gens = []
+        for _ in range(rng.randrange(1, 2 * n + 1)):
+            p = Pauli.identity(n)
+            for g in rng.sample(base.generators, rng.randrange(1, n + 1)):
+                p = pauli_mul(p, g)
+            gens.append(p)
+        for _ in range(seed % 3):
+            gens.insert(rng.randrange(len(gens) + 1), random_pauli(rng, n))
+        out.append((n, gens))
+    return out
+
+
+def all_supports_normalizer_min_weight(s, w_max):
+    """The syndrome-kernel scan over every support, before the restriction
+    to connected supports; kept as a fast exhaustive reference."""
+    n, m = s.n, len(s.generators)
+    choices = []
+    for v in range(n):
+        sx = sz = 0
+        for i, g in enumerate(s.generators):
+            sx |= g.z.bit(v) << i
+            sz |= g.x.bit(v) << i
+        sx, sz = sx | 1 << (m + n + v), sz | 1 << (m + v)
+        choices.append((sx, sz, sx ^ sz))
+    low = (1 << n) - 1
+    for w in range(1, min(w_max, n) + 1):
+        best = None
+        for op in support_xors(choices, w):
+            key = op >> m
+            if op & ((1 << m) - 1) or (best is not None and key >= best):
+                continue
+            p = Pauli(BitString(n, key >> n), BitString(n, key & low))
+            if not s.in_group(p):
+                best = key
+        if best is not None:
+            return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
+    return None
 
 
 def reference_normalizer_min_weight(s, w_max):
@@ -62,15 +128,20 @@ def _seeded_code_pairs():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         s = code_pair_stabilizers(
             Graph.from_edges(n, edges), BitString(n, rng.randrange(1, 1 << n)))
-        out.append(pytest.param(s, id=f"pair-n{n}"))
+        out.append(pytest.param(s, (1, 2, 3), True, id=f"pair-n{n}"))
         flip = [q for q in range(n) if rng.random() < 0.5]
-        out.append(pytest.param(hadamard_conjugate(s, flip), id=f"hadamard-n{n}"))
+        out.append(pytest.param(
+            hadamard_conjugate(s, flip), (1, 2, 3), True, id=f"hadamard-n{n}"))
     return out
 
 
+# (group, w_max values, also against the per-operator scan).  That scan
+# takes about 9 s on gen_3d_code(4), so there the all-supports kernel,
+# itself checked against it on every other group, is the reference.
 DIFF_GROUPS = _seeded_code_pairs() + [
-    pytest.param(gen_3d_code(2), id="3d-L2"),
-    pytest.param(gen_3d_code(3), id="3d-L3"),
+    pytest.param(gen_3d_code(2), (1, 2, 3), True, id="3d-L2"),
+    pytest.param(gen_3d_code(3), (1, 2, 3), True, id="3d-L3"),
+    pytest.param(gen_3d_code(4), (3,), False, id="3d-L4"),
 ]
 
 
@@ -116,15 +187,38 @@ class TestPauliAlgebra:
         assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
 
     def test_commutes(self):
-        assert not commutes(Pauli.from_text("X"), Pauli.from_text("Z"))
-        assert commutes(Pauli.from_text("XX"), Pauli.from_text("ZZ"))
-        assert commutes(Pauli.from_text("XI"), Pauli.from_text("IZ"))
+        for a, b, want in (("X", "Z", False), ("XX", "ZZ", True), ("XI", "IZ", True),
+                           ("XY", "YY", False), ("YY", "ZX", True)):
+            p, q = Pauli.from_text(a), Pauli.from_text(b)
+            assert commutes(p, q) == want
+            assert StabilizerGroup(q.n, [q]).in_normalizer(p) == want
 
 
 class TestStabilizerGroup:
     def test_rejects_anticommuting(self):
         with pytest.raises(ValueError, match="do not commute"):
             StabilizerGroup(1, [Pauli.from_text("X"), Pauli.from_text("Z")])
+
+    def test_commutation_check_matches_pairwise(self):
+        rejected = 0
+        for n, gens in seeded_pauli_lists():
+            want = reference_commutation_error(gens)
+            if want is None:
+                StabilizerGroup(n, gens)
+                continue
+            rejected += 1
+            with pytest.raises(ValueError) as err:
+                StabilizerGroup(n, gens)
+            assert str(err.value) == want
+        assert 20 <= rejected <= 40
+
+    def test_in_normalizer_matches_pairwise(self):
+        rng = random.Random(5)
+        for n, gens in seeded_pauli_lists():
+            s = StabilizerGroup(n, [g for g in gens if all(commutes(g, h) for h in gens)])
+            for _ in range(5):
+                p = random_pauli(rng, n)
+                assert s.in_normalizer(p) == all(commutes(p, g) for g in s.generators)
 
     def test_rank_with_redundancy(self):
         zz1 = Pauli.from_text("ZZI")
@@ -237,14 +331,16 @@ class TestNormalizerScan:
         w, p = normalizer_min_weight(s, 3)
         assert w == 1 and p.to_text() == "+ZII"
 
-    @pytest.mark.parametrize("s", DIFF_GROUPS)
-    def test_kernel_matches_reference(self, s):
+    @pytest.mark.parametrize("s, w_maxes, per_operator", DIFF_GROUPS)
+    def test_kernel_matches_reference(self, s, w_maxes, per_operator):
         def text(hit):
             return None if hit is None else (hit[0], hit[1].to_text())
 
-        for w_max in (1, 2, 3):
-            assert text(normalizer_min_weight(s, w_max)) == text(
-                reference_normalizer_min_weight(s, w_max)), w_max
+        for w_max in w_maxes:
+            got = text(normalizer_min_weight(s, w_max))
+            assert got == text(all_supports_normalizer_min_weight(s, w_max)), w_max
+            if per_operator:
+                assert got == text(reference_normalizer_min_weight(s, w_max)), w_max
 
 
 class Test3DCode:
