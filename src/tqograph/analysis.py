@@ -13,6 +13,10 @@ the graph basis state labelled by any member.
 The enumerations run on plain ints (bit v is vertex v); BitString appears
 only at the API boundary.
 
+The Z span scans the supports of weight <= d-1 that are connected in G^2
+(u ~ v when their distance in G is 1 or 2), which span span(Z); when G has
+diameter <= 2 that is every support (z_span_basis gives the argument).
+
 W by meet in the middle.  A.m ^ l is the syndrome of the Pauli with X part
 m and Z part l: at vertex v, X contributes column A_v, Z contributes e_v and
 Y contributes A_v ^ e_v, and the syndrome of a product is the xor of the
@@ -34,6 +38,7 @@ canonical-least member of C.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -46,6 +51,7 @@ from .gf2 import (
     BitString,
     Gf2Matrix,
     SubspaceTooLargeError,
+    connected_support_xors,
     dot,
     span_iter,
     support_xors,
@@ -126,25 +132,50 @@ def _check_weight_cap(q: SetQuery) -> None:
         )
 
 
+def _square_nbrs(a: Gf2Matrix) -> List[int]:
+    """Neighbour bitmasks of G^2: u ~ v iff u != v and their distance in G is 1 or 2."""
+    cols = a.columns()
+    out = []
+    for v, c in enumerate(cols):
+        m, rest = c, c
+        while rest:
+            low = rest & -rest
+            m |= cols[low.bit_length() - 1]
+            rest ^= low
+        out.append(m & ~(1 << v))
+    return out
+
+
 def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
     """Independent set spanning span(Z).
 
-    weight(k) <= weight(k | A.k), so enumerating k up to weight d-1 sees
-    every member of Z.  Supports go by weight, each weight class in
-    itertools.combinations order, with A.k accumulated along the way;
-    vectors are kept rank-incrementally, stopping early once the span is
-    the full space.
+    weight(k) <= weight(k | A.k), so supports up to weight d-1 see every
+    member of Z; only those connected in G^2 are enumerated, and they span
+    span(Z).  Split a member k into its G^2-components k_1, ..., k_m.  The
+    sets k_i | A.k_i lie within distance 1 of their own component, so two
+    of them meeting would put two components within distance 2; they are
+    pairwise disjoint, the weights add, and each k_i is itself in Z.
+    When G has diameter <= 2, G^2 is complete and every support is
+    connected: the plain support loop visits them in the same order as the
+    growth, at about half its cost, so it runs instead.  Supports go by
+    weight, with A.k accumulated along the way; vectors are kept
+    rank-incrementally, stopping early once the span is the full space.
     """
     _check_weight_cap(q)
     n, top = q.graph.n, q.d - 1
     low = (1 << n) - 1
+    a = q.graph.adjacency()
     # one choice per vertex: k in the low n bits, A.k above them
-    cols = q.graph.adjacency().columns()
-    choices = [((1 << v) | (c << n),) for v, c in enumerate(cols)]
+    choices = [((1 << v) | (c << n),) for v, c in enumerate(a.columns())]
+    nbrs = _square_nbrs(a)
+    if all(m | (1 << v) == low for v, m in enumerate(nbrs)):
+        supports = functools.partial(support_xors, choices)
+    else:
+        supports = functools.partial(connected_support_xors, choices, nbrs)
     members = (
         k
         for w in range(1, min(top, n) + 1)
-        for x in support_xors(choices, w, deadline)
+        for x in supports(w, deadline)
         if ((k := x & low) | (x >> n)).bit_count() <= top
     )
     elim: List[int] = []

@@ -31,7 +31,8 @@ COST_NOTE = (
     "C(n,w) patterns of weight <= d-1 (n capped at 14).  W membership builds "
     "a table of sum_{w<=a} C(n,w)*3^w syndromes once per (G, d), with "
     "a = ceil((d-1)/2), and each query then streams sum_{w<=b} C(n,w)*3^w, "
-    "with b = floor((d-1)/2); the Z span scans sum_{w<=d-1} C(n,w) supports.  "
+    "with b = floor((d-1)/2); the Z span scans the supports of weight <= d-1 "
+    "connected in G^2 (all sum_{w<=d-1} C(n,w) when G has diameter <= 2).  "
     "C-set listing walks the 2^r-element orthogonal span (r capped by "
     "--max-span-dim); dmax walks it in increasing order, at most "
     "2^max-span-dim elements, and stops at the first member.  The code3d "

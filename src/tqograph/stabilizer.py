@@ -423,13 +423,15 @@ def verify_3d_code(
     rank = s.rank()
     code_dim = 1 << (n - rank)
 
+    # Residues modulo the group have no pivot bit set, so they are
+    # independent iff the strings are independent modulo the group; a string
+    # inside the group leaves residue 0.
     logicals = logical_strings(L)
-    logicals_ok = all(
-        s.in_normalizer(p) and not s.in_group(p) for p in logicals
+    residues = [s._reduce(_sym_bits(p, n))[0] for p in logicals]
+    logicals_ok = (
+        all(s.in_normalizer(p) for p in logicals)
+        and Gf2Matrix(L, 2 * n, residues).rank() == L
     )
-    if logicals_ok:
-        combined = StabilizerGroup(n, list(gens) + logicals)
-        logicals_ok = combined.rank() == rank + L
 
     derived = gen_3d_code_derived(L)
     derivation_ok = all(

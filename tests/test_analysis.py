@@ -5,12 +5,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tqograph.gf2 import BitString, Gf2Matrix
+from tqograph import analysis
+from tqograph.gf2 import BitString, Gf2Matrix, support_xors
 from tqograph.graphs import (
     Graph,
     complete,
     complete_bipartite,
+    connected_multi_star,
+    lattice,
     line_of_bipartite,
+    line_of_complete,
     multi_star,
     s_vector,
     star,
@@ -85,6 +89,44 @@ def reference_z_span_basis(q):
             if len(kept) == q.graph.n:
                 break
     return kept
+
+
+def all_supports_z_span_basis(q):
+    """z_span_basis over every support of weight <= d-1, connected or not.
+
+    The syndrome-kernel scan the G^2-connected growth replaced: the same
+    choices, weight filter and rank-incremental elimination, in
+    itertools.combinations order.
+    """
+    n, top = q.graph.n, q.d - 1
+    low = (1 << n) - 1
+    choices = [((1 << v) | (c << n),) for v, c in enumerate(q.graph.adjacency().columns())]
+    elim, kept = [], []
+    for w in range(1, min(top, n) + 1):
+        for x in support_xors(choices, w):
+            k = x & low
+            if (k | (x >> n)).bit_count() > top:
+                continue
+            r = k
+            for e in elim:
+                if r & (e & -e):
+                    r ^= e
+            if r:
+                elim.append(r)
+                kept.append(k)
+                if len(kept) == n:
+                    return [BitString(n, k) for k in kept]
+    return [BitString(n, k) for k in kept]
+
+
+def assert_same_z_span(q, got, want):
+    """got is an independent set of members of Z with the row space of want."""
+    n = q.graph.n
+    assert len(got) == len(want)
+    assert all(in_Z(q, k) for k in got)
+    rows = Gf2Matrix.from_rows(got, cols=n)
+    assert rows.rank() == len(got)
+    assert rows.kernel_basis() == Gf2Matrix.from_rows(want, cols=n).kernel_basis()
 
 
 class TestWeightIter:
@@ -195,9 +237,10 @@ class TestKernelMatchesReference:
                 assert in_W(q, h) == reference_in_W(q, h), (d, h)
 
     def test_z_span_basis_identical(self, g):
+        # identical span; the basis itself comes in G^2 growth order
         for d in range(1, g.n + 2):
             q = SetQuery(g, d)
-            assert z_span_basis(q) == reference_z_span_basis(q), d
+            assert_same_z_span(q, z_span_basis(q), reference_z_span_basis(q))
 
     def test_d_max_certificate_is_least_member(self, g):
         res = d_max(g)
@@ -205,6 +248,75 @@ class TestKernelMatchesReference:
         members = c_set(SetQuery(g, res.value, everything)).members
         assert res.certificate == members[0]
         assert c_set(SetQuery(g, res.value + 1, everything)).empty
+
+
+def sparse_graph(rng, n):
+    p = rng.uniform(0.1, 0.3)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def disjoint_union(g, h):
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges]
+    return Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
+
+
+def sparse_diff_graphs():
+    rng = random.Random(2024)
+    out = [sparse_graph(rng, rng.randrange(1, 13)) for _ in range(160)]
+    for _ in range(80):
+        a = rng.randrange(1, 8)
+        out.append(disjoint_union(sparse_graph(rng, a), sparse_graph(rng, rng.randrange(1, 13 - a))))
+    return out
+
+
+class TestZSpanConnectedSupports:
+    """The G^2-connected scan against the all-supports scan."""
+
+    def test_sparse_random_graphs(self):
+        graphs = sparse_diff_graphs()
+        # isolated vertices occur, and most G^2 are not complete, so supports split
+        assert any(0 in g.degrees() for g in graphs)
+        split = [g for g in graphs if any(
+            m | (1 << v) != (1 << g.n) - 1 for v, m in enumerate(analysis._square_nbrs(g.adjacency())))]
+        assert len(split) > len(graphs) // 2
+        for g in graphs:
+            for d in range(1, g.n + 2):
+                q = SetQuery(g, d)
+                assert_same_z_span(q, z_span_basis(q), all_supports_z_span_basis(q))
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_toric(self, L):
+        g = toric(L)
+        for d in range(1, (g.n + 2 if L < 5 else 6)):
+            q = SetQuery(g, d)
+            assert_same_z_span(q, z_span_basis(q), all_supports_z_span_basis(q))
+
+    def test_square_nbrs_path_and_cycle(self):
+        path = Graph.from_edges(5, [(v, v + 1) for v in range(4)])
+        assert analysis._square_nbrs(path.adjacency()) == [
+            0b00110, 0b01101, 0b11011, 0b10110, 0b01100]
+        cycle = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+        assert analysis._square_nbrs(cycle.adjacency()) == [
+            0b110110, 0b101101, 0b011011, 0b110110, 0b101101, 0b011011]
+
+    def test_dense_graph_takes_the_plain_loop(self, monkeypatch):
+        # line_of_complete(5) has diameter 2, so G^2 is complete and the list
+        # is the all-supports one, order included; a path grows instead
+        def forbidden(*args):
+            raise AssertionError("wrong enumeration")
+
+        g = line_of_complete(5)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "connected_support_xors", forbidden)
+            for d in range(1, g.n + 2):
+                q = SetQuery(g, d)
+                assert z_span_basis(q) == reference_z_span_basis(q), d
+        path = Graph.from_edges(6, [(v, v + 1) for v in range(5)])
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "support_xors", forbidden)
+            q = SetQuery(path, 4)
+            assert_same_z_span(q, z_span_basis(q), reference_z_span_basis(q))
 
 
 class TestCSet:
@@ -291,6 +403,21 @@ class TestDMax:
             z_span_basis(SetQuery(g, 5), dl)
         res = d_max(g, deadline=dl)
         assert not res.ok and res.bracket == (1, None) and "budget" in res.error
+
+    @pytest.mark.parametrize("g,want", [
+        (toric(5), 5),
+        (lattice(5, 2), 5),
+        (lattice(6, 2), 5),
+        (lattice(7, 2), 5),
+        (connected_multi_star(5), 5),
+        (line_of_bipartite(5), 5),
+        (line_of_complete(8), 4),
+        (line_of_complete(9), 4),
+    ], ids=["toric5", "lattice5", "lattice6", "lattice7", "cms5", "lob5", "loc8", "loc9"])
+    def test_pinned_family_values(self, g, want):
+        res = d_max(g)
+        assert res.value == want
+        assert in_C(SetQuery(g, want), res.certificate)
 
     def test_span_walk_cap_is_exact(self):
         # toric(2) finds no member at d = 4 and walks all of that probe's

@@ -5,6 +5,7 @@ import pytest
 
 from tqograph.gf2 import BitString, dot, support_xors
 from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
+from tqograph import stabilizer
 from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
 from tqograph.stabilizer import (
     Pauli,
@@ -412,6 +413,31 @@ class Test3DCode:
                 assert p.weight() == L and p.z.is_zero()
                 assert s.in_normalizer(p)
                 assert not s.in_group(p)
+
+    @staticmethod
+    def combined_rank_logicals_ok(s, logicals):
+        """The check verify_3d_code replaced: rank of generators plus strings."""
+        return all(s.in_normalizer(p) and not s.in_group(p) for p in logicals) and (
+            StabilizerGroup(s.n, list(s.generators) + logicals).rank()
+            == s.rank() + len(logicals)
+        )
+
+    def test_logicals_ok_matches_combined_rank(self, monkeypatch):
+        for L in range(2, 9):
+            want = self.combined_rank_logicals_ok(gen_3d_code(L), logical_strings(L))
+            assert verify_3d_code(L, distance_scan=False).logicals_ok == want
+            assert want
+        # string lists that fail: dependent, inside the group, outside the normalizer
+        s = gen_3d_code(3)
+        a, b, c = logical_strings(3)
+        g0 = s.generators[0]
+        z = Pauli(BitString.zeros(27), BitString.basis(27, 0))
+        for logs in ([a, a, c], [a, b, pauli_mul(a, b)], [g0, b, c],
+                     [pauli_mul(a, g0), b, c], [z, b, c]):
+            with monkeypatch.context() as m:
+                m.setattr(stabilizer, "logical_strings", lambda L, logs=logs: logs)
+                got = verify_3d_code(3, distance_scan=False).logicals_ok
+            assert got == self.combined_rank_logicals_ok(s, logs), logs
 
     def test_verify_L2(self):
         rep = verify_3d_code(2)
