@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .gf2 import BitString, Gf2Matrix
 from .graphs import FamilySpec, Graph, gen_family
-from .analysis import Caps, SetQuery, c_set, d_max
+from .analysis import SetQuery, c_set, d_max
 from .oracle import StateVector, build_graph_state, graph_basis_state
 from .stabilizer import Pauli, StabilizerGroup, verify_3d_code
 
@@ -14,7 +14,6 @@ __all__ = [
     "FamilySpec",
     "Graph",
     "gen_family",
-    "Caps",
     "SetQuery",
     "c_set",
     "d_max",

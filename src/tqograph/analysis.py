@@ -30,10 +30,11 @@ of weights <= a and <= b; and the weight of a product is at most the sum of
 the weights.  So T_a is built once per (A, a) and h is in W iff h ^ t lies
 in T_a for some t in T_b, with T_b streamed by weight.
 
-The largest d: the kernel basis of Zp is fully reduced on its highest
-bits, so with its rows sorted, counting c = 1, 2, ... visits the span in
-increasing integer order, and the first member found outside W is the
-canonical-least member of C.
+Zp is walked by one int generator, _span_walk: at step c it xors in the
+step indexed by the lowest set bit of c.  With the kernel basis as the
+steps that is the Gray-code walk of Zp, which c_set lists; with the prefix
+xors of the sorted kernel basis it is Zp in increasing order, so the first
+member found outside W is the canonical-least member of C (_least_member).
 """
 
 from __future__ import annotations
@@ -43,23 +44,20 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gf2 import (
     BitString,
     Gf2Matrix,
-    SubspaceTooLargeError,
     connected_support_xors,
     dot,
-    span_iter,
     support_xors,
 )
 from .graphs import FamilySpec, Graph, gen_family
 
 DEFAULT_MAX_MEMBERS = 1024
-DEFAULT_MAX_SPAN_DIM = 30
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,19 +81,9 @@ class Deadline:
 
 
 @dataclass(frozen=True)
-class Caps:
-    """Enumeration budgets: weight classes, span walk length, emitted members."""
-
-    max_weight: Optional[int] = None
-    max_span_dim: int = DEFAULT_MAX_SPAN_DIM
-    max_members: int = DEFAULT_MAX_MEMBERS
-
-
-@dataclass(frozen=True)
 class SetQuery:
     graph: Graph
     d: int
-    caps: Caps = Caps()
 
     def __post_init__(self):
         if not 1 <= self.d <= self.graph.n + 1:
@@ -123,13 +111,6 @@ def graph_basis_inner_analytic(
     if a.mat_vec(k) ^ l != h ^ g:
         return 0
     return -1 if (dot(h, k) ^ sigma(a, k)) else 1
-
-
-def _check_weight_cap(q: SetQuery) -> None:
-    if q.caps.max_weight is not None and q.d - 1 > q.caps.max_weight:
-        raise BudgetExceededError(
-            f"weight class {q.d - 1} exceeds cap {q.caps.max_weight}"
-        )
 
 
 def _square_nbrs(a: Gf2Matrix) -> List[int]:
@@ -161,7 +142,6 @@ def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitSt
     weight, with A.k accumulated along the way; vectors are kept
     rank-incrementally, stopping early once the span is the full space.
     """
-    _check_weight_cap(q)
     n, top = q.graph.n, q.d - 1
     low = (1 << n) - 1
     a = q.graph.adjacency()
@@ -222,23 +202,34 @@ def _w_table(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> frozenset:
     return table
 
 
-def in_W(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
-    """True iff h = A.m ^ l for some weight(m | l) <= d - 1.
+def _w_member(a: Gf2Matrix, d: int, deadline: Optional[Deadline]) -> Callable[[int], bool]:
+    """The predicate h -> (h in W) on ints, for one (A, d).
 
     Meet in the middle: h ^ t in T_a for some t in T_b (module docstring),
-    with t streamed by weight so that a hit returns early.
+    with t streamed by weight so that a hit returns early.  T_a is fetched
+    at the first query, so a walk that yields nothing builds no table.
     """
-    _check_weight_cap(q)
+    choices, b = _pauli_choices(a), (d - 1) // 2
+    table = None
+
+    def member(h: int) -> bool:
+        nonlocal table
+        if table is None:
+            table = _w_table(a, d // 2, deadline)
+        return any(
+            h ^ t in table
+            for w in range(b + 1)
+            for t in support_xors(choices, w, deadline)
+        )
+
+    return member
+
+
+def in_W(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
+    """True iff h = A.m ^ l for some weight(m | l) <= d - 1."""
     if h.n != q.graph.n:
         raise ValueError(f"label length {h.n} != {q.graph.n}")
-    a = q.graph.adjacency()
-    table = _w_table(a, q.d // 2, deadline)
-    bits, choices = h.bits, _pauli_choices(a)
-    return any(
-        bits ^ t in table
-        for w in range((q.d - 1) // 2 + 1)
-        for t in support_xors(choices, w, deadline)
-    )
+    return _w_member(q.graph.adjacency(), q.d, deadline)(h.bits)
 
 
 def in_zperp(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
@@ -265,74 +256,68 @@ class CSetResult:
         return not self.members
 
 
-def c_set(q: SetQuery, deadline: Optional[Deadline] = None) -> CSetResult:
+def _span_walk(steps: Sequence[int], deadline: Optional[Deadline]) -> Iterator[int]:
+    """h at steps c = 1 .. 2^r - 1, for r steps: h starts at 0, and step c
+    xors in steps[i], i the index of the lowest set bit of c.
+
+    With an independent basis as the steps this is its span in Gray-code
+    order, zero left out (c_set); with prefix xors it can be the span in
+    increasing order (_least_member).  The deadline is checked at every
+    element.
+    """
+    h = 0
+    for c in range(1, 1 << len(steps)):
+        if deadline is not None:
+            deadline.check()
+        h ^= steps[(c & -c).bit_length() - 1]
+        yield h
+
+
+def c_set(
+    q: SetQuery,
+    deadline: Optional[Deadline] = None,
+    max_members: int = DEFAULT_MAX_MEMBERS,
+) -> CSetResult:
     """Enumerate C by filtering the span of the Z-orthogonal basis.
 
-    Emits at most caps.max_members members (exhaustive flag cleared on
-    truncation); emptiness is decided as soon as one member appears, so
+    Emits at most max_members members (exhaustive flag cleared once that
+    many are found); emptiness is decided as soon as one member appears, so
     truncation never affects it.  The span is walked in Gray-code order,
     which decides the members kept on truncation.
     """
+    if max_members < 1:
+        raise ValueError(f"need max_members >= 1, got {max_members}")
     zb = z_span_basis(q, deadline)
     zp = Gf2Matrix.from_rows(zb, cols=q.graph.n).kernel_basis()
-    members: List[BitString] = []
-    exhaustive = True
-    try:
-        for h in span_iter(zp, n=q.graph.n, cap=q.caps.max_span_dim):
-            if deadline is not None:
-                deadline.check()
-            if h.is_zero():
-                continue
-            if not in_W(q, h, deadline):
-                members.append(h)
-                if len(members) >= q.caps.max_members:
-                    exhaustive = False
-                    break
-    except SubspaceTooLargeError as exc:
-        raise BudgetExceededError(str(exc)) from exc
-    members.sort(key=lambda b: b.bits)
-    return CSetResult(q.d, tuple(zb), tuple(zp), tuple(members), exhaustive)
+    in_w = _w_member(q.graph.adjacency(), q.d, deadline)
+    walk = _span_walk([b.bits for b in zp], deadline)
+    found = sorted(itertools.islice((h for h in walk if not in_w(h)), max_members))
+    members = tuple(BitString(q.graph.n, h) for h in found)
+    return CSetResult(q.d, tuple(zb), tuple(zp), members, len(found) < max_members)
 
 
-def _increasing_span(basis: Sequence[BitString], cap: int) -> Iterator[int]:
-    """Nonzero members of the span of a kernel basis, in increasing order.
+def _least_member(q: SetQuery, deadline: Optional[Deadline]) -> Optional[BitString]:
+    """The canonical-least member of C, or None when C is empty.
 
     A kernel basis is fully reduced on its highest bits (see
     Gf2Matrix.kernel_basis), so with the rows sorted, member c (the xor of
     the rows picked by the bits of c) grows with c.  Stepping from c - 1 to
-    c xors in the prefix of rows up to the lowest set bit of c.  At most
-    2^cap - 1 members are walked; a larger span that the caller walks that
-    far raises BudgetExceededError.
+    c xors in the rows up to the lowest set bit of c, a prefix xor.
     """
-    prefix = list(itertools.accumulate(sorted(b.bits for b in basis), operator.xor))
-    h = 0
-    for c in range(1, min(1 << len(prefix), 1 << cap)):
-        h ^= prefix[(c & -c).bit_length() - 1]
-        yield h
-    if len(prefix) > cap:
-        raise BudgetExceededError(
-            f"span walk reached its cap of 2^{cap} elements "
-            f"in a subspace of dimension {len(prefix)}"
-        )
-
-
-def _least_member(q: SetQuery, deadline: Optional[Deadline]) -> Optional[BitString]:
-    """The canonical-least member of C, or None when C is empty."""
-    for bits in _increasing_span(zperp_basis(q, deadline), q.caps.max_span_dim):
-        if deadline is not None:
-            deadline.check()
-        h = BitString(q.graph.n, bits)
-        if not in_W(q, h, deadline):
-            return h
-    return None
+    rows = sorted(b.bits for b in zperp_basis(q, deadline))
+    in_w = _w_member(q.graph.adjacency(), q.d, deadline)
+    walk = _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
+    h = next((h for h in walk if not in_w(h)), None)
+    return None if h is None else BitString(q.graph.n, h)
 
 
 @dataclass(frozen=True)
 class DMaxResult:
     value: Optional[int]
     certificate: Optional[BitString]
-    # On a budget error: largest d with C known nonempty, and None, since the
-    # search stops at the first empty C and so never knows an upper end.
+    # On a budget error (the only error): largest d with C known nonempty,
+    # and None, since the search stops at the first empty C and so never
+    # knows an upper end.
     bracket: Optional[Tuple[int, Optional[int]]] = None
     error: Optional[str] = None
 
@@ -341,25 +326,21 @@ class DMaxResult:
         return self.value is not None
 
 
-def d_max(
-    g: Graph,
-    caps: Caps = Caps(),
-    deadline: Optional[Deadline] = None,
-) -> DMaxResult:
+def d_max(g: Graph, deadline: Optional[Deadline] = None) -> DMaxResult:
     """Largest d with C(G, n, d) nonempty, plus the canonical-least witness.
 
     C(G, n, 1) is all nonzero strings and C(G, n, n+1) is empty, so the
     answer lies in [1, n].  The search walks up from d = 1 and stops at the
     first empty C; the least member found at the last nonempty d is the
     certificate.  On budget exhaustion the bracket found so far is returned
-    instead of a value.
+    instead of a value.  The empty graph has no answer: ValueError.
     """
     if g.n == 0:
-        return DMaxResult(None, None, error="empty graph")
+        raise ValueError("empty graph")
     lo, cert = 1, None  # C(lo) nonempty, with least member cert
     try:
         for d in range(1, g.n + 1):
-            member = _least_member(SetQuery(g, d, caps), deadline)
+            member = _least_member(SetQuery(g, d), deadline)
             if member is None:
                 break
             lo, cert = d, member
@@ -381,7 +362,6 @@ def verify_codewords(
     g: Graph,
     d: int,
     hs: Sequence[BitString],
-    caps: Caps = Caps(),
     deadline: Optional[Deadline] = None,
 ) -> VerifyVerdict:
     """Check that the labels hs (zero label implicit) span a distance-d code.
@@ -392,7 +372,7 @@ def verify_codewords(
     hs = list(hs)
     if len(set(hs)) != len(hs):
         return VerifyVerdict(False, "duplicate labels")
-    q = SetQuery(g, d, caps)
+    q = SetQuery(g, d)
     zb = z_span_basis(q, deadline)
     for i, h in enumerate(hs):
         if h.is_zero():
@@ -496,7 +476,6 @@ class ScanResult:
 def family_scan(
     family: str,
     params_list: Sequence[Tuple[int, ...]],
-    caps: Caps = Caps(),
     deadline: Optional[Deadline] = None,
 ) -> ScanResult:
     """Tabulate d_max across family sizes and fit log d_max vs log n.
@@ -507,7 +486,7 @@ def family_scan(
     entries: List[ScanEntry] = []
     for params in params_list:
         g = gen_family(FamilySpec(family, tuple(params)))
-        res = d_max(g, caps=caps, deadline=deadline)
+        res = d_max(g, deadline)
         entries.append(ScanEntry(tuple(params), g.n, res.value, res.error))
     pts = [(e.n, e.d_max) for e in entries if e.d_max is not None and e.n > 1]
     exponent = None

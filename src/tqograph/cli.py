@@ -1,8 +1,8 @@
 """Command-line front end: generate graphs, run set analyses, verify codes.
 
 Reports are deterministic JSON (sorted keys; the only run-dependent field is
-elapsed_ms).  Exit codes: 0 all requested checks passed, 1 a check failed,
-2 budget exhausted (env var TQO_BUDGET_MS soft-caps per-command runtime).
+elapsed_ms).  Exit codes: 0 all requested checks passed, 1 a check failed
+or the input was rejected (an error: line on stderr), 2 budget exhausted (env var TQO_BUDGET_MS soft-caps per-command runtime).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import __version__
 from .gf2 import BitString
 from .graphs import FamilySpec, Graph, format_edge_list, gen_family
 from . import analysis
-from .analysis import BudgetExceededError, Caps, Deadline, SetQuery
+from .analysis import BudgetExceededError, Deadline, SetQuery
 from . import oracle as qoracle
 from . import stabilizer
 
@@ -33,23 +33,15 @@ COST_NOTE = (
     "a = ceil((d-1)/2), and each query then streams sum_{w<=b} C(n,w)*3^w, "
     "with b = floor((d-1)/2); the Z span scans the supports of weight <= d-1 "
     "connected in G^2 (all sum_{w<=d-1} C(n,w) when G has diameter <= 2).  "
-    "C-set listing walks the 2^r-element orthogonal span (r capped by "
-    "--max-span-dim); dmax walks it in increasing order, at most "
-    "2^max-span-dim elements, and stops at the first member.  The code3d "
+    "cset walks the 2^r-element orthogonal span in Gray-code order until "
+    "it has --max-members members; dmax walks it in increasing order and "
+    "stops at the first member.  The walk has no length cap: TQO_BUDGET_MS "
+    "bounds it.  The code3d "
     "distance scan streams the syndromes of the Paulis of weight <= L whose "
     "support is connected in the qubit-interaction graph against the "
     "n = L^3 generators and row-reduces only the commuting operators; "
     "building a stabilizer group is linear in the total generator weight."
 )
-
-
-def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-weight", type=int, default=None,
-                   help="refuse enumerations above this weight class")
-    p.add_argument("--max-span-dim", type=int, default=analysis.DEFAULT_MAX_SPAN_DIM,
-                   help="walk at most 2^N span elements (default 30)")
-    p.add_argument("--max-members", type=int, default=analysis.DEFAULT_MAX_MEMBERS,
-                   help="truncate emitted C members at this count (default 1024)")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -76,10 +68,6 @@ def _build_graph(args) -> Graph:
         path=getattr(args, "graph_file", None),
     )
     return gen_family(spec)
-
-
-def _caps(args) -> Caps:
-    return Caps(args.max_weight, args.max_span_dim, args.max_members)
 
 
 def _deadline() -> Optional[Deadline]:
@@ -125,9 +113,6 @@ def _graph_config(args, g: Graph) -> dict:
         "params": list(args.params),
         "n": g.n,
         "edges": g.m,
-        "max_weight": args.max_weight,
-        "max_span_dim": args.max_span_dim,
-        "max_members": args.max_members,
     }
 
 
@@ -147,9 +132,9 @@ def cmd_cset(args) -> int:
     t0 = time.monotonic()
     g = _build_graph(args)
     config = _graph_config(args, g)
-    config["d"] = args.d
+    config.update({"d": args.d, "max_members": args.max_members})
     try:
-        res = analysis.c_set(SetQuery(g, args.d, _caps(args)), _deadline())
+        res = analysis.c_set(SetQuery(g, args.d), _deadline(), args.max_members)
     except BudgetExceededError as exc:
         return _report(args, "cset", config, {"error": str(exc)}, False, True, t0)
     results = {
@@ -167,14 +152,14 @@ def cmd_dmax(args) -> int:
     t0 = time.monotonic()
     g = _build_graph(args)
     config = _graph_config(args, g)
-    res = analysis.d_max(g, _caps(args), _deadline())
+    res = analysis.d_max(g, _deadline())
     results = {
         "d_max": res.value,
         "certificate": res.certificate.to_text() if res.certificate else None,
         "bracket": list(res.bracket) if res.bracket else None,
         "error": res.error,
     }
-    return _report(args, "dmax", config, results, res.ok, not res.ok and res.error is not None, t0)
+    return _report(args, "dmax", config, results, res.ok, not res.ok, t0)
 
 
 def _read_labels(path: str, n: int) -> List[BitString]:
@@ -206,7 +191,7 @@ def cmd_verify(args) -> int:
             labels = _read_labels(args.codewords, g.n)
         else:
             raise ValueError("need --codewords or --ldpc")
-        verdict = analysis.verify_codewords(g, args.d, labels, _caps(args), _deadline())
+        verdict = analysis.verify_codewords(g, args.d, labels, _deadline())
     except BudgetExceededError as exc:
         return _report(args, "verify", config, {"error": str(exc)}, False, True, t0)
     results = {
@@ -249,7 +234,7 @@ def cmd_oracle(args) -> int:
                 raise ValueError(f"label length {h.n} != {g.n}")
             states = [qoracle.build_graph_state(g), qoracle.graph_basis_state(g, h)]
             verdict = qoracle.brute_force_qecc_check(states, args.d, deadline=deadline)
-            analytic = analysis.in_C(SetQuery(g, args.d, _caps(args)), h, deadline)
+            analytic = analysis.in_C(SetQuery(g, args.d), h, deadline)
             ok = bool(verdict) and verdict.ok == analytic
             results = {
                 "pass": verdict.ok,
@@ -297,10 +282,8 @@ def cmd_code3d(args) -> int:
 def cmd_scan(args) -> int:
     t0 = time.monotonic()
     params_list = [tuple(int(x) for x in chunk.split(",")) for chunk in args.params]
-    config = {"family": args.family, "params": args.params,
-              "max_weight": args.max_weight, "max_span_dim": args.max_span_dim,
-              "max_members": args.max_members}
-    res = analysis.family_scan(args.family, params_list, _caps(args), _deadline())
+    config = {"family": args.family, "params": args.params}
+    res = analysis.family_scan(args.family, params_list, _deadline())
     ok = all(e.d_max is not None for e in res.entries)
     results = {
         "entries": [
@@ -330,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cset", help="enumerate the set C(G, n, d)")
     _add_graph(p)
     p.add_argument("--d", type=int, required=True)
-    _add_caps(p)
+    p.add_argument("--max-members", type=int, default=analysis.DEFAULT_MAX_MEMBERS,
+                   help="truncate emitted C members at this count (default 1024)")
     _add_format(p)
     p.set_defaults(func=cmd_cset)
 
     p = sub.add_parser("dmax", help="largest d with C(G, n, d) nonempty")
     _add_graph(p)
-    _add_caps(p)
     _add_format(p)
     p.set_defaults(func=cmd_dmax)
 
@@ -346,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codewords", default=None, help="file of bitstring labels")
     p.add_argument("--ldpc", default=None, help="classical generator-matrix file")
     p.add_argument("--m", type=int, default=None, help="star size for --ldpc")
-    _add_caps(p)
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -359,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the --matrix-elements samples")
-    _add_caps(p)
     _add_format(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -377,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("params", nargs="+",
                    help="comma-joined parameter tuples, e.g. 2,2 3,3 4,4")
-    _add_caps(p)
     _add_format(p)
     p.set_defaults(func=cmd_scan)
     return ap

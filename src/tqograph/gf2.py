@@ -8,12 +8,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-SPAN_DIM_CAP = 30
-
-
-class SubspaceTooLargeError(RuntimeError):
-    """Raised when a subspace enumeration would exceed the dimension cap."""
-
 
 class BitString:
     """Fixed-length GF(2) vector.  Immutable after construction."""
@@ -250,30 +244,6 @@ class Gf2Matrix:
 
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.rows}x{self.cols})"
-
-
-def span_iter(
-    basis: List[BitString], n: int | None = None, cap: int = SPAN_DIM_CAP
-) -> Iterator[BitString]:
-    """All 2^r combinations of an independent basis, Gray-code order from 0."""
-    r = len(basis)
-    if r > cap:
-        raise SubspaceTooLargeError(
-            f"subspace too large: dimension {r} exceeds cap {cap}"
-        )
-    if basis:
-        n = basis[0].n
-    elif n is None:
-        raise ValueError("length required for an empty basis")
-    else:
-        yield BitString(n, 0)
-        return
-    cur = 0
-    yield BitString(n, 0)
-    for i in range(1, 1 << r):
-        flip = (i & -i).bit_length() - 1
-        cur ^= basis[flip].bits
-        yield BitString(n, cur)
 
 
 def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> Iterator[int]:

@@ -22,7 +22,6 @@ from tqograph.graphs import (
 )
 from tqograph.analysis import (
     BudgetExceededError,
-    Caps,
     ClassicalCode,
     Deadline,
     SetQuery,
@@ -119,6 +118,38 @@ def all_supports_z_span_basis(q):
     return [BitString(n, k) for k in kept]
 
 
+def span_iter(basis, n):
+    """All 2^r combinations of an independent basis, Gray-code order from 0.
+
+    The BitString walk that _span_walk replaced, kept as its reference.
+    """
+    cur = 0
+    yield BitString(n, 0)
+    for i in range(1, 1 << len(basis)):
+        cur ^= basis[(i & -i).bit_length() - 1].bits
+        yield BitString(n, cur)
+
+
+def gray_c_set(q, max_members):
+    """c_set as it was: span_iter over the Z^perp basis, in_W per element.
+
+    Returns the sorted members and the exhaustive flag.
+    """
+    members = []
+    for h in span_iter(zperp_basis(q), q.graph.n):
+        if not h.is_zero() and not in_W(q, h):
+            members.append(h)
+            if len(members) >= max_members:
+                return sorted(members, key=lambda b: b.bits), False
+    return sorted(members, key=lambda b: b.bits), True
+
+
+def random_kernel_basis(rng, n):
+    """Kernel basis of a random matrix with n columns: 0 to n rows."""
+    rows = [rng.getrandbits(n) for _ in range(rng.randrange(n + 1))]
+    return Gf2Matrix(len(rows), n, rows).kernel_basis()
+
+
 def assert_same_z_span(q, got, want):
     """got is an independent set of members of Z with the row space of want."""
     n = q.graph.n
@@ -138,6 +169,43 @@ class TestWeightIter:
         ws = [b.weight() for b in weight_iter(4, 4)]
         assert ws == sorted(ws)
         assert next(iter(weight_iter(4, 2))).is_zero()
+
+
+class TestSpanWalk:
+    def test_empty_basis(self):
+        assert list(analysis._span_walk([], None)) == []
+
+    def test_singleton(self):
+        assert list(analysis._span_walk([0b010], None)) == [0b010]
+
+    def test_four_distinct(self):
+        out = list(analysis._span_walk([0b0010, 0b0100], None))
+        assert sorted(out) == [0b0010, 0b0100, 0b0110]
+
+    def test_basis_steps_give_gray_order(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randrange(1, 11)
+            basis = random_kernel_basis(rng, n)
+            walk = list(analysis._span_walk([b.bits for b in basis], None))
+            assert walk == [b.bits for b in span_iter(basis, n)][1:]
+
+    def test_prefix_steps_increase(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randrange(1, 11)
+            basis = random_kernel_basis(rng, n)
+            rows = sorted(b.bits for b in basis)
+            steps = list(itertools.accumulate(rows, lambda x, y: x ^ y))
+            walk = list(analysis._span_walk(steps, None))
+            # the 2^r - 1 nonzero span members, strictly increasing
+            assert walk == sorted(b.bits for b in span_iter(basis, n))[1:]
+
+    def test_deadline_checked(self):
+        dl = Deadline(0.0)
+        time.sleep(0.01)
+        with pytest.raises(BudgetExceededError):
+            next(analysis._span_walk([1], dl))
 
 
 class TestSigmaAndInner:
@@ -244,10 +312,9 @@ class TestKernelMatchesReference:
 
     def test_d_max_certificate_is_least_member(self, g):
         res = d_max(g)
-        everything = Caps(max_members=1 << g.n)
-        members = c_set(SetQuery(g, res.value, everything)).members
+        members = c_set(SetQuery(g, res.value), max_members=1 << g.n).members
         assert res.certificate == members[0]
-        assert c_set(SetQuery(g, res.value + 1, everything)).empty
+        assert c_set(SetQuery(g, res.value + 1), max_members=1 << g.n).empty
 
 
 def sparse_graph(rng, n):
@@ -344,16 +411,41 @@ class TestCSet:
         assert len(res.members) == 9
 
     def test_truncation_clears_exhaustive(self):
-        res = c_set(SetQuery(star(4), 2, Caps(max_members=2)))
+        res = c_set(SetQuery(star(4), 2), max_members=2)
         assert len(res.members) == 2 and not res.exhaustive
 
-    def test_weight_cap(self):
-        with pytest.raises(BudgetExceededError):
-            c_set(SetQuery(star(4), 3, Caps(max_weight=1)))
+    def test_max_members_below_one_rejected(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_members"):
+                c_set(SetQuery(star(4), 2), max_members=bad)
 
-    def test_span_dim_cap_becomes_budget_error(self):
+    def test_expired_deadline_raises_budget_error(self):
+        # star(6) at d = 2: empty Z span, so the walk itself meets the deadline
+        dl = Deadline(0.0)
+        time.sleep(0.01)
         with pytest.raises(BudgetExceededError):
-            c_set(SetQuery(star(6), 2, Caps(max_span_dim=5)))
+            c_set(SetQuery(star(6), 2), dl)
+
+    def test_no_w_table_for_a_zero_zperp(self, monkeypatch):
+        # at d = n + 1 span(Z) is everything, so the walk yields nothing
+        def forbidden(*args):
+            raise AssertionError("W table built")
+
+        monkeypatch.setattr(analysis, "_w_table", forbidden)
+        assert c_set(SetQuery(star(4), 5)).empty
+
+    def test_matches_gray_reference(self):
+        # truncated listings keep the old Gray-order members
+        rng = random.Random(14)
+        for _ in range(25):
+            g = random_graph(rng, rng.randrange(1, 13))
+            for d in range(1, min(g.n, 5) + 2):
+                q = SetQuery(g, d)
+                for cap in (1, 7, 1 << g.n):
+                    res = c_set(q, max_members=cap)
+                    want, exhaustive = gray_c_set(q, cap)
+                    assert list(res.members) == want, (g.edges, d, cap)
+                    assert res.exhaustive == exhaustive
 
     def test_nesting(self):
         # every member at distance d+1 remains a member at distance d
@@ -419,12 +511,9 @@ class TestDMax:
         assert res.value == want
         assert in_C(SetQuery(g, want), res.certificate)
 
-    def test_span_walk_cap_is_exact(self):
-        # toric(2) finds no member at d = 4 and walks all of that probe's
-        # 4-dimensional Z^perp, so a cap of 4 suffices and 3 does not
-        assert d_max(toric(2), Caps(max_span_dim=4)).value == 3
-        res = d_max(toric(2), Caps(max_span_dim=3))
-        assert not res.ok and res.bracket[1] is None and "2^3" in res.error
+    def test_empty_graph_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            d_max(Graph.from_edges(0, []))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))

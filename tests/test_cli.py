@@ -1,6 +1,13 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from tqograph import analysis
 from tqograph.cli import main
+from tqograph.graphs import Graph
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def run(capsys, argv):
@@ -60,11 +67,24 @@ class TestCset:
         assert rep["results"]["member_count"] == 2
         assert not rep["results"]["exhaustive"]
 
-    def test_span_cap_budget(self, capsys):
-        code, rep = run_json(
-            capsys, ["cset", "star", "8", "--d", "2", "--max-span-dim", "3"]
-        )
-        assert code == 2 and rep["budget_exceeded"]
+    def test_max_members_below_one(self, capsys):
+        for bad in ("0", "-3"):
+            code, out, err = run(
+                capsys, ["cset", "star", "4", "--d", "2", "--max-members", bad]
+            )
+            assert code == 1 and out == ""
+            assert err == f"error: need max_members >= 1, got {bad}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["toric", "4", "--d", "1"],
+        ["connected_multi_star", "4", "--d", "4"],
+    ])
+    def test_zperp_beyond_dimension_30(self, capsys, argv):
+        # Z^perp has dimension 32; the walk stops at the member limit
+        code, rep = run_json(capsys, ["cset", *argv])
+        assert code == 0 and rep["results"]["zperp_dim"] == 32
+        assert rep["results"]["member_count"] == 1024
+        assert not rep["results"]["exhaustive"]
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TQO_BUDGET_MS", "0.0001")
@@ -99,10 +119,19 @@ class TestDmax:
         code, rep = run_json(capsys, ["dmax", "toric", "4"])
         assert code == 0 and rep["results"]["d_max"] == 4
 
-    def test_span_walk_cap(self, capsys):
-        code, rep = run_json(capsys, ["dmax", "star", "8", "--max-span-dim", "2"])
-        assert code == 2 and rep["budget_exceeded"]
-        assert rep["results"]["bracket"] == [1, None]
+    def test_empty_graph_is_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        code, out, err = run(capsys, ["dmax", "custom", "--graph-file", str(path)])
+        assert code == 1 and out == ""
+        assert err == "error: empty graph\n"
+
+    def test_cap_flags_are_gone(self, capsys):
+        for flag in ("--max-span-dim", "--max-weight", "--max-members"):
+            with pytest.raises(SystemExit) as exc:
+                main(["dmax", "star", "4", flag, "3"])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestVerify:
@@ -219,6 +248,12 @@ class TestScan:
         assert [e["d_max"] for e in rep["results"]["entries"]] == [2, 3, 4]
         assert abs(rep["results"]["exponent"] - 0.5) < 0.1
 
+    def test_empty_graph_entry_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "gen_family", lambda spec: Graph.from_edges(0, []))
+        code, out, err = run(capsys, ["scan", "star", "3"])
+        assert code == 1 and out == ""
+        assert err == "error: empty graph\n"
+
 
 class TestOutputFormats:
     def test_table(self, capsys):
@@ -234,3 +269,26 @@ class TestOutputFormats:
         _, out, _ = run(capsys, ["dmax", "star", "4"])
         rep = json.loads(out)
         assert list(rep) == sorted(rep)
+
+
+def reference_cases():
+    ref = json.loads(REFERENCE.read_text())
+    return [
+        pytest.param(key, entry, id=f"{workload}: {key}")
+        for workload in ("toric-cset", "family-sweep")
+        for key, entry in sorted(ref[workload].items())
+        if key.split()[0] in ("cset", "dmax", "scan")
+    ]
+
+
+@pytest.mark.parametrize("key,entry", reference_cases())
+def test_benchmark_reference_replay(capsys, key, entry):
+    """The benchmark's pinned answers (seed 0: the families' own labels)."""
+    code, rep = run_json(capsys, key.split())
+    for path, want in {**entry["expect"], **entry.get("seed0", {})}.items():
+        got = code
+        if path != "exit":
+            got = rep
+            for part in path.split("."):
+                got = got[part]
+        assert got == want, path

@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 from tqograph.gf2 import (
     BitString,
     Gf2Matrix,
-    SubspaceTooLargeError,
     connected_support_xors,
     dot,
-    span_iter,
     support_xors,
 )
 
@@ -177,34 +175,6 @@ class TestIndependentSubset:
         m_in = Gf2Matrix.from_rows(vs, cols=7)
         m_out = Gf2Matrix.from_rows(out, cols=7)
         assert m_out.rank() == len(out) == m_in.rank()
-
-
-class TestSpanIter:
-    def test_empty_basis(self):
-        assert list(span_iter([], n=4)) == [BitString.zeros(4)]
-        with pytest.raises(ValueError):
-            list(span_iter([]))
-
-    def test_singleton(self):
-        b = BitString.basis(3, 1)
-        assert list(span_iter([b])) == [BitString.zeros(3), b]
-
-    def test_four_distinct(self):
-        basis = [BitString.basis(4, 1), BitString.basis(4, 2)]
-        out = list(span_iter(basis))
-        assert out[0].is_zero()
-        assert len(set(out)) == 4
-
-    def test_cap(self):
-        basis = [BitString.basis(8, i) for i in range(8)]
-        with pytest.raises(SubspaceTooLargeError, match="subspace too large"):
-            list(span_iter(basis, cap=7))
-
-    def test_gray_order_is_deterministic(self):
-        basis = [bits("100"), bits("010"), bits("001")]
-        a = [v.bits for v in span_iter(basis)]
-        b = [v.bits for v in span_iter(basis)]
-        assert a == b and len(set(a)) == 8
 
 
 class TestConnectedSupportXors:
