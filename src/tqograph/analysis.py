@@ -151,7 +151,7 @@ def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitSt
     if all(m | (1 << v) == low for v, m in enumerate(nbrs)):
         supports = functools.partial(support_xors, choices)
     else:
-        supports = functools.partial(connected_support_xors, choices, nbrs)
+        supports = functools.partial(connected_support_xors, choices, nbrs, range(n))
     members = (
         k
         for w in range(1, min(top, n) + 1)
@@ -419,9 +419,13 @@ class ClassicalCode:
 
 
 def classical_min_distance(code: ClassicalCode) -> int:
-    """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords."""
+    """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords.
+
+    Codes with k_c > 24 are refused (ValueError): that is a size limit, not
+    a time budget running out.
+    """
     if code.k_c > 24:
-        raise BudgetExceededError(f"k_c = {code.k_c} too large for exhaustion")
+        raise ValueError(f"k_c = {code.k_c} too large for exhaustion (cap 24)")
     if code.k_c == 0:
         raise ValueError("trivial code has no nonzero codewords")
     return min(c.weight() for c in code.codewords() if not c.is_zero())

@@ -277,15 +277,21 @@ def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> I
 
 
 def connected_support_xors(
-    choices: Sequence[Tuple[int, ...]], nbrs: Sequence[int], w: int, deadline=None
+    choices: Sequence[Tuple[int, ...]],
+    nbrs: Sequence[int],
+    roots: Iterable[int],
+    w: int,
+    deadline=None,
 ) -> Iterator[int]:
-    """support_xors over only the weight-w supports connected in a graph.
+    """support_xors over the weight-w connected supports whose least position
+    is one of the roots.
 
-    nbrs[v] is the neighbour bitmask of position v.  Each connected support
-    is grown once, from its least position (ESU, or Redelmeier's polyomino
+    nbrs[v] is the neighbour bitmask of position v.  Each such support is
+    grown once, from its least position (ESU, or Redelmeier's polyomino
     growth): a position becomes a candidate only when it first touches the
-    support, and only above the root.  Choices, packing and deadline checks
-    are as in support_xors; supports come in growth order.
+    support, and only above the root.  With every position as a root, that
+    is every connected support.  Choices, packing and deadline checks are as
+    in support_xors; supports come in growth order, root by root.
     """
 
     def batches(seen: int, ext: int, above: int, left: int, acc: int) -> Iterator[List[int]]:
@@ -307,6 +313,6 @@ def connected_support_xors(
     if w == 0:
         yield 0
         return
-    for root in range(len(choices)):
+    for root in roots:
         for batch in batches(0, 1 << root, -2 << root, w, 0):
             yield from batch

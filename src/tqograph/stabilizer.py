@@ -86,17 +86,26 @@ class StabilizerGroup:
 
     A Pauli's syndrome (the generators it anticommutes with) xors the cached
     per-qubit columns of the generators' opposite-type part over its support.
+    symmetries are qubit permutations (p[v] is the image of qubit v) that
+    map the generator set onto itself; normalizer_min_weight checks that
+    before it uses them, and nothing else reads them.
     """
 
-    __slots__ = ("n", "generators", "_x", "_z", "_basis")
+    __slots__ = ("n", "generators", "symmetries", "_x", "_z", "_basis")
 
-    def __init__(self, n: int, generators: Sequence[Pauli]):
+    def __init__(
+        self,
+        n: int,
+        generators: Sequence[Pauli],
+        symmetries: Sequence[Sequence[int]] = (),
+    ):
         generators = tuple(generators)
         for g in generators:
             if g.n != n:
                 raise ValueError("generator length mismatch")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "symmetries", tuple(tuple(p) for p in symmetries))
         m = len(generators)
         object.__setattr__(self, "_x", Gf2Matrix(m, n, [g.x.bits for g in generators]))
         object.__setattr__(self, "_z", Gf2Matrix(m, n, [g.z.bits for g in generators]))
@@ -239,6 +248,9 @@ def gen_3d_code(L: int) -> StabilizerGroup:
     generated by N_y = sum_{i<L} y^i and y = z^-2 in R/(h), so the second is
     dim F2[z]/(z^L - 1, sum_{i<L} z^-2i): L - 1 for odd L, where the sum is
     N_z, and L for even L, where each even power appears twice.
+
+    The group carries the unit shifts along i, j and k, which map the
+    generator set onto itself, so the distance scan grows from qubit 0 alone.
     """
     if L < 2:
         raise ValueError("need L >= 2")
@@ -261,7 +273,10 @@ def gen_3d_code(L: int) -> StabilizerGroup:
                 ):
                     zb ^= 1 << v(*pos)
                 gens.append(Pauli(BitString(n, xb), BitString(n, zb)))
-    return StabilizerGroup(n, gens)
+    # unit shifts along i, j and k: each adds 1 mod L to one base-L digit
+    # of the vertex index (i-1) + (j-1) L + (k-1) L^2
+    shifts = [[u - u % (t * L) + (u + t) % (t * L) for u in range(n)] for t in (1, L, L * L)]
+    return StabilizerGroup(n, gens, shifts)
 
 
 def gen_3d_code_derived(L: int) -> StabilizerGroup:
@@ -306,6 +321,48 @@ def logical_strings(L: int) -> List[Pauli]:
     return out
 
 
+def _permute(bits: int, p: Sequence[int]) -> int:
+    """Move bit v of bits to bit p[v]."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << p[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _orbit(bits: int, perms: Sequence[Sequence[int]]) -> List[int]:
+    """Every image of bits under the group the permutations generate."""
+    orbit, seen = [bits], {bits}
+    for b in orbit:
+        for p in perms:
+            t = _permute(b, p)
+            if t not in seen:
+                seen.add(t)
+                orbit.append(t)
+    return orbit
+
+
+def _orbit_roots(s: StabilizerGroup) -> List[int]:
+    """Least qubit of each orbit of s.symmetries, once each is checked to be
+    a permutation that maps the generator set onto itself (signs play no
+    part in the scan, so only the x and z bits are compared)."""
+    n = s.n
+    gens = {(g.x.bits, g.z.bits) for g in s.generators}
+    for p in s.symmetries:
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"symmetry {list(p)} is not a permutation of {n} qubits")
+        if {(_permute(x, p), _permute(z, p)) for x, z in gens} != gens:
+            raise ValueError(f"symmetry {list(p)} does not map the generators onto themselves")
+    roots, covered = [], 0
+    for v in range(n):
+        if not (covered >> v) & 1:
+            roots.append(v)
+            for b in _orbit(1 << v, s.symmetries):
+                covered |= b
+    return roots
+
+
 def normalizer_min_weight(
     s: StabilizerGroup,
     w_max: int,
@@ -325,8 +382,23 @@ def normalizer_min_weight(
     increasing order; within a class x >> m compares as the canonical (x, z)
     key, and the least operator outside the group wins.  Returns None when
     nothing of weight <= w_max exists.
+
+    Supports grow only from the least qubit of each orbit of s.symmetries
+    (every qubit when there are none), as in the cluster method of
+    arXiv:1611.07164.  A symmetry maps the generator set onto itself, so it
+    preserves the interaction graph, the normalizer, the group and weight,
+    and the hits of a weight class are a union of orbits.  Each support has
+    an image grown here: let r be the least orbit minimum among the orbits
+    the support meets; a symmetry moves one of its qubits to r, and every
+    other qubit of that image lies in an orbit whose minimum is at least r,
+    so above r.  Each commuting operator is keyed by the least key over its
+    orbit, so the least hit of the class over all supports is still the one
+    returned.  Each symmetry is first checked to be a permutation mapping
+    the generator set onto itself (ValueError otherwise).
     """
     n, m = s.n, len(s.generators)
+    roots = _orbit_roots(s)
+    perms = [p + tuple(n + t for t in p) for p in s.symmetries]  # on the key's 2n bits
     xcols, zcols = s._x.columns(), s._z.columns()
     choices = []
     for v in range(n):
@@ -341,10 +413,10 @@ def normalizer_min_weight(
     syndrome, low = (1 << m) - 1, (1 << n) - 1
     for w in range(1, min(w_max, n) + 1):
         best = None
-        for op in connected_support_xors(choices, nbrs, w, deadline):
+        for op in connected_support_xors(choices, nbrs, roots, w, deadline):
             if op & syndrome:
                 continue
-            key = op >> m
+            key = min(_orbit(op >> m, perms))
             if best is not None and key >= best:
                 continue
             xb, zb = key >> n, key & low

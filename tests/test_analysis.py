@@ -586,8 +586,9 @@ class TestClassicalCodes:
             )
 
     def test_exhaustion_cap(self):
+        # a size refusal, not a budget stop
         code = ClassicalCode(Gf2Matrix.identity(25))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ValueError, match="k_c = 25 too large"):
             classical_min_distance(code)
 
     def test_read_file(self, tmp_path):

@@ -167,6 +167,17 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "star", "4", "--d", "2"])
         assert code == 1 and "codewords" in err
 
+    def test_ldpc_too_many_rows_is_an_error_line(self, capsys, tmp_path):
+        # 25 independent rows: too many codewords to exhaust, refused at once
+        path = tmp_path / "code.txt"
+        path.write_text("".join("0" * i + "1" + "0" * (25 - i) + "\n" for i in range(25)))
+        code, out, err = run(
+            capsys,
+            ["verify", "multi_star", "26", "2", "--d", "2", "--ldpc", str(path), "--m", "2"],
+        )
+        assert code == 1 and out == ""
+        assert err == "error: k_c = 25 too large for exhaustion (cap 24)\n"
+
 
 class TestOracle:
     def test_pair_check(self, capsys):
@@ -224,6 +235,15 @@ class TestCode3D:
         assert r["params"] == "[[8,4,2]]"
         assert r["constraints_hold"] and r["derivation_ok"] and r["logicals_ok"]
         assert r["rank_deficiency"] == 4 and r["distance"] == 2
+
+    def test_L4_scan(self, capsys):
+        # grown from the one translation-orbit minimum the scan takes about
+        # 0.2 s on one core; grown from all 64 qubits it took over 2 s
+        code, rep = run_json(capsys, ["code3d", "--L", "4"])
+        r = rep["results"]
+        assert r["params"] == "[[64,8,4]]"
+        assert r["distance_operator"] == "+" + "Z" * 4 + "I" * 60
+        assert rep["elapsed_ms"] < 1500
 
     def test_k_matches_closed_form(self, capsys):
         for L in range(2, 9):

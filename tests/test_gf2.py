@@ -197,17 +197,17 @@ class TestConnectedSupportXors:
                 want = Counter(
                     op for op in support_xors(choices, w)
                     if is_connected([v for v in range(n) if (op >> (8 + v)) & 1], nbrs))
-                assert Counter(connected_support_xors(choices, nbrs, w)) == want, (n, w)
+                assert Counter(connected_support_xors(choices, nbrs, range(n), w)) == want, (n, w)
 
     def test_path_and_isolated(self):
         # 0 - 1 - 2 and isolated 3: connected pairs {0,1} and {1,2} only
         nbrs = [0b010, 0b101, 0b010, 0]
         choices = [(1 << v,) for v in range(4)]
-        assert sorted(connected_support_xors(choices, nbrs, 1)) == [1, 2, 4, 8]
-        assert sorted(connected_support_xors(choices, nbrs, 2)) == [0b011, 0b110]
-        assert list(connected_support_xors(choices, nbrs, 3)) == [0b111]
-        assert list(connected_support_xors(choices, nbrs, 4)) == []
-        assert list(connected_support_xors(choices, nbrs, 0)) == [0]
+        assert sorted(connected_support_xors(choices, nbrs, range(4), 1)) == [1, 2, 4, 8]
+        assert sorted(connected_support_xors(choices, nbrs, range(4), 2)) == [0b011, 0b110]
+        assert list(connected_support_xors(choices, nbrs, range(4), 3)) == [0b111]
+        assert list(connected_support_xors(choices, nbrs, range(4), 4)) == []
+        assert list(connected_support_xors(choices, nbrs, range(4), 0)) == [0]
 
     def test_deadline_checked(self):
         class Expired(Exception):
@@ -218,4 +218,4 @@ class TestConnectedSupportXors:
                 raise Expired
 
         with pytest.raises(Expired):
-            list(connected_support_xors([(1,), (2,)], [2, 1], 2, Deadline()))
+            list(connected_support_xors([(1,), (2,)], [2, 1], range(2), 2, Deadline()))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tqograph.gf2 import BitString, dot, support_xors
+from tqograph.gf2 import BitString, connected_support_xors, dot, support_xors
 from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
 from tqograph import stabilizer
 from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
@@ -118,6 +118,10 @@ def reference_normalizer_min_weight(s, w_max):
         if best is not None:
             return w, best[1]
     return None
+
+
+def hit_text(hit):
+    return None if hit is None else (hit[0], hit[1].to_text())
 
 
 def _seeded_code_pairs():
@@ -334,14 +338,231 @@ class TestNormalizerScan:
 
     @pytest.mark.parametrize("s, w_maxes, per_operator", DIFF_GROUPS)
     def test_kernel_matches_reference(self, s, w_maxes, per_operator):
-        def text(hit):
-            return None if hit is None else (hit[0], hit[1].to_text())
-
         for w_max in w_maxes:
-            got = text(normalizer_min_weight(s, w_max))
-            assert got == text(all_supports_normalizer_min_weight(s, w_max)), w_max
+            got = hit_text(normalizer_min_weight(s, w_max))
+            assert got == hit_text(all_supports_normalizer_min_weight(s, w_max)), w_max
             if per_operator:
-                assert got == text(reference_normalizer_min_weight(s, w_max)), w_max
+                assert got == hit_text(reference_normalizer_min_weight(s, w_max)), w_max
+
+
+def without_symmetries(s):
+    return StabilizerGroup(s.n, s.generators)
+
+
+def torus_code(a, b, pattern, step=1):
+    """The pattern {(dx, dy): 'X'|'Y'|'Z'} moved over the a x b torus (qubit
+    x + a y) by every multiple of (1, 0) and of (0, step), carrying those two
+    shifts; a = 1 gives a ring.  ValueError if the copies anticommute."""
+    n = a * b
+    gens = []
+    for x0 in range(a):
+        for y0 in range(0, b, step):
+            chars = ["I"] * n
+            for (dx, dy), c in pattern.items():
+                chars[(x0 + dx) % a + a * ((y0 + dy) % b)] = c
+            gens.append(Pauli.from_text("".join(chars)))
+    shifts = [[(v % a + 1) % a + v - v % a for v in range(n)],
+              [(v + a * step) % n for v in range(n)]]
+    return StabilizerGroup(n, gens, shifts)
+
+
+def ring_code(n, pattern, step=1):
+    return torus_code(1, n, {(0, dy): c for dy, c in pattern.items()}, step)
+
+
+def seeded_ring_codes():
+    """Commuting codes on rings and tori with n <= 12 from 400 seeded
+    patterns (2-4 sites in a window of up to 3 x 3, the second shift 1, 2 or
+    3 sites), plus the repetition code and the five-qubit code."""
+    out = [ring_code(n, {0: "Z", 1: "Z"}) for n in (3, 6, 12)]
+    out.append(ring_code(5, {0: "X", 1: "Z", 2: "Z", 3: "X"}))
+    out.append(ring_code(8, {0: "X", 1: "Z", 2: "Z", 3: "X"}))
+    dims = [(1, n) for n in range(3, 13)] + [
+        (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (3, 4), (4, 3), (2, 6)]
+    for seed in range(400):
+        rng = random.Random(seed)
+        a, b = rng.choice(dims)
+        step = rng.choice([t for t in (1, 2, 3) if b % t == 0])
+        window = [(dx, dy) for dx in range(min(a, 3)) for dy in range(min(b, 3))]
+        sites = [(0, 0)] + rng.sample(window[1:], rng.randrange(1, min(len(window), 4)))
+        try:
+            out.append(torus_code(a, b, {o: rng.choice("XYZ") for o in sites}, step))
+        except ValueError:
+            continue
+    return out
+
+
+RING_CODES = seeded_ring_codes()
+
+
+def random_permutation_codes():
+    """Groups invariant under a seeded random qubit permutation p (n <= 10):
+    the graph-state generators of a p-invariant graph outside a union D of
+    p-cycles, the pairwise products of those on D, and then Hadamard on a
+    union of p-cycles.  Cycle minima are not always the least qubit of the
+    least hit's orbit here, so these need the orbit-minimum key."""
+    out = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randrange(3, 11)
+        order = rng.sample(range(n), n)
+        perm, cycles, i = list(range(n)), [], 0
+        while i < n:
+            cycle = order[i:i + rng.randrange(1, n - i + 1)]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[a] = b
+            cycles.append(cycle)
+            i += len(cycle)
+        edges = set()
+        for _ in range(rng.randrange(1, n + 2)):
+            u0, w0 = u, w = rng.sample(range(n), 2)
+            while True:
+                edges.add((min(u, w), max(u, w)))
+                u, w = perm[u], perm[w]
+                if (u, w) == (u0, w0):
+                    break
+        base = graph_stabilizers(Graph.from_edges(n, sorted(edges))).generators
+        drop = sorted(v for c in cycles if rng.random() < 0.4 for v in c)
+        if len(drop) < 2:
+            continue
+        gens = [base[v] for v in range(n) if v not in drop]
+        gens += [pauli_mul(base[u], base[w]) for u, w in itertools.combinations(drop, 2)]
+        flip = [v for c in cycles if rng.random() < 0.3 for v in c]
+        s = hadamard_conjugate(StabilizerGroup(n, gens), flip)
+        out.append(StabilizerGroup(n, s.generators, [perm]))
+    return out
+
+
+def orbit_minima(n, perms):
+    roots, seen = [], set()
+    for v in range(n):
+        if v not in seen:
+            roots.append(v)
+            orbit = [v]
+            seen.add(v)
+            for u in orbit:
+                for p in perms:
+                    if p[u] not in seen:
+                        seen.add(p[u])
+                        orbit.append(p[u])
+    return roots
+
+
+def permute_bits(bits, p):
+    return sum(1 << p[v] for v in range(len(p)) if (bits >> v) & 1)
+
+
+class TestSymmetryRootedScan:
+    """normalizer_min_weight grown from orbit minima against the same
+    generators rebuilt without symmetries (grown from every qubit)."""
+
+    def test_gen_3d_code_carries_its_translations(self):
+        assert len(gen_3d_code(3).symmetries) == 3
+        assert gen_3d_code_derived(3).symmetries == ()
+        assert hadamard_conjugate(gen_3d_code(2), [0]).symmetries == ()
+
+    @pytest.mark.parametrize("L, w_maxes", [(2, (1, 2, 3)), (3, (1, 2, 3)), (4, (3, 4))])
+    def test_3d_code_matches_unrooted(self, L, w_maxes):
+        s = gen_3d_code(L)
+        plain = without_symmetries(s)
+        for w_max in w_maxes:
+            got = hit_text(normalizer_min_weight(s, w_max))
+            assert got == hit_text(normalizer_min_weight(plain, w_max)), w_max
+
+    def test_3d_code_L4_has_no_weight_3_logical(self):
+        assert normalizer_min_weight(gen_3d_code(4), 3) is None
+
+    def test_ring_codes_match_unrooted(self):
+        assert len(RING_CODES) > 100
+        for s in RING_CODES:
+            plain = without_symmetries(s)
+            for w_max in range(1, min(s.n, 4) + 1):
+                got = hit_text(normalizer_min_weight(s, w_max))
+                assert got == hit_text(normalizer_min_weight(plain, w_max)), (
+                    s.generators[0].to_text(), len(s.generators), w_max)
+
+    def test_permutation_codes_match_unrooted(self):
+        codes = random_permutation_codes()
+        assert len(codes) > 80
+        for s in codes:
+            plain = without_symmetries(s)
+            for w_max in range(1, min(s.n, 4) + 1):
+                got = hit_text(normalizer_min_weight(s, w_max))
+                assert got == hit_text(normalizer_min_weight(plain, w_max)), (
+                    s.symmetries, w_max)
+
+    def test_grows_from_orbit_minima_only(self, monkeypatch):
+        roots_seen = []
+
+        def recording(choices, nbrs, roots, w, deadline=None):
+            roots_seen.append(list(roots))
+            return connected_support_xors(choices, nbrs, roots, w, deadline)
+
+        monkeypatch.setattr(stabilizer, "connected_support_xors", recording)
+        for s, want in (
+            (gen_3d_code(3), [0]),
+            (torus_code(3, 4, {(0, 0): "Z", (1, 1): "Z"}), [0]),
+            (ring_code(6, {0: "Z", 1: "Z"}, step=2), [0, 1]),
+            (without_symmetries(gen_3d_code(2)), list(range(8))),
+        ):
+            roots_seen.clear()
+            normalizer_min_weight(s, 2)
+            assert roots_seen and all(r == want for r in roots_seen)
+
+    def test_extra_reflection(self):
+        # the reflection v -> -v is a second symmetry of a palindromic
+        # pattern; XZZX has least hits of weight 2 and 3 on these rings
+        for n in (4, 5, 7, 8, 9):
+            s = ring_code(n, {0: "X", 1: "Z", 2: "Z", 3: "X"})
+            both = StabilizerGroup(n, s.generators, s.symmetries + ([(-v) % n for v in range(n)],))
+            for w_max in (1, 2, 3):
+                assert hit_text(normalizer_min_weight(both, w_max)) == hit_text(
+                    normalizer_min_weight(without_symmetries(s), w_max))
+
+    @pytest.mark.parametrize("s", [
+        gen_3d_code(2),
+        gen_3d_code(3),
+        torus_code(3, 4, {(0, 0): "Z", (1, 1): "Z", (0, 2): "Z"}),
+        torus_code(2, 6, {(0, 0): "Z", (1, 0): "Z", (0, 1): "Z"}, step=3),
+        ring_code(6, {0: "Z", 1: "Z"}, step=2),
+    ] + random_permutation_codes()[:6])
+    def test_orbit_minima_and_translates_give_every_support(self, s):
+        n, perms = s.n, s.symmetries
+        nbrs = [0] * n
+        for g in s.generators:
+            acted = (g.x | g.z).bits
+            for v in range(n):
+                if (acted >> v) & 1:
+                    nbrs[v] |= acted & ~(1 << v)
+        roots = orbit_minima(n, perms)
+        choices = [(1 << v,) for v in range(n)]
+        for w in range(1, min(n, 4) + 1):
+            rooted = list(connected_support_xors(choices, nbrs, roots, w))
+            assert len(set(rooted)) == len(rooted)
+            assert all((sup & -sup).bit_length() - 1 in roots for sup in rooted)
+            closed, todo = set(rooted), list(rooted)
+            while todo:
+                sup = todo.pop()
+                for p in perms:
+                    t = permute_bits(sup, p)
+                    if t not in closed:
+                        closed.add(t)
+                        todo.append(t)
+            assert closed == set(connected_support_xors(choices, nbrs, range(n), w)), w
+
+    def test_non_symmetry_rejected(self):
+        s = gen_3d_code(3)
+        swap = list(range(s.n))
+        swap[0], swap[1] = 1, 0
+        with pytest.raises(ValueError, match="does not map the generators"):
+            normalizer_min_weight(StabilizerGroup(s.n, s.generators, [swap]), 3)
+        ring = ring_code(5, {0: "Z", 1: "Z"})
+        with pytest.raises(ValueError, match="does not map the generators"):
+            normalizer_min_weight(StabilizerGroup(5, ring.generators, [[0, 1, 2, 4, 3]]), 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4, 4]]), 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4]]), 2)
 
 
 class Test3DCode:
