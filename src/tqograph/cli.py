@@ -8,6 +8,7 @@ or the input was rejected (an error: line on stderr), 2 budget exhausted (env va
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -259,11 +260,8 @@ def cmd_oracle(args) -> int:
 def cmd_code3d(args) -> int:
     t0 = time.monotonic()
     config = {"L": args.L, "distance_scan": args.distance_scan}
-    try:
-        rep = stabilizer.verify_3d_code(
-            args.L, distance_scan=args.distance_scan, deadline=_deadline())
-    except BudgetExceededError as exc:
-        return _report(args, "code3d", config, {"error": str(exc)}, False, True, t0)
+    rep = stabilizer.verify_3d_code(
+        args.L, distance_scan=args.distance_scan, deadline=_deadline())
     results = {
         "params": rep.params(),
         "n": rep.n,
@@ -278,7 +276,11 @@ def cmd_code3d(args) -> int:
         "distance": rep.distance,
         "distance_operator": rep.distance_operator,
     }
-    return _report(args, "code3d", config, results, rep.ok, False, t0)
+    if rep.error is not None:
+        # a budget stop in the scan: the structural checks it had passed, and
+        # the first weight class it did not finish
+        results.update(error=rep.error, distance_lower_bound=rep.distance_lower_bound)
+    return _report(args, "code3d", config, results, rep.ok, rep.error is not None, t0)
 
 
 def cmd_scan(args) -> int:
@@ -297,7 +299,10 @@ def cmd_scan(args) -> int:
     return _report(args, "scan", config, results, ok, not ok, t0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at its first call and shared by
+    every later main call; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="tqograph",
         description="Decide distance properties of graph-state families via "

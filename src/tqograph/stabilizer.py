@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .analysis import BudgetExceededError
 from .gf2 import BitString, Gf2Matrix, connected_support_xors, dot
 from .graphs import Graph, toric3d, toric3d_vertex
 
@@ -81,6 +82,16 @@ def _sym_bits(p: Pauli, n: int) -> int:
     return p.x.bits | (p.z.bits << n)
 
 
+def _eliminate(r: int, comb: int, pivmask: int, at: dict) -> Tuple[int, int]:
+    """Xor into r, and its combination into comb, the row at[p] of the lowest
+    pivot p that r hits, until r hits none (StabilizerGroup gives why)."""
+    while t := r & pivmask:
+        row, c = at[(t & -t).bit_length() - 1]
+        r ^= row
+        comb ^= c
+    return r, comb
+
+
 class StabilizerGroup:
     """Pairwise-commuting Pauli generators (need not be independent).
 
@@ -89,6 +100,17 @@ class StabilizerGroup:
     symmetries are qubit permutations (p[v] is the image of qubit v) that
     map the generator set onto itself; normalizer_min_weight checks that
     before it uses them, and nothing else reads them.
+
+    Row reduction keeps the basis rows by pivot (each row's lowest set bit)
+    with a mask of all pivots, and xors into a row only the basis rows whose
+    pivots it hits: while r has a pivot bit, xor the row of the lowest one.
+    That clears the bit and changes only higher bits, so the loop ends.  Its
+    result is the same as testing every basis row in insertion order: the
+    rows have distinct lowest-bit pivots, so exactly one subset of them
+    clears every pivot bit of r (in the xor of two such subsets, the least
+    pivot of their difference would stay set), and the residual and its
+    generator combination are unique.  So each generator leaves the same
+    residual, and the basis has the same pivots, rows and combinations.
     """
 
     __slots__ = ("n", "generators", "symmetries", "_x", "_z", "_basis")
@@ -126,32 +148,34 @@ class StabilizerGroup:
             return
         raise AttributeError("StabilizerGroup is immutable")
 
-    def _reduced_basis(self):
-        """Reduced symplectic rows with generator-combination masks, cached."""
+    def _reduction(self):
+        """(basis, pivot mask, pivot -> (row, comb)), built once.
+
+        basis holds the reduced symplectic rows as (pivot, row, comb), in
+        generator order, with comb the generator-combination mask."""
         if self._basis is None:
-            basis: List[Tuple[int, int, int]] = []  # (pivot, row, comb)
+            basis: List[Tuple[int, int, int]] = []
+            pivmask, at = 0, {}
             for idx, g in enumerate(self.generators):
-                r, comb = _sym_bits(g, self.n), 1 << idx
-                for p, row, c in basis:
-                    if (r >> p) & 1:
-                        r ^= row
-                        comb ^= c
+                r, comb = _eliminate(_sym_bits(g, self.n), 1 << idx, pivmask, at)
                 if r:
-                    basis.append(((r & -r).bit_length() - 1, r, comb))
-            self._basis = tuple(basis)
+                    p = (r & -r).bit_length() - 1
+                    basis.append((p, r, comb))
+                    pivmask |= 1 << p
+                    at[p] = (r, comb)
+            self._basis = (tuple(basis), pivmask, at)
         return self._basis
+
+    def _reduced_basis(self) -> Tuple[Tuple[int, int, int], ...]:
+        return self._reduction()[0]
 
     def rank(self) -> int:
         return len(self._reduced_basis())
 
     def _reduce(self, r: int) -> Tuple[int, int]:
         """Remainder and generator combination of a symplectic int x | z << n."""
-        comb = 0
-        for piv, row, c in self._reduced_basis():
-            if (r >> piv) & 1:
-                r ^= row
-                comb ^= c
-        return r, comb
+        _, pivmask, at = self._reduction()
+        return _eliminate(r, 0, pivmask, at)
 
     def in_group(self, p: Pauli, sign_sensitive: bool = False) -> bool:
         """Row-space membership of p's symplectic vector.
@@ -363,6 +387,15 @@ def _orbit_roots(s: StabilizerGroup) -> List[int]:
     return roots
 
 
+class ScanBudgetExceededError(BudgetExceededError):
+    """A budget stop in normalizer_min_weight, in weight class weight: every
+    lighter class was scanned to the end without a hit."""
+
+    def __init__(self, message: str, weight: int):
+        super().__init__(message)
+        self.weight = weight
+
+
 def normalizer_min_weight(
     s: StabilizerGroup,
     w_max: int,
@@ -394,7 +427,8 @@ def normalizer_min_weight(
     so above r.  Each commuting operator is keyed by the least key over its
     orbit, so the least hit of the class over all supports is still the one
     returned.  Each symmetry is first checked to be a permutation mapping
-    the generator set onto itself (ValueError otherwise).
+    the generator set onto itself (ValueError otherwise).  When the deadline
+    runs out, ScanBudgetExceededError names the weight class it was in.
     """
     n, m = s.n, len(s.generators)
     roots = _orbit_roots(s)
@@ -411,19 +445,22 @@ def normalizer_min_weight(
         for v in acted.support():
             nbrs[v] |= acted.bits ^ (1 << v)
     syndrome, low = (1 << m) - 1, (1 << n) - 1
-    for w in range(1, min(w_max, n) + 1):
-        best = None
-        for op in connected_support_xors(choices, nbrs, roots, w, deadline):
-            if op & syndrome:
-                continue
-            key = min(_orbit(op >> m, perms))
-            if best is not None and key >= best:
-                continue
-            xb, zb = key >> n, key & low
-            if s._reduce(xb | (zb << n))[0]:
-                best = key
-        if best is not None:
-            return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
+    try:
+        for w in range(1, min(w_max, n) + 1):
+            best = None
+            for op in connected_support_xors(choices, nbrs, roots, w, deadline):
+                if op & syndrome:
+                    continue
+                key = min(_orbit(op >> m, perms))
+                if best is not None and key >= best:
+                    continue
+                xb, zb = key >> n, key & low
+                if s._reduce(xb | (zb << n))[0]:
+                    best = key
+            if best is not None:
+                return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
+    except BudgetExceededError as exc:
+        raise ScanBudgetExceededError(str(exc), w) from exc
     return None
 
 
@@ -439,7 +476,11 @@ class Code3DReport:
     derivation_ok: bool
     distance: Optional[int]
     distance_operator: Optional[str]
-    distance_scanned: bool
+    distance_scanned: bool  # the scan ran to the end
+    # on a budget stop in the scan: its message, and the weight class it was
+    # in, which bounds the distance from below
+    error: Optional[str] = None
+    distance_lower_bound: Optional[int] = None
 
     @property
     def k(self) -> int:
@@ -454,6 +495,8 @@ class Code3DReport:
             and self.logicals_ok
             and self.derivation_ok
         )
+        if self.error is not None:
+            return False
         if not self.distance_scanned:
             return structural
         return structural and self.distance == self.L
@@ -478,6 +521,8 @@ def verify_3d_code(
     (e) minimum normalizer weight is L (scan skipped when distance_scan is
         off);
     plus the derivation-chain equality against the graph-state construction.
+    When the deadline runs out in the scan, the report keeps (a)-(d) and
+    carries the budget message and the distance's lower bound instead.
     """
     s = gen_3d_code(L)
     n = L**3
@@ -510,10 +555,12 @@ def verify_3d_code(
         a.x == b.x and a.z == b.z for a, b in zip(gens, derived.generators)
     )
 
-    distance = None
-    dist_op = None
+    distance = dist_op = error = lower = None
     if distance_scan:
-        hit = normalizer_min_weight(s, L, deadline=deadline)
+        try:
+            hit = normalizer_min_weight(s, L, deadline=deadline)
+        except ScanBudgetExceededError as exc:
+            hit, error, lower = None, str(exc), exc.weight
         if hit is not None:
             distance, op = hit
             dist_op = op.to_text()
@@ -529,5 +576,7 @@ def verify_3d_code(
         derivation_ok,
         distance,
         dist_op,
-        distance_scan,
+        distance_scan and error is None,
+        error,
+        lower,
     )

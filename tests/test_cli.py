@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tqograph import analysis
+from tqograph import analysis, cli, stabilizer
 from tqograph.cli import main
 from tqograph.graphs import Graph
 
@@ -260,6 +260,29 @@ class TestCode3D:
         assert code == 2 and rep["budget_exceeded"]
         assert "time budget" in rep["results"]["error"]
 
+    def test_budget_stop_reports_structure_and_bound(self, capsys, monkeypatch):
+        # a deadline that expires at the first check of weight class 3
+        class StopAtCheck:
+            def __init__(self, stop):
+                self.stop, self.checks = stop, 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == self.stop:
+                    raise analysis.BudgetExceededError("time budget of 0.000s exhausted")
+
+        counter = StopAtCheck(None)
+        stabilizer.normalizer_min_weight(stabilizer.gen_3d_code(4), 2, counter)
+        _, plain = run_json(capsys, ["code3d", "--L", "4", "--no-distance-scan"])
+        monkeypatch.setattr(cli, "_deadline", lambda: StopAtCheck(counter.checks + 1))
+        code, rep = run_json(capsys, ["code3d", "--L", "4"])
+        assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
+        assert rep["config"] == {"L": 4, "distance_scan": True}
+        r = rep["results"]
+        assert r.pop("error") == "time budget of 0.000s exhausted"
+        assert r.pop("distance_lower_bound") == 3
+        assert r == plain["results"]
+
 
 class TestScan:
     def test_multi_star(self, capsys):
@@ -289,6 +312,55 @@ class TestOutputFormats:
         _, out, _ = run(capsys, ["dmax", "star", "4"])
         rep = json.loads(out)
         assert list(rep) == sorted(rep)
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process: a report must not
+    depend on the calls made before it."""
+
+    @staticmethod
+    def report(capsys, argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code, out, err = run(capsys, argv)
+        lines = [line for line in out.splitlines()
+                 if not line.lstrip().startswith(('"elapsed_ms"', "elapsed_ms\t"))]
+        return code, lines, err
+
+    @pytest.mark.parametrize("calls", [
+        [["cset", "star", "4", "--d", "2", "--max-members", "3"],
+         ["cset", "star", "4", "--d", "2"]],
+        [["dmax", "star", "4", "--format", "table"], ["dmax", "star", "4"]],
+        [["oracle", "complete", "4", "--matrix-elements", "--samples", "5", "--seed", "5"],
+         ["oracle", "complete", "4", "--matrix-elements", "--samples", "5"]],
+    ])
+    def test_report_equals_fresh_call(self, capsys, calls):
+        fresh = [self.report(capsys, argv, True) for argv in calls]
+        cli.build_parser.cache_clear()
+        reused = [self.report(capsys, argv, False) for argv in calls]
+        assert reused == fresh
+
+    def test_defaults_come_back(self, capsys):
+        run(capsys, ["cset", "star", "4", "--d", "2", "--max-members", "3"])
+        _, rep = run_json(capsys, ["cset", "star", "4", "--d", "2"])
+        assert rep["config"]["max_members"] == 1024
+        run(capsys, ["oracle", "complete", "4", "--matrix-elements", "--seed", "5"])
+        _, rep = run_json(capsys, ["oracle", "complete", "4", "--matrix-elements"])
+        assert rep["config"]["seed"] == 0
+        run(capsys, ["dmax", "star", "4", "--format", "table"])
+        json.loads(run(capsys, ["dmax", "star", "4"])[1])
+
+    def test_after_argparse_error(self, capsys):
+        argv = ["dmax", "toric", "2"]
+        want = self.report(capsys, argv, True)
+        with pytest.raises(SystemExit) as exc:
+            main(["dmax", "toric", "2", "--d", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self.report(capsys, argv, False) == want
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 def reference_cases():

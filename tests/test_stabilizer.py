@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from tqograph.analysis import BudgetExceededError
 from tqograph.gf2 import BitString, connected_support_xors, dot, support_xors
 from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
 from tqograph import stabilizer
@@ -38,6 +40,40 @@ def reference_commutation_error(gens):
     return None
 
 
+# Row reduction that tests every basis row in insertion order, which the
+# pivot-indexed reduction replaced; kept as reference.
+
+def reference_reduced_basis(s):
+    basis = []
+    for idx, g in enumerate(s.generators):
+        r, comb = reference_reduce(basis, g.x.bits | (g.z.bits << s.n))
+        comb ^= 1 << idx
+        if r:
+            basis.append(((r & -r).bit_length() - 1, r, comb))
+    return tuple(basis)
+
+
+def reference_reduce(basis, r):
+    comb = 0
+    for piv, row, c in basis:
+        if (r >> piv) & 1:
+            r ^= row
+            comb ^= c
+    return r, comb
+
+
+def reference_in_group(s, basis, p):
+    """Sign-sensitive membership from the reference reduction."""
+    r, comb = reference_reduce(basis, p.x.bits | (p.z.bits << s.n))
+    if r:
+        return False
+    prod = Pauli.identity(s.n)
+    for idx, g in enumerate(s.generators):
+        if (comb >> idx) & 1:
+            prod = pauli_mul(prod, g)
+    return prod.sign == p.sign
+
+
 def random_pauli(rng, n):
     return Pauli(BitString(n, rng.getrandbits(n)), BitString(n, rng.getrandbits(n)))
 
@@ -61,6 +97,40 @@ def seeded_pauli_lists():
         for _ in range(seed % 3):
             gens.insert(rng.randrange(len(gens) + 1), random_pauli(rng, n))
         out.append((n, gens))
+    return out
+
+
+def seeded_commuting_groups(count=240):
+    """Random commuting generators grown one at a time (a random Pauli is
+    kept when it commutes with those so far), with random signs and products
+    of earlier generators (dependent rows) planted among them."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(1000 + seed)
+        n = rng.randrange(1, 13)
+        gens = []
+        for _ in range(rng.randrange(1, 2 * n + 1)):
+            p = random_pauli(rng, n)
+            if all(commutes(p, g) for g in gens):
+                gens.append(Pauli(p.x, p.z, rng.choice((1, -1))))
+        for _ in range(rng.randrange(0, 4)):
+            p = Pauli.identity(n)
+            for g in rng.sample(gens, rng.randrange(1, len(gens) + 1)):
+                p = pauli_mul(p, g)
+            gens.insert(rng.randrange(len(gens) + 1), p)
+        out.append((rng, StabilizerGroup(n, gens)))
+    return out
+
+
+def group_queries(rng, s, count):
+    """Random Paulis, and signed products of random generator subsets."""
+    out = [random_pauli(rng, s.n) for _ in range(count)]
+    for _ in range(count):
+        p = Pauli.identity(s.n)
+        for g in s.generators:
+            if rng.random() < 0.5:
+                p = pauli_mul(p, g)
+        out.append(Pauli(p.x, p.z, rng.choice((1, -1))))
     return out
 
 
@@ -250,6 +320,36 @@ class TestStabilizerGroup:
         s = StabilizerGroup(2, [Pauli.from_text("+ZZ")])
         assert s.in_normalizer(Pauli.from_text("+XX"))
         assert not s.in_normalizer(Pauli.from_text("+XI"))
+
+
+class TestPivotReduction:
+    """The pivot-indexed reduction against the insertion-order loop."""
+
+    def assert_same_reduction(self, rng, s, queries):
+        basis = reference_reduced_basis(s)
+        assert s._reduced_basis() == basis
+        assert s.rank() == len(basis)
+        for p in group_queries(rng, s, queries):
+            r = p.x.bits | (p.z.bits << s.n)
+            assert s._reduce(r) == reference_reduce(basis, r)
+            assert s.in_group(p, sign_sensitive=True) == reference_in_group(s, basis, p)
+
+    def test_seeded_commuting_groups(self):
+        groups = seeded_commuting_groups()
+        dependent = 0
+        for rng, s in groups:
+            self.assert_same_reduction(rng, s, 10)
+            dependent += s.rank() < len(s.generators)
+        assert len(groups) >= 200 and dependent >= 100
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_gen_3d_code(self, L):
+        s = gen_3d_code(L)
+        self.assert_same_reduction(random.Random(L), s, 20)
+        basis = reference_reduced_basis(s)
+        for p in logical_strings(L):
+            r = p.x.bits | (p.z.bits << s.n)
+            assert s._reduce(r) == reference_reduce(basis, r)
 
 
 class TestGraphStabilizers:
@@ -565,6 +665,20 @@ class TestSymmetryRootedScan:
             normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4]]), 2)
 
 
+class StopAtCheck:
+    """Deadline that raises at its stop-th check (never when stop is None)."""
+
+    MESSAGE = "time budget of 0.000s exhausted"
+
+    def __init__(self, stop):
+        self.stop, self.checks = stop, 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.stop:
+            raise BudgetExceededError(self.MESSAGE)
+
+
 class Test3DCode:
     def test_generator_shape(self):
         for L in (2, 3):
@@ -669,6 +783,24 @@ class Test3DCode:
         assert rep.params() == "[[8,4,2]]"
         # measured rank deficiency exceeds L, so the structural target fails
         assert not rep.ok
+
+    def test_budget_stop_keeps_structure_and_bound(self):
+        # checks taken by the scan through each weight class of L = 4 (no
+        # logical below weight 4), then a deadline that expires at a chosen
+        # check: the report keeps the structural checks and names the class
+        s = gen_3d_code(4)
+        through = []
+        for w in (1, 2, 3):
+            dl = StopAtCheck(None)
+            assert normalizer_min_weight(s, w, dl) is None
+            through.append(dl.checks)
+        plain = verify_3d_code(4, distance_scan=False)
+        for stop, cls in ((1, 1), (through[0], 1), (through[0] + 1, 2),
+                          (through[1] + 1, 3), (through[2], 3), (through[2] + 1, 4)):
+            rep = verify_3d_code(4, deadline=StopAtCheck(stop))
+            assert (rep.error, rep.distance_lower_bound) == (StopAtCheck.MESSAGE, cls)
+            assert not rep.ok and rep.params() == "[[64,8,?]]"
+            assert dataclasses.replace(rep, error=None, distance_lower_bound=None) == plain
 
     def test_verify_L3(self):
         rep = verify_3d_code(3)
