@@ -13,9 +13,9 @@ the graph basis state labelled by any member.
 The enumerations run on plain ints (bit v is vertex v); BitString appears
 only at the API boundary.
 
-The Z span scans the supports of weight <= d-1 that are connected in G^2
-(u ~ v when their distance in G is 1 or 2), which span span(Z); when G has
-diameter <= 2 that is every support (z_span_basis gives the argument).
+The Z span runs the check-guided kernel gf2.cluster_xors on the graph-state
+generators: each stabilizer X^k Z^{A.k} of weight <= d-1 grows from its least
+qubit only onto generators it does not yet commute with (z_span_basis: why).
 
 W by meet in the middle.  A.m ^ l is the syndrome of the Pauli with X part
 m and Z part l: at vertex v, X contributes column A_v, Z contributes e_v and
@@ -48,13 +48,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import (
-    BitString,
-    Gf2Matrix,
-    connected_support_xors,
-    dot,
-    support_xors,
-)
+from .gf2 import BitString, Gf2Matrix, cluster_xors, dot, support_xors
 from .graphs import FamilySpec, Graph, gen_family
 
 DEFAULT_MAX_MEMBERS = 1024
@@ -113,54 +107,51 @@ def graph_basis_inner_analytic(
     return -1 if (dot(h, k) ^ sigma(a, k)) else 1
 
 
-def _square_nbrs(a: Gf2Matrix) -> List[int]:
-    """Neighbour bitmasks of G^2: u ~ v iff u != v and their distance in G is 1 or 2."""
-    cols = a.columns()
-    out = []
-    for v, c in enumerate(cols):
-        m, rest = c, c
-        while rest:
-            low = rest & -rest
-            m |= cols[low.bit_length() - 1]
-            rest ^= low
-        out.append(m & ~(1 << v))
-    return out
+@functools.lru_cache(maxsize=1)
+def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
+    """gf2.cluster_xors on the generators X_v Z^{A_v}, kept for the next query
+    on the same graph; X, Z, Y at v: the syndrome, then x bit v, z bit v."""
+    n = a.cols
+    return cluster_xors([(c | (1 << (n + v)), (1 << v) | (1 << (2 * n + v)),
+                          (c ^ (1 << v)) | (1 << (n + v)) | (1 << (2 * n + v)))
+                         for v, c in enumerate(a.columns())], n)
 
 
 def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
-    """Independent set spanning span(Z).
+    """Independent set spanning span(Z), in canonical order.
 
-    weight(k) <= weight(k | A.k), so supports up to weight d-1 see every
-    member of Z; only those connected in G^2 are enumerated, and they span
-    span(Z).  Split a member k into its G^2-components k_1, ..., k_m.  The
-    sets k_i | A.k_i lie within distance 1 of their own component, so two
-    of them meeting would put two components within distance 2; they are
-    pairwise disjoint, the weights add, and each k_i is itself in Z.
-    When G has diameter <= 2, G^2 is complete and every support is
-    connected: the plain support loop visits them in the same order as the
-    growth, at about half its cost, so it runs instead.  Supports go by
-    weight, with A.k accumulated along the way; vectors are kept
-    rank-incrementally, stopping early once the span is the full space.
+    k is in Z iff S_k = X^k Z^{A.k}, its graph-state stabilizer, has weight
+    <= d-1; the S_k are the Paulis commuting with every generator X_v Z^{A_v}.
+    If a proper part of S_k commutes with them all, it is some S_j, and k is
+    the xor of the lighter members j and k ^ j.  So the members with no such
+    part span span(Z), and gf2.cluster_xors reaches each from its least
+    qubit.  Canonical order: the e_v with deg(v) + 1 <= d-1 by v, then every
+    member by (weight of S_k, least qubit of S_k, k), each kept when
+    independent of those before, up to the full space; the kernel's hits,
+    sorted root by root, keep the same vectors, since a member with a
+    commuting part lies in the span of the lighter classes.
     """
+    if deadline is not None:
+        deadline.check()
     n, top = q.graph.n, q.d - 1
-    low = (1 << n) - 1
-    a = q.graph.adjacency()
-    # one choice per vertex: k in the low n bits, A.k above them
-    choices = [((1 << v) | (c << n),) for v, c in enumerate(a.columns())]
-    nbrs = _square_nbrs(a)
-    if all(m | (1 << v) == low for v, m in enumerate(nbrs)):
-        supports = functools.partial(support_xors, choices)
-    else:
-        supports = functools.partial(connected_support_xors, choices, nbrs, range(n))
-    members = (
-        k
-        for w in range(1, min(top, n) + 1)
-        for x in supports(w, deadline)
-        if ((k := x & low) | (x >> n)).bit_count() <= top
-    )
-    elim: List[int] = []
-    kept: List[int] = []
-    for k in members:
+    cols = q.graph.adjacency().columns()
+    singles = [1 << v for v, c in enumerate(cols) if c.bit_count() < top]
+
+    def classes() -> Iterator[List[int]]:
+        # beside the singles, weights 1 and 2 hold only the twin pairs u < v
+        # (A.k within {u, v}), by (u, v)
+        if top >= 2:
+            yield [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
+                   if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v))]
+        for w in range(3, min(top, n) + 1):
+            # a hit's x bits k and z bits A.k; grouped by the least qubit of k | A.k
+            hits = _z_kernel(q.graph.adjacency())(range(n), w, deadline)
+            parts = (((x >> n) & ((1 << n) - 1), x >> (2 * n)) for x in hits)
+            for _, batch in itertools.groupby(parts, lambda p: (p[0] | p[1]) & -(p[0] | p[1])):
+                yield sorted(k for k, _ in batch)
+
+    elim, kept = [], []  # reduced rows (pivot: lowest bit), and the vectors kept
+    for k in itertools.chain(singles, itertools.chain.from_iterable(classes())):
         r = k
         for e in elim:
             if r & (e & -e):

@@ -28,22 +28,13 @@ SCHEMA = "tqograph-report/1"
 
 COST_NOTE = (
     "Cost notes: the state-vector check runs one n*2^n Walsh-Hadamard "
-    "transform per codeword pair and per X pattern, over the sum_{w<=d-1} "
-    "C(n,w) patterns of weight <= d-1 (n capped at 14).  W membership builds "
-    "a table of sum_{w<=a} C(n,w)*3^w syndromes once per (G, d), with "
-    "a = ceil((d-1)/2), and each query then streams sum_{w<=b} C(n,w)*3^w, "
-    "with b = floor((d-1)/2); the Z span scans the supports of weight <= d-1 "
-    "connected in G^2 (all sum_{w<=d-1} C(n,w) when G has diameter <= 2).  "
-    "cset walks the 2^r-element orthogonal span in Gray-code order until "
-    "it has --max-members members; dmax walks it in increasing order and "
-    "stops at the first member.  The walk has no length cap: TQO_BUDGET_MS "
-    "bounds it.  The code3d "
-    "distance scan streams the syndromes of the Paulis of weight <= L whose "
-    "support is connected in the qubit-interaction graph and whose least "
-    "qubit is 0 (every other support is a translate of one of those) "
-    "against the n = L^3 generators and row-reduces only the commuting "
-    "operators (--L 4: about 0.2 s; --L 5: about 10 s); building a "
-    "stabilizer group is linear in the total generator weight."
+    "transform per codeword pair and per X pattern of weight <= d-1 (n capped "
+    "at 14).  W membership builds the syndromes of the Paulis of weight <= "
+    "ceil((d-1)/2) once per (G, d) and streams those of weight <= "
+    "floor((d-1)/2) per query.  The Z span and the code3d scan grow each Pauli "
+    "from its least qubit only onto the qubits of a check it still flips "
+    "(the toric 5 --d 5 span: about 5 ms; code3d --L 7: 0.2 s).  cset and dmax "
+    "walk the 2^r-element orthogonal span, with no cap but TQO_BUDGET_MS."
 )
 
 
@@ -355,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--no-distance-scan", dest="distance_scan",
                    action="store_false",
-                   help="structure checks only (use for L >= 6; the scan, over "
-                        "connected supports grown from qubit 0, takes about "
-                        "0.2 s at L = 4 and 10 s at L = 5)")
+                   help="structure checks only (the scan, grown from qubit 0, "
+                        "takes about 0.2 s at L = 7 and 1 s at L = 8)")
     _add_format(p)
     p.set_defaults(func=cmd_code3d)
 

@@ -6,7 +6,8 @@ is an ASCII '0'/'1' string whose leftmost character is bit 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+import itertools
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 
 class BitString:
@@ -276,43 +277,91 @@ def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> I
             yield from batch
 
 
-def connected_support_xors(
-    choices: Sequence[Tuple[int, ...]],
-    nbrs: Sequence[int],
-    roots: Iterable[int],
-    w: int,
-    deadline=None,
-) -> Iterator[int]:
-    """support_xors over the weight-w connected supports whose least position
-    is one of the roots.
+CHECK_EVERY = 64  # kernel nodes between two deadline checks in cluster_xors
 
-    nbrs[v] is the neighbour bitmask of position v.  Each such support is
-    grown once, from its least position (ESU, or Redelmeier's polyomino
-    growth): a position becomes a candidate only when it first touches the
-    support, and only above the root.  With every position as a root, that
-    is every connected support.  Choices, packing and deadline checks are as
-    in support_xors; supports come in growth order, root by root.
+
+def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., Iterator[int]]:
+    """The cluster method (arXiv:1611.07164): xors(roots, w, deadline=None)
+    yields zero-syndrome xors of one choice on each of w positions.
+
+    A choice packs its syndrome against m checks in the low m bits, with any
+    payload above.  An operator grows from a root onto higher positions.
+    While its syndrome is nonzero, the rest must flip each unsatisfied check,
+    so it branches on one (the lowest of those the fewest choices flip) with
+    the choices that flip it, each branch forbidding those of the branches
+    before it.  A node is pruned when its syndrome has more bits than left
+    times the most any choice flips; the last position is looked up by its
+    syndrome; a zero-syndrome prefix ends the branch.  So the yield holds,
+    once each, every zero-syndrome operator of weight w whose least position
+    is a root and which has no zero-syndrome proper part, and maybe some
+    that have one.  The deadline (anything with a check() method) is checked
+    at the start and then every CHECK_EVERY nodes.
     """
+    # Each choice has a bit in the "open" mask a growth passes down: a branch
+    # closes its position's choices and those of the branches before it.
+    low, single = (1 << m) - 1, {}  # single: nonzero syndrome -> [(bit, choice)]
+    start = list(itertools.accumulate((len(options) for options in choices), initial=0))
+    # (bit, choice, bits of its position) for every choice, in position order
+    entries = [(1 << (start[v] + j), c, (1 << start[v + 1]) - (1 << start[v]))
+               for v, options in enumerate(choices) for j, c in enumerate(options)]
+    for e, c, _ in entries:
+        if c & low:
+            single.setdefault(c & low, []).append((e, c))
+    spread = max((s.bit_count() for s in single), default=0)
+    # check -> the entries that flip it, and the checks grouped by how many
+    # entries flip them, fewest first; built when a growth first needs them
+    flips, tiers = [[] for _ in range(m)], []
 
-    def batches(seen: int, ext: int, above: int, left: int, acc: int) -> Iterator[List[int]]:
-        if deadline is not None:
-            deadline.check()
-        picks = []
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            picks.append((low.bit_length() - 1, ext))
-        if left == 1:
-            yield [acc ^ c for v, _ in picks for c in choices[v]]
-            return
-        for v, rest in picks:
-            grown = rest | (nbrs[v] & above & ~seen)
-            for c in choices[v]:
-                yield from batches(seen | nbrs[v], grown, above, left - 1, acc ^ c)
+    def tables() -> None:
+        for entry in entries:
+            s = entry[1] & low
+            while s:
+                t = s & -s
+                flips[t.bit_length() - 1].append(entry)
+                s ^= t
+        tiers.extend(sum(1 << i for i, f in enumerate(flips) if len(f) == k)
+                     for k in sorted({len(f) for f in flips}))
 
-    if w == 0:
-        yield 0
-        return
-    for root in roots:
-        for batch in batches(0, 1 << root, -2 << root, w, 0):
-            yield from batch
+    def xors(roots: Iterable[int], w: int, deadline=None) -> Iterator[int]:
+        check = deadline.check if deadline is not None else (lambda: None)
+        nodes = itertools.count(1)  # growth nodes, for the deadline
+        check()
+        if w > 2 and not tiers:
+            tables()
+
+        def grow(acc: int, left: int, open_: int) -> Iterator[List[int]]:
+            # left >= 2 positions still to add to acc, whose syndrome is nonzero
+            if not next(nodes) % CHECK_EVERY:
+                check()
+            syn = acc & low
+            if syn.bit_count() > left * spread:
+                return
+            for t in tiers:
+                if syn & t:
+                    break
+            t &= syn
+            out: List[int] = []
+            for e, c, used in flips[(t & -t).bit_length() - 1]:
+                if open_ & e:
+                    nxt, rest = acc ^ c, open_ & ~used
+                    s = nxt & low
+                    if left > 2:
+                        if s:
+                            yield from grow(nxt, left - 1, rest)
+                    elif s in single:
+                        out += [nxt ^ c2 for e2, c2 in single[s] if rest & e2]
+                    open_ &= ~e
+            if out:
+                yield out
+
+        for r in roots:
+            open_ = (1 << start[-1]) - (1 << start[r + 1])  # the choices above r
+            for c in choices[r]:
+                if w == 1 and not c & low:
+                    yield c
+                elif w == 2:
+                    yield from [c ^ c2 for e2, c2 in single.get(c & low, ()) if open_ & e2]
+                elif w > 2 and c & low:
+                    yield from itertools.chain.from_iterable(grow(c, w - 1, open_))
+
+    return xors

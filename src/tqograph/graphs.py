@@ -11,6 +11,7 @@ Vertex ordering conventions (normative, 0-indexed):
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -263,35 +264,23 @@ def toric3d_vertex(i: int, j: int, k: int, L: int) -> int:
 def toric3d(L: int) -> Graph:
     """L^3-vertex generalized toric graph: L multi-star layers on a 3-torus.
 
-    Entries follow the generalized delta/theta adjacency formula, with the
-    j and k indices cyclic mod L; each term needs both to differ by 0 or
-    +-1 mod L, so only those 9L partners per vertex are evaluated.
+    The generalized delta/theta adjacency formula (j, k cyclic mod L) is
+    F(u, v) xor F(v, u), with F(u, v) = 1 for the O(L) partners v of
+    u = (i, j, k): (i', j, k) for i' >= 2 when i = 1 (the column star), and
+    (i', j, k - 1) and (i', j - 1, k - 1) for 2 <= i' <= i.  Each vertex
+    toggles its partner edges; those toggled an odd number of times remain.
     """
     if L < 2:
         raise ValueError("toric3d needs L >= 2")
-    rng = range(1, L + 1)
-    edges = set()
-    for k1, j1, i1 in itertools.product(rng, rng, rng):
-        u = toric3d_vertex(i1, j1, k1, L)
-        near = [{(c + e - 1) % L + 1 for e in (-1, 0, 1)} for c in (k1, j1)]
-        for k2, j2, i2 in itertools.product(*near, rng):
-            v = toric3d_vertex(i2, j2, k2, L)
-            if v <= u:
-                continue
-            a = 0
-            if _delta_cyclic(j1, j2, L) and _delta_cyclic(k1, k2, L):
-                a ^= (1 if i1 == 1 else 0) * _theta(2, i2)
-                a ^= (1 if i2 == 1 else 0) * _theta(2, i1)
-            if _delta_cyclic(j1, j2, L):
-                a ^= _delta_cyclic(k1, k2 + 1, L) * _theta(i2, i1) * _theta(2, i2)
-                a ^= _delta_cyclic(k2, k1 + 1, L) * _theta(i1, i2) * _theta(2, i1)
-            if _delta_cyclic(j1, j2 + 1, L) and _delta_cyclic(k1, k2 + 1, L):
-                a ^= _theta(i2, i1) * _theta(2, i2)
-            if _delta_cyclic(j2, j1 + 1, L) and _delta_cyclic(k2, k1 + 1, L):
-                a ^= _theta(i1, i2) * _theta(2, i1)
-            if a:
-                edges.add((u, v))
-    return Graph.from_edges(L**3, sorted(edges), name=f"toric3d({L})")
+    toggled = collections.Counter()
+    for k, j, i in itertools.product(range(L), repeat=3):
+        u = k * L * L + j * L + i  # vertex (i + 1, j + 1, k + 1)
+        below = [((k - 1) % L) * L * L + jb * L for jb in (j, (j - 1) % L)]
+        partners = [b + i2 for b in below for i2 in range(1, i + 1)]
+        partners += [u + i2 for i2 in range(1, L)] if i == 0 else []
+        toggled.update((min(u, v), max(u, v)) for v in partners)
+    edges = [e for e, c in toggled.items() if c % 2]
+    return Graph.from_edges(L**3, edges, name=f"toric3d({L})")
 
 
 def line_graph(g: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:

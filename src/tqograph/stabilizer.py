@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .analysis import BudgetExceededError
-from .gf2 import BitString, Gf2Matrix, connected_support_xors, dot
+from .gf2 import BitString, Gf2Matrix, cluster_xors, dot
 from .graphs import Graph, toric3d, toric3d_vertex
 
 
@@ -403,61 +403,42 @@ def normalizer_min_weight(
 ) -> Optional[Tuple[int, Pauli]]:
     """Least-weight Pauli commuting with all generators but outside the group.
 
-    Runs on gf2.connected_support_xors over the qubit-interaction graph
-    (u ~ v iff a generator acts on both): a hit whose support splits into
-    parts no generator bridges is a product of normalizer elements, one of
-    them outside the group and lighter, so minimum-weight hits are connected.
-    The choices at qubit v are X, Z and Y, each one int: its syndrome
-    against the m generators in the low m bits (X_v flips generator i iff
-    g_i has Z on v, Z_v iff g_i has X on v), then its z bits, then its x
-    bits.  An operator is in the normalizer iff its low m bits are 0, and
-    only those get the group-membership row reduction.  Weight classes go in
-    increasing order; within a class x >> m compares as the canonical (x, z)
-    key, and the least operator outside the group wins.  Returns None when
-    nothing of weight <= w_max exists.
+    Runs on gf2.cluster_xors.  The choices at qubit v are X, Z and Y, each
+    one int: its syndrome against the m generators in the low m bits (X_v
+    flips generator i iff g_i has Z on v, Z_v iff g_i has X on v), then its
+    z bits, then its x bits.  If a proper part of a commuting operator
+    commutes with every generator, the operator is the product of two
+    lighter commuting ones, one of them outside the group when it is; so a
+    least-weight hit has no such part, and the kernel reaches it from its
+    least qubit.  Only the operators it yields get the group-membership row
+    reduction.  Weight classes go in increasing order; within a class x >> m
+    compares as the canonical (x, z) key, and the least operator outside
+    the group wins.  Returns None when nothing of weight <= w_max exists.
 
-    Supports grow only from the least qubit of each orbit of s.symmetries
-    (every qubit when there are none), as in the cluster method of
-    arXiv:1611.07164.  A symmetry maps the generator set onto itself, so it
-    preserves the interaction graph, the normalizer, the group and weight,
-    and the hits of a weight class are a union of orbits.  Each support has
-    an image grown here: let r be the least orbit minimum among the orbits
-    the support meets; a symmetry moves one of its qubits to r, and every
-    other qubit of that image lies in an orbit whose minimum is at least r,
-    so above r.  Each commuting operator is keyed by the least key over its
-    orbit, so the least hit of the class over all supports is still the one
-    returned.  Each symmetry is first checked to be a permutation mapping
-    the generator set onto itself (ValueError otherwise).  When the deadline
-    runs out, ScanBudgetExceededError names the weight class it was in.
+    Operators grow only from the least qubit of each orbit of s.symmetries
+    (every qubit when there are none), each checked to be a permutation
+    mapping the generator set onto itself (ValueError otherwise); so it
+    preserves syndromes, the group and weight.  Let r be the least orbit
+    minimum among the orbits an operator's support meets: a symmetry moves
+    one of its qubits to r, and the image's other qubits lie in orbits with
+    minima at least r, so above r.  Each hit is keyed by the least key over
+    its orbit, so the least hit of the class is still the one returned.
+    When the deadline runs out, ScanBudgetExceededError names the weight
+    class it was in.
     """
     n, m = s.n, len(s.generators)
     roots = _orbit_roots(s)
     perms = [p + tuple(n + t for t in p) for p in s.symmetries]  # on the key's 2n bits
-    xcols, zcols = s._x.columns(), s._z.columns()
-    choices = []
-    for v in range(n):
-        xv, zv = 1 << (m + n + v), 1 << (m + v)
-        sx, sz = zcols[v] | xv, xcols[v] | zv
-        choices.append((sx, sz, sx ^ sz))
-    nbrs = [0] * n
-    for g in s.generators:
-        acted = g.x | g.z
-        for v in acted.support():
-            nbrs[v] |= acted.bits ^ (1 << v)
-    syndrome, low = (1 << m) - 1, (1 << n) - 1
+    sx = [zc | 1 << (m + n + v) for v, zc in enumerate(s._z.columns())]
+    sz = [xc | 1 << (m + v) for v, xc in enumerate(s._x.columns())]
+    low, xors = (1 << n) - 1, cluster_xors([(a, b, a ^ b) for a, b in zip(sx, sz)], m)
     try:
         for w in range(1, min(w_max, n) + 1):
-            best = None
-            for op in connected_support_xors(choices, nbrs, roots, w, deadline):
-                if op & syndrome:
-                    continue
-                key = min(_orbit(op >> m, perms))
-                if best is not None and key >= best:
-                    continue
-                xb, zb = key >> n, key & low
-                if s._reduce(xb | (zb << n))[0]:
-                    best = key
-            if best is not None:
+            keys = [  # of the hits outside the group
+                min(_orbit(op >> m, perms)) for op in xors(roots, w, deadline)
+                if s._reduce((op >> (m + n)) | ((op >> m) & low) << n)[0]]
+            if keys:
+                best = min(keys)
                 return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
     except BudgetExceededError as exc:
         raise ScanBudgetExceededError(str(exc), w) from exc

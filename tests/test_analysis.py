@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tqograph import analysis
-from tqograph.gf2 import BitString, Gf2Matrix, support_xors
+from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, support_xors
 from tqograph.graphs import (
     Graph,
     complete,
@@ -41,6 +42,8 @@ from tqograph.analysis import (
     zperp_basis,
 )
 from tqograph.oracle import graph_basis_state, pauli_matrix_element
+
+from references import connected_z_span_basis, square_nbrs
 
 
 def random_graph(rng, n):
@@ -148,6 +151,27 @@ def random_kernel_basis(rng, n):
     """Kernel basis of a random matrix with n columns: 0 to n rows."""
     rows = [rng.getrandbits(n) for _ in range(rng.randrange(n + 1))]
     return Gf2Matrix(len(rows), n, rows).kernel_basis()
+
+
+def canonical_z_span_basis(q):
+    """z_span_basis's documented order, from the definition: the e_v with
+    deg(v) + 1 <= d-1 by v, then every member k of Z by (weight of S_k,
+    least qubit of S_k, k), where S_k acts on k | A.k, each kept when
+    independent of those before, up to rank n."""
+    n, a = q.graph.n, q.graph.adjacency()
+    acted = {k: k | a.mat_vec(BitString(n, k)).bits for k in range(1, 1 << n)}
+    members = sorted((s.bit_count(), s & -s, k) for k, s in acted.items() if s.bit_count() < q.d)
+    singles = [1 << v for v, deg in enumerate(q.graph.degrees()) if deg + 1 <= q.d - 1]
+    elim, kept = [], []
+    for k in singles + [k for _, _, k in members]:
+        r = k
+        for e in elim:
+            if r & (e & -e):
+                r ^= e
+        if r and len(kept) < n:
+            elim.append(r)
+            kept.append(BitString(n, k))
+    return kept
 
 
 def assert_same_z_span(q, got, want):
@@ -267,6 +291,14 @@ class TestSetQueries:
         zb = z_span_basis(q)
         assert [b.to_text() for b in zb] == ["1100", "1010", "1001"]
         assert [b.to_text() for b in zperp_basis(q)] == ["1111"]
+        # canonical order: no single generator is light enough here, so the
+        # members go by the weight of S_k = X^k Z^{A.k}, then by the least
+        # qubit S_k acts on, then by k as an int (bit 0 is leftmost)
+        q = SetQuery(line_of_complete(4), 3)
+        assert [b.to_text() for b in z_span_basis(q)] == ["100001", "010010", "001100"]
+        q = SetQuery(line_of_complete(4), 5)
+        assert [b.to_text() for b in z_span_basis(q)] == [
+            "100001", "010010", "001100", "111000", "110000", "101000"]
 
     def test_in_W_zero_always(self):
         for g in (star(4), complete(5)):
@@ -305,10 +337,15 @@ class TestKernelMatchesReference:
                 assert in_W(q, h) == reference_in_W(q, h), (d, h)
 
     def test_z_span_basis_identical(self, g):
-        # identical span; the basis itself comes in G^2 growth order
+        # identical span; the basis itself comes in the canonical order
         for d in range(1, g.n + 2):
             q = SetQuery(g, d)
             assert_same_z_span(q, z_span_basis(q), reference_z_span_basis(q))
+
+    def test_z_span_basis_canonical_order(self, g):
+        for d in range(1, g.n + 2):
+            q = SetQuery(g, d)
+            assert z_span_basis(q) == canonical_z_span_basis(q), d
 
     def test_d_max_certificate_is_least_member(self, g):
         res = d_max(g)
@@ -338,19 +375,29 @@ def sparse_diff_graphs():
 
 
 class TestZSpanConnectedSupports:
-    """The G^2-connected scan against the all-supports scan."""
+    """The kernel's Z span against the all-supports scan and against the
+    G^2-connected growth it replaced (references.connected_z_span_basis)."""
 
     def test_sparse_random_graphs(self):
         graphs = sparse_diff_graphs()
         # isolated vertices occur, and most G^2 are not complete, so supports split
         assert any(0 in g.degrees() for g in graphs)
         split = [g for g in graphs if any(
-            m | (1 << v) != (1 << g.n) - 1 for v, m in enumerate(analysis._square_nbrs(g.adjacency())))]
+            m | (1 << v) != (1 << g.n) - 1 for v, m in enumerate(square_nbrs(g.adjacency())))]
         assert len(split) > len(graphs) // 2
         for g in graphs:
             for d in range(1, g.n + 2):
                 q = SetQuery(g, d)
                 assert_same_z_span(q, z_span_basis(q), all_supports_z_span_basis(q))
+
+    def test_same_span_as_connected_growth(self):
+        rng = random.Random(2025)
+        graphs = sparse_diff_graphs()[::4] + [
+            random_graph(rng, rng.randrange(1, 13)) for _ in range(40)]
+        for g in graphs:
+            for d in range(1, g.n + 2):
+                q = SetQuery(g, d)
+                assert_same_z_span(q, z_span_basis(q), connected_z_span_basis(q))
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_toric(self, L):
@@ -361,29 +408,75 @@ class TestZSpanConnectedSupports:
 
     def test_square_nbrs_path_and_cycle(self):
         path = Graph.from_edges(5, [(v, v + 1) for v in range(4)])
-        assert analysis._square_nbrs(path.adjacency()) == [
+        assert square_nbrs(path.adjacency()) == [
             0b00110, 0b01101, 0b11011, 0b10110, 0b01100]
         cycle = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
-        assert analysis._square_nbrs(cycle.adjacency()) == [
+        assert square_nbrs(cycle.adjacency()) == [
             0b110110, 0b101101, 0b011011, 0b110110, 0b101101, 0b011011]
 
-    def test_dense_graph_takes_the_plain_loop(self, monkeypatch):
-        # line_of_complete(5) has diameter 2, so G^2 is complete and the list
-        # is the all-supports one, order included; a path grows instead
-        def forbidden(*args):
-            raise AssertionError("wrong enumeration")
+    def test_dense_graph_runs_the_kernel(self, monkeypatch):
+        # line_of_complete(5) has diameter 2, which once took the plain
+        # support loop; every graph now runs the kernel from every vertex, one
+        # weight class at a time from weight 3 (weight 2 is the twin pairs),
+        # until the span is full, and the single generators alone fill it
+        # once every deg(v) + 1 <= d-1
+        calls = []
 
-        g = line_of_complete(5)
-        with monkeypatch.context() as m:
-            m.setattr(analysis, "connected_support_xors", forbidden)
-            for d in range(1, g.n + 2):
-                q = SetQuery(g, d)
-                assert z_span_basis(q) == reference_z_span_basis(q), d
+        def recording(choices, m):
+            xors = cluster_xors(choices, m)
+
+            def spy(roots, w, deadline=None):
+                calls.append((list(roots), w))
+                return xors(roots, w, deadline)
+            return spy
+
+        def forbidden(*args):
+            raise AssertionError("plain support loop")
+
         path = Graph.from_edges(6, [(v, v + 1) for v in range(5)])
         with monkeypatch.context() as m:
+            m.setattr(analysis, "cluster_xors", recording)
             m.setattr(analysis, "support_xors", forbidden)
-            q = SetQuery(path, 4)
-            assert_same_z_span(q, z_span_basis(q), reference_z_span_basis(q))
+            analysis._z_kernel.cache_clear()
+            for g in (line_of_complete(5), path):
+                for d in range(1, g.n + 2):
+                    calls.clear()
+                    q = SetQuery(g, d)
+                    assert_same_z_span(q, z_span_basis(q), reference_z_span_basis(q))
+                    assert all(roots == list(range(g.n)) for roots, _ in calls)
+                    assert [w for _, w in calls] == list(range(3, len(calls) + 3))
+                    assert len(calls) <= max(min(d - 1, g.n) - 2, 0)
+                    if all(deg + 1 <= d - 1 for deg in g.degrees()):
+                        assert calls == [], (g.n, d)
+        analysis._z_kernel.cache_clear()
+        assert calls == [] and z_span_basis(SetQuery(line_of_complete(5), 8)) != []
+
+    def test_deadline_checked_within_a_root(self, monkeypatch):
+        # toric 6, d = 6: the kernel checks the deadline every CHECK_EVERY
+        # nodes, so some (weight class, root) takes several checks
+        seen, current = collections.Counter(), []
+
+        class Recording:
+            def check(self):
+                seen[tuple(current)] += 1
+
+        def tracking(choices, m):
+            xors = cluster_xors(choices, m)
+
+            def rooted(roots, w, deadline=None):
+                def each():
+                    for r in roots:
+                        current[:] = [w, r]
+                        yield r
+                return xors(each(), w, deadline)
+            return rooted
+
+        monkeypatch.setattr(analysis, "cluster_xors", tracking)
+        analysis._z_kernel.cache_clear()
+        q = SetQuery(toric(6), 6)
+        assert len(z_span_basis(q, Recording())) == 70
+        analysis._z_kernel.cache_clear()
+        assert max(seen.values()) >= 3
 
 
 class TestCSet:

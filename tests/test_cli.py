@@ -237,8 +237,8 @@ class TestCode3D:
         assert r["rank_deficiency"] == 4 and r["distance"] == 2
 
     def test_L4_scan(self, capsys):
-        # grown from the one translation-orbit minimum the scan takes about
-        # 0.2 s on one core; grown from all 64 qubits it took over 2 s
+        # grown by the check-guided kernel from the one translation-orbit
+        # minimum, the scan takes about 0.01 s
         code, rep = run_json(capsys, ["code3d", "--L", "4"])
         r = rep["results"]
         assert r["params"] == "[[64,8,4]]"
@@ -259,6 +259,18 @@ class TestCode3D:
         code, rep = run_json(capsys, ["code3d", "--L", "4"])
         assert code == 2 and rep["budget_exceeded"]
         assert "time budget" in rep["results"]["error"]
+
+    def test_budget_stops_the_L9_scan_soon(self, capsys, monkeypatch):
+        # the scan grows from qubit 0 alone; the kernel checks the deadline
+        # every few dozen nodes, so the stop comes well within a second of
+        # the 200 ms budget, not seconds later
+        monkeypatch.setenv("TQO_BUDGET_MS", "200")
+        code, rep = run_json(capsys, ["code3d", "--L", "9"])
+        assert code == 2 and rep["budget_exceeded"]
+        r = rep["results"]
+        assert r["error"] == "time budget of 0.200s exhausted"
+        assert r["distance_lower_bound"] >= 1 and r["params"] == "[[729,17,?]]"
+        assert rep["elapsed_ms"] < 1200
 
     def test_budget_stop_reports_structure_and_bound(self, capsys, monkeypatch):
         # a deadline that expires at the first check of weight class 3

@@ -4,13 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from tqograph.gf2 import (
-    BitString,
-    Gf2Matrix,
-    connected_support_xors,
-    dot,
-    support_xors,
-)
+from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, dot, support_xors
+
+from references import connected_support_xors
 
 
 def bits(text):
@@ -219,3 +215,139 @@ class TestConnectedSupportXors:
 
         with pytest.raises(Expired):
             list(connected_support_xors([(1,), (2,)], [2, 1], range(2), 2, Deadline()))
+
+
+def random_code(rng, n):
+    """(x, z) bitmask pairs of a seeded random commuting code on n qubits: a
+    random subset of the graph-state generators X_v Z^{A_v} of a random
+    graph, then Hadamard on a random qubit subset."""
+    adj, p = [0] * n, rng.choice((0.2, 0.4))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    gens = [(1 << v, adj[v]) for v in range(n) if rng.random() < 0.7] or [(1, adj[0])]
+    flip = rng.getrandbits(n)
+    return [((x & ~flip) | (z & flip), (z & ~flip) | (x & flip)) for x, z in gens]
+
+
+def pauli_choices(gens, n):
+    """X, Z and Y at each qubit v: the syndrome in the low m bits, then the
+    x bit and the z bit of v (bits m + 2v and m + 2v + 1)."""
+    m = len(gens)
+    out = []
+    for v in range(n):
+        sx = sum(1 << i for i, (_, z) in enumerate(gens) if (z >> v) & 1)
+        sz = sum(1 << i for i, (x, _) in enumerate(gens) if (x >> v) & 1)
+        px, pz = 1 << (m + 2 * v), 1 << (m + 2 * v + 1)
+        out.append((sx | px, sz | pz, sx ^ sz | px | pz))
+    return out
+
+
+def parts(op, choices, m):
+    """The syndromes of the single-qubit factors of a kernel operator."""
+    return [choices[v][((op >> (m + 2 * v)) & 3) - 1] & ((1 << m) - 1)
+            for v in range(len(choices)) if (op >> (m + 2 * v)) & 3]
+
+
+def irreducible(op, choices, m):
+    """No nonempty proper subset of the factors has zero syndrome: the
+    factor syndromes, which xor to 0, have rank one less than their count."""
+    syns = parts(op, choices, m)
+    return len(independent_subset([BitString(m, s) for s in syns])) == len(syns) - 1
+
+
+class CountingDeadline:
+    def __init__(self):
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+class TestClusterXors:
+    """The check-guided kernel against the connected-support enumerator it
+    replaced, filtered to zero syndromes."""
+
+    def test_matches_irreducible_reference(self):
+        rng = random.Random(11)
+        codes = 0
+        for _ in range(220):
+            n = rng.randrange(1, 13)
+            gens = random_code(rng, n)
+            m, choices = len(gens), pauli_choices(gens, n)
+            nbrs = [0] * n  # qubit-interaction graph
+            for x, z in gens:
+                for v in range(n):
+                    if ((x | z) >> v) & 1:
+                        nbrs[v] |= (x | z) & ~(1 << v)
+            xors = cluster_xors(choices, m)
+            for w in range(1, min(n, 4) + 1):
+                got = list(xors(range(n), w))
+                assert len(set(got)) == len(got), (n, w)
+                want = {op for op in connected_support_xors(choices, nbrs, range(n), w)
+                        if not op & ((1 << m) - 1)}
+                assert set(got) <= want, (n, w)
+                assert {op for op in got if irreducible(op, choices, m)} == {
+                    op for op in want if irreducible(op, choices, m)}, (n, w)
+                assert all(len(parts(op, choices, m)) == w for op in got)
+            codes += 1
+        assert codes >= 200
+
+    def test_roots_pick_the_least_position(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randrange(2, 11)
+            gens = random_code(rng, n)
+            m, choices = len(gens), pauli_choices(gens, n)
+            roots = sorted(rng.sample(range(n), rng.randrange(1, n)))
+            xors = cluster_xors(choices, m)
+            for w in (1, 2, 3):
+                every = list(xors(range(n), w))
+                least = [min(v for v in range(n) if (op >> (m + 2 * v)) & 3) for op in every]
+                assert list(xors(roots, w)) == [
+                    op for op, r in zip(every, least) if r in roots]
+
+    def test_ring(self):
+        # ZZ checks on a 4-ring: a Z commutes with them (the weight-1 hits);
+        # X and Y flip the same two checks, so X or Y on every qubit gives
+        # the 16 weight-4 hits, and no subset of 2 or 3 qubits commutes
+        checks = [(0, 0b0011), (0, 0b0110), (0, 0b1100), (0, 0b1001)]
+        xors = cluster_xors(pauli_choices(checks, 4), 4)
+        assert sorted(xors(range(4), 1)) == [
+            1 << (5 + 2 * v) for v in range(4)]
+        assert list(xors(range(4), 2)) == []
+        assert list(xors(range(4), 3)) == []
+        xy = {sum((1 | (ys >> v & 1) << 1) << (4 + 2 * v) for v in range(4)) for ys in range(16)}
+        got = list(xors(range(4), 4))
+        assert len(got) == 16 and set(got) == xy
+        assert list(xors([1, 2, 3], 4)) == []
+        assert list(xors(range(4), 0)) == []
+
+    def test_deadline_checked_within_one_root(self):
+        # one root, and a deadline that counts: checked at the start and then
+        # every CHECK_EVERY nodes, so many times within the root
+        n = 12
+        gens = [(1 << v, (1 << ((v + 1) % n)) | (1 << ((v - 1) % n))) for v in range(n)]
+        choices = pauli_choices(gens, n)
+        dl = CountingDeadline()
+        list(cluster_xors(choices, n)([0], 8, dl))
+        assert dl.checks > 3
+
+        class Expired(Exception):
+            pass
+
+        class StopAt:
+            def __init__(self, stop):
+                self.stop, self.checks = stop, 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == self.stop:
+                    raise Expired
+
+        with pytest.raises(Expired):
+            list(cluster_xors(choices, n)([0], 8, StopAt(3)))
+        with pytest.raises(Expired):
+            list(cluster_xors(choices, n)([0], 1, StopAt(1)))

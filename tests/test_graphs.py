@@ -232,10 +232,48 @@ def reference_toric3d_edges(L):
     return tuple(sorted(edges))
 
 
+def windowed_toric3d_edges(L):
+    """The formula loop the neighbour-offset toric3d replaced: each vertex
+    against the 9L partners whose j and k differ by 0 or +-1 mod L."""
+    def delta(a, b):
+        return 1 if (a - b) % L == 0 else 0
+
+    def theta(a, b):
+        return 1 if a <= b else 0
+
+    rng = range(1, L + 1)
+    edges = set()
+    for k1, j1, i1 in itertools.product(rng, rng, rng):
+        u = toric3d_vertex(i1, j1, k1, L)
+        near = [{(c + e - 1) % L + 1 for e in (-1, 0, 1)} for c in (k1, j1)]
+        for k2, j2, i2 in itertools.product(*near, rng):
+            v = toric3d_vertex(i2, j2, k2, L)
+            if v <= u:
+                continue
+            a = 0
+            if delta(j1, j2) and delta(k1, k2):
+                a ^= (1 if i1 == 1 else 0) * theta(2, i2)
+                a ^= (1 if i2 == 1 else 0) * theta(2, i1)
+            if delta(j1, j2):
+                a ^= delta(k1, k2 + 1) * theta(i2, i1) * theta(2, i2)
+                a ^= delta(k2, k1 + 1) * theta(i1, i2) * theta(2, i1)
+            if delta(j1, j2 + 1) and delta(k1, k2 + 1):
+                a ^= theta(i2, i1) * theta(2, i2)
+            if delta(j2, j1 + 1) and delta(k2, k1 + 1):
+                a ^= theta(i1, i2) * theta(2, i1)
+            if a:
+                edges.add((u, v))
+    return tuple(sorted(edges))
+
+
 class TestToric3D:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     def test_matches_all_pairs_formula(self, L):
         assert toric3d(L).edges == reference_toric3d_edges(L)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_windowed_formula(self, L):
+        assert toric3d(L).edges == windowed_toric3d_edges(L)
 
     def test_L2_is_disjoint_dimers(self):
         # mod-2 cancellation collapses every inter-layer pair at L = 2

@@ -1,16 +1,18 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
 from tqograph.analysis import BudgetExceededError
-from tqograph.gf2 import BitString, connected_support_xors, dot, support_xors
+from tqograph.gf2 import BitString, cluster_xors, dot, support_xors
 from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
 from tqograph import stabilizer
 from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
 from tqograph.stabilizer import (
     Pauli,
+    ScanBudgetExceededError,
     StabilizerGroup,
     code_pair_stabilizers,
     gen_3d_code,
@@ -22,6 +24,8 @@ from tqograph.stabilizer import (
     pauli_mul,
     verify_3d_code,
 )
+
+from references import connected_normalizer_min_weight, connected_support_xors
 
 TOL = 1e-12
 
@@ -594,11 +598,15 @@ class TestSymmetryRootedScan:
     def test_grows_from_orbit_minima_only(self, monkeypatch):
         roots_seen = []
 
-        def recording(choices, nbrs, roots, w, deadline=None):
-            roots_seen.append(list(roots))
-            return connected_support_xors(choices, nbrs, roots, w, deadline)
+        def recording(choices, m):
+            xors = cluster_xors(choices, m)
 
-        monkeypatch.setattr(stabilizer, "connected_support_xors", recording)
+            def spy(roots, w, deadline=None):
+                roots_seen.append(list(roots))
+                return xors(roots, w, deadline)
+            return spy
+
+        monkeypatch.setattr(stabilizer, "cluster_xors", recording)
         for s, want in (
             (gen_3d_code(3), [0]),
             (torus_code(3, 4, {(0, 0): "Z", (1, 1): "Z"}), [0]),
@@ -663,6 +671,45 @@ class TestSymmetryRootedScan:
             normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4, 4]]), 2)
         with pytest.raises(ValueError, match="not a permutation"):
             normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4]]), 2)
+
+
+TORUS_CODES = [
+    torus_code(3, 4, {(0, 0): "Z", (1, 1): "Z", (0, 2): "Z"}),
+    torus_code(2, 6, {(0, 0): "Z", (1, 0): "Z", (0, 1): "Z"}, step=3),
+    torus_code(3, 4, {(0, 0): "Z", (1, 1): "Z"}),
+    torus_code(3, 3, {(0, 0): "X", (1, 0): "Z", (0, 1): "Z", (1, 1): "X"}),
+]
+
+
+class TestKernelMatchesConnectedScan:
+    """normalizer_min_weight on gf2.cluster_xors against the connected-support
+    scan it replaced (references.connected_normalizer_min_weight): the same
+    weight and the same canonical witness."""
+
+    def test_symmetric_codes(self):
+        codes = RING_CODES + random_permutation_codes() + TORUS_CODES
+        for s in codes:
+            w_max = min(s.n, 4)
+            assert hit_text(normalizer_min_weight(s, w_max)) == hit_text(
+                connected_normalizer_min_weight(s, w_max)), s.generators[0].to_text()
+
+    def test_without_symmetries(self):
+        for s in RING_CODES[::8] + TORUS_CODES:
+            plain = without_symmetries(s)
+            w_max = min(s.n, 4)
+            assert hit_text(normalizer_min_weight(plain, w_max)) == hit_text(
+                connected_normalizer_min_weight(plain, w_max))
+
+    @pytest.mark.parametrize("L, w_max", [(2, 2), (3, 3), (4, 4), (5, 4)])
+    def test_3d_code(self, L, w_max):
+        s = gen_3d_code(L)
+        assert hit_text(normalizer_min_weight(s, w_max)) == hit_text(
+            connected_normalizer_min_weight(s, w_max))
+
+    def test_3d_code_L5_witness(self):
+        # the connected scan's answer, from a run of about 10 s: Z along i
+        # on qubits 0..4
+        assert hit_text(normalizer_min_weight(gen_3d_code(5), 5)) == (5, "+" + "Z" * 5 + "I" * 120)
 
 
 class StopAtCheck:
@@ -801,6 +848,33 @@ class Test3DCode:
             assert (rep.error, rep.distance_lower_bound) == (StopAtCheck.MESSAGE, cls)
             assert not rep.ok and rep.params() == "[[64,8,?]]"
             assert dataclasses.replace(rep, error=None, distance_lower_bound=None) == plain
+
+    def test_deadline_checked_within_the_root(self):
+        # gen_3d_code(6) grows from qubit 0 alone, yet the scan checks the
+        # deadline many times in each of its longer weight classes, and a stop
+        # names the class it was in
+        s = gen_3d_code(6)
+        through = []
+        for w in range(1, 7):
+            dl = StopAtCheck(None)
+            hit = normalizer_min_weight(s, w, dl)
+            through.append(dl.checks)
+        assert hit_text(hit) == (6, "+" + "Z" * 6 + "I" * 210)
+        assert through[5] - through[4] >= 20
+        for stop, cls in ((through[3] + 1, 5), (through[4], 5), (through[4] + 1, 6),
+                          ((through[4] + through[5]) // 2, 6), (through[5], 6)):
+            with pytest.raises(ScanBudgetExceededError) as info:
+                normalizer_min_weight(s, 6, StopAtCheck(stop))
+            assert info.value.weight == cls, stop
+
+    @pytest.mark.parametrize("L, params", [(6, "[[216,12,6]]"), (7, "[[343,13,7]]")])
+    def test_distance_past_L5(self, L, params):
+        # d = L with the Z line along i through qubit 0, each under 1 s
+        t = time.process_time()
+        rep = verify_3d_code(L)
+        assert time.process_time() - t < 1.0
+        assert rep.params() == params and rep.distance_scanned
+        assert rep.distance_operator == "+" + "Z" * L + "I" * (L**3 - L)
 
     def test_verify_L3(self):
         rep = verify_3d_code(3)
