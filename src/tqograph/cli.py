@@ -206,6 +206,8 @@ def cmd_oracle(args) -> int:
     deadline = _deadline()
     try:
         if args.matrix_elements:
+            if args.samples < 1:
+                raise ValueError("--samples must be at least 1")
             rng = random.Random(args.seed)
             a = g.adjacency()
             worst = 0.0
@@ -226,6 +228,8 @@ def cmd_oracle(args) -> int:
             h = BitString.from_text(args.h)
             if h.n != g.n:
                 raise ValueError(f"label length {h.n} != {g.n}")
+            if h.is_zero():
+                raise ValueError("label must be nonzero")
             states = [qoracle.build_graph_state(g), qoracle.graph_basis_state(g, h)]
             verdict = qoracle.brute_force_qecc_check(states, args.d, deadline=deadline)
             analytic = analysis.in_C(SetQuery(g, args.d), h, deadline)

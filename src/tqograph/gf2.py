@@ -115,6 +115,16 @@ def dot(k: BitString, l: BitString) -> int:
     return (k.bits & l.bits).bit_count() & 1
 
 
+def xor_columns(cols: Sequence[int], bits: int) -> int:
+    """The xor of cols[v] over the set bits v of bits."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= cols[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
 class Gf2Matrix:
     """Dense bit-packed GF(2) matrix, row-major (row bit j = column j)."""
 
@@ -179,14 +189,7 @@ class Gf2Matrix:
         """GF(2) matrix-vector product A.k, as the XOR of selected columns."""
         if k.n != self.cols:
             raise ValueError(f"dimension mismatch: {self.cols} cols vs length {k.n}")
-        cols = self.columns()
-        acc = 0
-        bits = k.bits
-        while bits:
-            low = bits & -bits
-            acc ^= cols[low.bit_length() - 1]
-            bits ^= low
-        return BitString(self.rows, acc)
+        return BitString(self.rows, xor_columns(self.columns(), k.bits))
 
     def _row_reduce(self):
         """Row reduce; returns (pivot column list, reduced nonzero rows)."""

@@ -11,7 +11,6 @@ Vertex ordering conventions (normative, 0-indexed):
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -261,26 +260,48 @@ def toric3d_vertex(i: int, j: int, k: int, L: int) -> int:
     return (k - 1) * L * L + (j - 1) * L + (i - 1)
 
 
-def toric3d(L: int) -> Graph:
-    """L^3-vertex generalized toric graph: L multi-star layers on a 3-torus.
+def toric3d_rows(L: int) -> List[int]:
+    """Adjacency rows of toric3d(L): bit v of row u is the edge uv.
 
     The generalized delta/theta adjacency formula (j, k cyclic mod L) is
     F(u, v) xor F(v, u), with F(u, v) = 1 for the O(L) partners v of
     u = (i, j, k): (i', j, k) for i' >= 2 when i = 1 (the column star), and
-    (i', j, k - 1) and (i', j - 1, k - 1) for 2 <= i' <= i.  Each vertex
-    toggles its partner edges; those toggled an odd number of times remain.
+    (i', j, k - 1) and (i', j - 1, k - 1) for 2 <= i' <= i.  Both F(u, .)
+    and F(., u) are runs of consecutive i within a few (j, k) columns, so
+    row u xors a handful of bit ranges; a pair toggled twice cancels.
     """
     if L < 2:
         raise ValueError("toric3d needs L >= 2")
-    toggled = collections.Counter()
+    LL, rows = L * L, []
     for k, j, i in itertools.product(range(L), repeat=3):
-        u = k * L * L + j * L + i  # vertex (i + 1, j + 1, k + 1)
-        below = [((k - 1) % L) * L * L + jb * L for jb in (j, (j - 1) % L)]
-        partners = [b + i2 for b in below for i2 in range(1, i + 1)]
-        partners += [u + i2 for i2 in range(1, L)] if i == 0 else []
-        toggled.update((min(u, v), max(u, v)) for v in partners)
-    edges = [e for e, c in toggled.items() if c % 2]
-    return Graph.from_edges(L**3, edges, name=f"toric3d({L})")
+        u = k * LL + j * L + i  # vertex (i + 1, j + 1, k + 1)
+        if i == 0:  # F(u, .): the column star; F(., u) is empty
+            rows.append(((1 << (L - 1)) - 1) << (u + 1))
+            continue
+        row = 1 << (u - i)  # F(hub, u)
+        below, above = (k - 1) % L * LL, (k + 1) % L * LL
+        for jb in (j, (j - 1) % L):  # F(u, .): i' in 2..i, one layer below
+            row ^= ((1 << i) - 1) << (below + jb * L + 1)
+        for ja in (j, (j + 1) % L):  # F(., u): partners from i up, one layer above
+            row ^= ((1 << (L - i)) - 1) << (above + ja * L + i)
+        rows.append(row)
+    return rows
+
+
+def toric3d(L: int) -> Graph:
+    """L^3-vertex generalized toric graph: L multi-star layers on a 3-torus,
+    its edges read off toric3d_rows, which also fill its adjacency cache."""
+    rows = toric3d_rows(L)
+    n, edges = len(rows), []
+    for u, row in enumerate(rows):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            edges.append((u, u + low.bit_length()))
+            row ^= low
+    g = Graph(n, tuple(edges), name=f"toric3d({L})")
+    object.__setattr__(g, "_adjacency", Gf2Matrix(n, n, rows))
+    return g
 
 
 def line_graph(g: Graph) -> Tuple[Graph, Tuple[Tuple[int, int], ...]]:

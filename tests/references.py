@@ -1,15 +1,33 @@
-"""Enumerators that gf2.cluster_xors replaced, kept as test references.
+"""Code that faster paths replaced, kept as test references.
 
-connected_support_xors grew every support connected in a neighbour graph
-and tried every choice on it; z_span_basis ran it on G^2 (or the plain
-support loop when G has diameter <= 2), and normalizer_min_weight on the
-qubit-interaction graph.  Both searches filtered on the syndrome afterwards.
+Enumerators that gf2.cluster_xors replaced: connected_support_xors grew
+every support connected in a neighbour graph and tried every choice on it;
+z_span_basis ran it on G^2 (or the plain support loop when G has diameter
+<= 2), and normalizer_min_weight on the qubit-interaction graph.  Both
+searches filtered on the syndrome afterwards.
+
+The 3D code's structural checks on Pauli objects, which verify_3d_code now
+runs on int rows: the coordinate formula of gen_3d_code, the derivation
+through graph_stabilizers, pauli_mul and hadamard_conjugate (a masked x/z
+swap in _derived_rows_3d), the layer products through pauli_mul, and a
+whole report from them.
 """
 
+import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from tqograph.gf2 import BitString, support_xors
-from tqograph.stabilizer import Pauli, _orbit, _orbit_roots
+from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
+from tqograph.graphs import Graph, toric3d, toric3d_vertex
+from tqograph.stabilizer import (
+    Code3DReport,
+    Pauli,
+    StabilizerGroup,
+    _orbit,
+    _orbit_roots,
+    graph_stabilizers,
+    logical_strings,
+    pauli_mul,
+)
 
 
 def connected_support_xors(
@@ -135,3 +153,103 @@ def connected_normalizer_min_weight(s, w_max):
         if best is not None:
             return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
     return None
+
+
+def _vertex3d(L):
+    def v(i, j, k):
+        return toric3d_vertex((i - 1) % L + 1, (j - 1) % L + 1, (k - 1) % L + 1, L)
+    return v
+
+
+def reference_gen_3d_code(L) -> List[Pauli]:
+    """gen_3d_code's generators from the coordinate formula, one
+    toric3d_vertex call per position."""
+    n, v = L**3, _vertex3d(L)
+    gens = []
+    for i, j, k in itertools.product(range(1, L + 1), repeat=3):
+        xb = (1 << v(i, j, k)) ^ (1 << v(i + 1, j, k))
+        zb = 0
+        for pos in ((i, j, k + 1), (i, j + 1, k + 1), (i + 1, j, k - 1), (i + 1, j - 1, k - 1)):
+            zb ^= 1 << v(*pos)
+        gens.append(Pauli(BitString(n, xb), BitString(n, zb)))
+    return gens
+
+
+def hadamard_conjugate(s: StabilizerGroup, b: Iterable[int]) -> StabilizerGroup:
+    """Swap the x and z bits of every generator on the qubits in b.
+
+    Signs are left unchanged (valid when no generator carries Y on b, as in
+    the constructions here).
+    """
+    mask = 0
+    for q in b:
+        if not 0 <= q < s.n:
+            raise ValueError(f"qubit {q} out of range")
+        mask |= 1 << q
+    gens = []
+    for g in s.generators:
+        xb = (g.x.bits & ~mask) | (g.z.bits & mask)
+        zb = (g.z.bits & ~mask) | (g.x.bits & mask)
+        gens.append(Pauli(BitString(s.n, xb), BitString(s.n, zb), g.sign))
+    return StabilizerGroup(s.n, gens)
+
+
+def reference_gen_3d_code_derived(L) -> StabilizerGroup:
+    """The derivation on Pauli objects: the graph-state generators of
+    toric3d (adjacency rebuilt from its edges), multiplied into local
+    products with pauli_mul, then hadamard_conjugate on the i = 1 plane."""
+    v = _vertex3d(L)
+    g = Graph.from_edges(L**3, toric3d(L).edges)
+    base = graph_stabilizers(g).generators
+
+    def s(i, j, k):
+        return base[v(i, j, k)]
+
+    prods = []
+    for i, j, k in itertools.product(range(1, L + 1), repeat=3):
+        if i == 1:
+            p = pauli_mul(pauli_mul(s(2, j, k), s(1, j, k + 1)), s(1, j + 1, k + 1))
+        elif i == L:
+            p = pauli_mul(pauli_mul(s(L, j, k), s(1, j, k - 1)), s(1, j - 1, k - 1))
+        else:
+            p = pauli_mul(s(i, j, k), s(i + 1, j, k))
+        prods.append(p)
+    hub_plane = [v(1, j, k) for j in range(1, L + 1) for k in range(1, L + 1)]
+    return hadamard_conjugate(StabilizerGroup(g.n, prods), hub_plane)
+
+
+def reference_product(paulis: Sequence[Pauli]) -> Pauli:
+    """The ordered product, one pauli_mul per factor."""
+    prod = Pauli.identity(paulis[0].n)
+    for p in paulis:
+        prod = pauli_mul(prod, p)
+    return prod
+
+
+def reference_layers_hold(gens: Sequence[Pauli], L) -> bool:
+    """Each layer k's product over (i, j) in order is +identity."""
+    for k in range(L):
+        prod = reference_product([gens[(i * L + j) * L + k] for i in range(L) for j in range(L)])
+        if not (prod.is_identity() and prod.sign == 1):
+            return False
+    return True
+
+
+def reference_code3d_report(L) -> Code3DReport:
+    """verify_3d_code(L, distance_scan=False) from the references: ranks by
+    plain row reduction of the symplectic rows, pairwise commutation of the
+    strings, and the derivation compared generator by generator."""
+    n, gens, logicals = L**3, reference_gen_3d_code(L), logical_strings(L)
+
+    def rank(ps):
+        return Gf2Matrix(len(ps), 2 * n, [p.x.bits | p.z.bits << n for p in ps]).rank()
+
+    r = rank(gens)
+    derived = reference_gen_3d_code_derived(L).generators
+    logicals_ok = all(
+        not dot(p.x, g.z) ^ dot(p.z, g.x) for p in logicals for g in gens
+    ) and rank(gens + logicals) == r + L
+    return Code3DReport(
+        L, n, reference_layers_hold(gens, L), r, n - r, 1 << (n - r), logicals_ok,
+        all(a.x == b.x and a.z == b.z for a, b in zip(gens, derived)),
+        None, None, False)

@@ -207,6 +207,19 @@ class TestOracle:
         assert rep["results"]["pass"]
         assert rep["results"]["max_deviation"] <= 1e-9
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_matrix_elements_need_a_sample(self, capsys, samples):
+        # with no sample drawn nothing is checked, so there is no pass to report
+        code, out, err = run(
+            capsys, ["oracle", "star", "3", "--matrix-elements", "--samples", samples])
+        assert code == 1 and out == ""
+        assert err == "error: --samples must be at least 1\n"
+
+    def test_zero_label_is_an_error_line(self, capsys):
+        code, out, err = run(capsys, ["oracle", "star", "3", "--h", "000", "--d", "2"])
+        assert code == 1 and out == ""
+        assert err == "error: label must be nonzero\n"
+
     def test_requires_mode(self, capsys):
         code, _, err = run(capsys, ["oracle", "star", "4"])
         assert code == 1 and "need --h/--d or --matrix-elements" in err

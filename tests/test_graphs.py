@@ -22,6 +22,7 @@ from tqograph.graphs import (
     star,
     toric,
     toric3d,
+    toric3d_rows,
     toric3d_vertex,
     toric_vertex,
     write_edge_list,
@@ -274,6 +275,15 @@ class TestToric3D:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_windowed_formula(self, L):
         assert toric3d(L).edges == windowed_toric3d_edges(L)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
+    def test_rows_are_the_adjacency_of_the_edges(self, L):
+        # toric3d primes its adjacency cache with the rows it reads the edges
+        # off, so both must agree with the adjacency rebuilt from the edges
+        g = toric3d(L)
+        want = Graph(g.n, g.edges).adjacency()
+        assert g.adjacency() == want
+        assert list(want.row_bits) == toric3d_rows(L)
 
     def test_L2_is_disjoint_dimers(self):
         # mod-2 cancellation collapses every inter-layer pair at L = 2

@@ -18,14 +18,21 @@ from tqograph.stabilizer import (
     gen_3d_code,
     gen_3d_code_derived,
     graph_stabilizers,
-    hadamard_conjugate,
     logical_strings,
     normalizer_min_weight,
     pauli_mul,
     verify_3d_code,
 )
 
-from references import connected_normalizer_min_weight, connected_support_xors
+from references import (
+    connected_normalizer_min_weight,
+    connected_support_xors,
+    hadamard_conjugate,
+    reference_code3d_report,
+    reference_gen_3d_code,
+    reference_gen_3d_code_derived,
+    reference_product,
+)
 
 TOL = 1e-12
 
@@ -291,6 +298,28 @@ class TestStabilizerGroup:
             assert str(err.value) == want
         assert 20 <= rejected <= 40
 
+    def test_commutation_check_on_flipped_3d_rows(self):
+        # one bit of one gen_3d_code generator flipped: the column xor must
+        # name the same first bad pair as the pairwise loop
+        rng = random.Random(12)
+        rejected = 0
+        for _ in range(40):
+            L = rng.choice((2, 3))
+            n, gens = L**3, list(gen_3d_code(L).generators)
+            idx, bit = rng.randrange(len(gens)), 1 << rng.randrange(n)
+            g = gens[idx]
+            gens[idx] = (Pauli(BitString(n, g.x.bits ^ bit), g.z) if rng.random() < 0.5
+                         else Pauli(g.x, BitString(n, g.z.bits ^ bit)))
+            want = reference_commutation_error(gens)
+            if want is None:
+                StabilizerGroup(n, gens)
+                continue
+            rejected += 1
+            with pytest.raises(ValueError) as err:
+                StabilizerGroup(n, gens)
+            assert str(err.value) == want
+        assert rejected >= 30
+
     def test_in_normalizer_matches_pairwise(self):
         rng = random.Random(5)
         for n, gens in seeded_pauli_lists():
@@ -385,6 +414,23 @@ class TestCodePairStabilizers:
         for p in s.generators:
             assert abs(pauli_expectation(psi, p.x, p.z) - p.sign) < TOL
             assert abs(pauli_expectation(phi, p.x, p.z) - p.sign) < TOL
+
+    def test_signs_on_random_graphs(self):
+        # adjacent factors give products of sign -1; each sign must be the
+        # eigenvalue on both states
+        rng = random.Random(21)
+        negative = 0
+        for _ in range(20):
+            n = rng.randrange(2, 7)
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+            h = BitString(n, rng.randrange(1, 1 << n))
+            psi, phi = build_graph_state(g), graph_basis_state(g, h)
+            for p in code_pair_stabilizers(g, h).generators:
+                negative += p.sign < 0
+                assert abs(pauli_expectation(psi, p.x, p.z) - p.sign) < TOL
+                assert abs(pauli_expectation(phi, p.x, p.z) - p.sign) < TOL
+        assert negative >= 10
 
     def test_excluded_combination_flips_label_state(self):
         # a generator product with odd overlap against h keeps the graph
@@ -748,6 +794,52 @@ class Test3DCode:
                 p.x == q.x and p.z == q.z
                 for p, q in zip(a.generators, b.generators)
             )
+
+    @pytest.mark.parametrize("L", range(2, 7))
+    def test_report_and_rows_match_references(self, L):
+        # the int-row checks against the Pauli-object ones they replaced
+        want = reference_code3d_report(L)
+        assert want.constraints_hold and want.derivation_ok and want.logicals_ok
+        assert verify_3d_code(L, distance_scan=False) == want
+        assert gen_3d_code(L).generators == tuple(reference_gen_3d_code(L))
+        assert gen_3d_code_derived(L).generators == reference_gen_3d_code_derived(L).generators
+
+    def test_flipped_derived_bit_fails_derivation(self, monkeypatch):
+        rng = random.Random(3)
+        for L in (2, 3, 4):
+            plain = verify_3d_code(L, distance_scan=False)
+            assert plain.derivation_ok
+            rows = stabilizer._derived_rows_3d(L)
+            for _ in range(6):
+                bad = list(rows)
+                idx, part, bit = rng.randrange(len(rows)), rng.randrange(2), 1 << rng.randrange(L**3)
+                bad[idx] = tuple(r ^ bit if t == part else r for t, r in enumerate(bad[idx]))
+                with monkeypatch.context() as m:
+                    m.setattr(stabilizer, "_derived_rows_3d", lambda L, bad=bad: bad)
+                    rep = verify_3d_code(L, distance_scan=False)
+                assert rep == dataclasses.replace(plain, derivation_ok=False)
+
+    def test_layer_product_sign_follows_pauli_mul(self):
+        # random ordered products of non-commuting rows: _product gives the
+        # x, z and sign of the pauli_mul chain, and a reorder flips the sign
+        rng = random.Random(8)
+        flips = 0
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            ps = [random_pauli(rng, n) for _ in range(rng.randrange(1, 7))]
+            for order in (ps, ps[::-1]):
+                want = reference_product(order)
+                got = stabilizer._product([(p.x.bits, p.z.bits) for p in order])
+                assert got == (want.x.bits, want.z.bits, int(want.sign < 0))
+            flips += reference_product(ps).sign != reference_product(ps[::-1]).sign
+        assert flips >= 50
+        # layer 0 of gen_3d_code(2) is +identity; so is it times XXZZ on qubit
+        # 0, but the reorder XZXZ of the same factors is -identity
+        rows = list(zip(gen_3d_code(2)._x.row_bits, gen_3d_code(2)._z.row_bits))[0::2]
+        x, z = (1, 0), (0, 1)
+        assert stabilizer._product(rows) == (0, 0, 0)
+        assert stabilizer._product(rows + [x, x, z, z]) == (0, 0, 0)
+        assert stabilizer._product(rows + [x, z, x, z]) == (0, 0, 1)
 
     def test_layer_products_are_identity(self):
         L = 3
