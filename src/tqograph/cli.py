@@ -27,10 +27,11 @@ from . import stabilizer
 SCHEMA = "tqograph-report/1"
 
 COST_NOTE = (
-    "Cost notes: the state-vector check runs one n*2^n Walsh-Hadamard "
-    "transform per codeword pair and per X pattern of weight <= d-1 (n capped "
-    "at 14).  W membership builds the syndromes of the Paulis of weight <= "
-    "ceil((d-1)/2) once per (G, d) and streams those of weight <= "
+    "Cost notes: the state-vector check works on real amplitudes and "
+    "transforms the rows of every codeword pair for a block of X patterns of "
+    "weight <= d-1 at once, one Sylvester-matrix product per run of at most 5 "
+    "index bits (n capped at 14).  W membership builds the syndromes of the "
+    "Paulis of weight <= ceil((d-1)/2) once per (G, d) and streams those of weight <= "
     "floor((d-1)/2) per query.  The Z span and the code3d scan grow each Pauli "
     "from its least qubit only onto the qubits of a check it still flips "
     "(the toric 5 --d 5 span: about 5 ms; code3d --L 7: 0.2 s).  cset and dmax "
@@ -248,7 +249,11 @@ def cmd_oracle(args) -> int:
         else:
             raise ValueError("need --h/--d or --matrix-elements")
     except BudgetExceededError as exc:
-        return _report(args, "oracle", config, {"error": str(exc)}, False, True, t0)
+        results = {"error": str(exc)}
+        if isinstance(exc, qoracle.QeccBudgetExceededError):
+            # every X pattern of a lighter weight class was checked
+            results["x_pattern_weight"] = exc.weight
+        return _report(args, "oracle", config, results, False, True, t0)
     return _report(args, "oracle", config, results, ok, False, t0)
 
 

@@ -12,6 +12,7 @@ Vertex ordering conventions (normative, 0-indexed):
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,6 +49,12 @@ class Graph:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # all 0 <= u < v < n and no repeat, checked without a Python loop;
+        # only a failure walks the edges, to name the first bad one
+        us, vs = zip(*self.edges) if self.edges else ((), ())
+        if (all(map(operator.lt, us, vs)) and min(us, default=0) >= 0
+                and max(vs, default=0) < self.n and len(set(self.edges)) == len(us)):
+            return
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):

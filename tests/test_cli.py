@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tqograph import analysis, cli, stabilizer
+from tqograph import analysis, cli, oracle, stabilizer
 from tqograph.cli import main
 from tqograph.graphs import Graph
 
@@ -214,6 +214,25 @@ class TestOracle:
             capsys, ["oracle", "star", "3", "--matrix-elements", "--samples", samples])
         assert code == 1 and out == ""
         assert err == "error: --samples must be at least 1\n"
+
+    @pytest.mark.parametrize("stop,weight", [(1, 0), (2, 1), (10, 2)])
+    def test_budget_stop_reports_the_weight_class(self, capsys, monkeypatch, stop, weight):
+        # one X pattern per block, so check t comes before pattern t - 1:
+        # 1 of weight 0, then 8 of weight 1, then weight 2
+        class StopAtCheck:
+            checks = 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == stop:
+                    raise analysis.BudgetExceededError("time budget of 0.000s exhausted")
+
+        monkeypatch.setattr(oracle, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(cli, "_deadline", StopAtCheck)
+        code, rep = run_json(capsys, ["oracle", "toric", "2", "--h", "10100101", "--d", "3"])
+        assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
+        assert rep["results"] == {"error": "time budget of 0.000s exhausted",
+                                  "x_pattern_weight": weight}
 
     def test_zero_label_is_an_error_line(self, capsys):
         code, out, err = run(capsys, ["oracle", "star", "3", "--h", "000", "--d", "2"])

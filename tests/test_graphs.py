@@ -38,6 +38,25 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, ((0, 1), (0, 1)))
 
+    @pytest.mark.parametrize("n,edges,message", [
+        (2, ((0, 1), (0, 2)), "edge (0,2) out of range for n=2"),
+        (3, ((0, 1), (-1, 2)), "edge (-1,2) out of range for n=3"),
+        (3, ((0, 2), (2, 1)), "edge (2,1) must have u < v"),
+        (3, ((1, 1),), "edge (1,1) must have u < v"),
+        (3, ((0, 1), (1, 2), (0, 1)), "duplicate edge (0,1)"),
+        # the first bad edge in order is named, whichever check it fails
+        (3, ((1, 0), (0, 5)), "edge (1,0) must have u < v"),
+        (3, ((0, 1), (0, 1), (0, 5)), "duplicate edge (0,1)"),
+    ])
+    def test_edge_validation_messages(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
+
+    def test_valid_edges_pass(self):
+        assert Graph(0, ()).m == 0
+        assert Graph(4, ((2, 3), (0, 1), (0, 3))).m == 3  # any order
+
     def test_from_edges_canonicalizes(self):
         g = Graph.from_edges(3, [(2, 0), (1, 0)])
         assert g.edges == ((0, 1), (0, 2))

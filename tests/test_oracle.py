@@ -5,11 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from tqograph import oracle
 from tqograph.analysis import BudgetExceededError, Deadline
 from tqograph.gf2 import BitString
 from tqograph.graphs import Graph, complete, star, toric
 from tqograph.oracle import (
     DEFAULT_TOL,
+    QeccBudgetExceededError,
     QeccVerdict,
     QubitCapExceededError,
     StateVector,
@@ -84,6 +86,22 @@ class TestStateVector:
             psi.n = 3
         with pytest.raises(ValueError):
             psi.amps[0] = 9.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_caller_array_stays_writeable(self, dtype):
+        a = np.array([1, 0], dtype=dtype)
+        psi = StateVector(1, a)
+        assert a.flags.writeable and psi.amps is not a
+        assert not psi.amps.flags.writeable
+        a[0] = 0.5  # the state keeps its own copy
+        assert psi.amps[0] == 1.0 and psi.amps.dtype == dtype
+
+    def test_real_input_stays_real(self):
+        assert StateVector(1, [1, 0]).amps.dtype == np.float64
+        assert StateVector(1, [1j, 0]).amps.dtype == np.complex128
+        g = star(4)
+        assert build_graph_state(g).amps.dtype == np.float64
+        assert graph_basis_state(g, BitString(4, 6)).amps.dtype == np.float64
 
 
 class TestGraphState:
@@ -232,9 +250,43 @@ class TestQeccCheck:
         with pytest.raises(BudgetExceededError, match="time budget"):
             brute_force_qecc_check(states, 2, deadline=Deadline(0.0))
 
+    @pytest.mark.parametrize("per_block,stop,weight", [
+        (1, 1, 0), (1, 2, 1), (1, 9, 1), (1, 10, 2), (1, 37, 2),
+        (4, 3, 1), (4, 4, 2)])
+    def test_budget_stop_names_the_weight_class(self, monkeypatch, per_block, stop, weight):
+        # check t comes before block t - 1, which starts at pattern
+        # per_block * (t - 1) of the (weight, k) order: on 8 qubits at d = 3
+        # that order has 1 + 8 + 28 patterns
+        g = toric(2)
+        states = [build_graph_state(g), graph_basis_state(g, BitString.from_text("10100101"))]
+        monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, per_block))
+        deadline = StopAtCheck(stop)
+        with pytest.raises(QeccBudgetExceededError) as info:
+            brute_force_qecc_check(states, 3, deadline=deadline)
+        assert info.value.weight == weight and deadline.checks == stop
+        assert str(info.value) == "time budget of 0.000s exhausted"
+        assert isinstance(info.value, BudgetExceededError)
+        # one check more than there are blocks lets the scan finish
+        blocks = -(-37 // per_block)
+        deadline = StopAtCheck(blocks + 1)
+        assert brute_force_qecc_check(states, 3, deadline=deadline).ok
+        assert deadline.checks == blocks
+
     def test_single_codeword_trivially_consistent(self):
         verdict = brute_force_qecc_check([build_graph_state(star(3))], 2)
         assert verdict.ok
+
+
+class StopAtCheck:
+    """A deadline that runs out at its stop-th check."""
+
+    def __init__(self, stop):
+        self.stop, self.checks = stop, 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.stop:
+            raise BudgetExceededError("time budget of 0.000s exhausted")
 
 
 def _verdict_key(verdict):
@@ -308,3 +360,68 @@ class TestQeccMatchesReference:
         verdict = brute_force_qecc_check(plain, 3)
         assert _verdict_key(verdict) == _verdict_key(reference_qecc_check(plain, 3))
         assert _verdict_key(verdict) == (False, (1, 1, 3, 0), 55)
+
+
+def _block_bytes(states, patterns):
+    """BLOCK_BYTES that holds `patterns` X patterns of these states' rows."""
+    pairs = len(states) * (len(states) + 1) // 2 - 1
+    return patterns * pairs * states[0].amps.itemsize << states[0].n
+
+
+class TestQeccBlocks:
+    """Block boundaries: one pattern per block, and blocks of a whole weight
+    class, which straddle the class boundaries; the verdict is the
+    per-operator reference's either way."""
+
+    @staticmethod
+    def _check_all_blocks(monkeypatch, states, d):
+        want = _verdict_key(reference_qecc_check(states, d))
+        n = states[0].n
+        widest = max(math.comb(n, w) for w in range(d))
+        for size in (1, _block_bytes(states, widest), oracle.BLOCK_BYTES):
+            monkeypatch.setattr(oracle, "BLOCK_BYTES", size)
+            assert _verdict_key(brute_force_qecc_check(states, d)) == want, (d, size)
+        return want
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_random_graphs(self, monkeypatch, n):
+        rng = random.Random(f"qecc-blocks:{n}")
+        density = rng.choice((0.2, 0.4, 0.6))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph.from_edges(n, edges)
+        labels = rng.sample(range(1, 1 << n), rng.randint(0, min(3, (1 << n) - 1)))
+        plain = [build_graph_state(g)] + [graph_basis_state(g, BitString(n, h)) for h in labels]
+        twisted = _phase_twist(plain, rng)
+        for d in range(1, n + 1):
+            ok = self._check_all_blocks(monkeypatch, plain, d)[0]
+            assert self._check_all_blocks(monkeypatch, twisted, d)[0] == ok
+
+    def test_earlier_pair_wins_a_tie(self, monkeypatch):
+        # |+0>, |-+>, |-->: Z on qubit 0 maps the first onto a state that
+        # overlaps both others, so pairs (0, 1) and (0, 2) violate at the same
+        # first operator, and the earlier pair is the witness
+        states = [StateVector(2, np.array([1, 1, 0, 0]) / math.sqrt(2)),
+                  StateVector(2, np.array([1, -1, 1, -1]) / 2),
+                  StateVector(2, np.array([1, -1, -1, 1]) / 2)]
+        assert self._check_all_blocks(monkeypatch, states, 2) == (False, (0, 1, 0, 1), 2)
+        # |00>, |10>, |11> (qubit 0 first): Z on qubit 0 has expectation
+        # 1, -1, -1, so the diagonal pairs (1, 1) and (2, 2) tie, and (1, 1) wins
+        basis = [StateVector(2, np.eye(4)[x]) for x in (0, 1, 3)]
+        assert self._check_all_blocks(monkeypatch, basis, 2) == (False, (1, 1, 0, 1), 2)
+
+    def test_real_and_complex_codewords_mix(self, monkeypatch):
+        g = star(4)
+        real = [build_graph_state(g), graph_basis_state(g, BitString.from_text("0110"))]
+        for states in ([real[0], StateVector(4, real[1].amps * 1j)],
+                       [StateVector(4, real[0].amps * 1j), real[1]]):
+            for d in (1, 2, 3):
+                want = self._check_all_blocks(monkeypatch, real, d)
+                assert self._check_all_blocks(monkeypatch, states, d) == want
+
+    def test_lighter_z_pattern_wins_over_earlier_pair(self, monkeypatch):
+        # |0+> and (|0-> + |1+>)/sqrt 2: pair (1, 1) violates at Z on qubit 0
+        # (l = 1), and pair (0, 1) only at Z on qubit 1 (l = 2), both under the
+        # same X pattern; l orders before the pair
+        states = [StateVector(2, np.array([1, 0, 1, 0]) / math.sqrt(2)),
+                  StateVector(2, np.array([1, 1, -1, 1]) / 2)]
+        assert self._check_all_blocks(monkeypatch, states, 2) == (False, (1, 1, 0, 1), 2)
