@@ -27,8 +27,9 @@ a = ceil((d-1)/2) and b = floor((d-1)/2),
 
 Every Pauli of weight <= d-1 splits into two Paulis on disjoint supports,
 of weights <= a and <= b; and the weight of a product is at most the sum of
-the weights.  So T_a is built once per (A, a) and h is in W iff h ^ t lies
-in T_a for some t in T_b, with T_b streamed by weight.
+the weights.  The tables T_0, T_1, ... are kept for the last graph and grow
+one weight class at a time, so each class is enumerated once per graph;
+h is in W iff h ^ t lies in T_a for some t in T_b, one set scan per query.
 
 Zp is walked by one int generator, _span_walk: at step c it xors in the
 step indexed by the lowest set bit of c.  With the kernel basis as the
@@ -170,48 +171,38 @@ def zperp_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitStr
     return Gf2Matrix.from_rows(rows, cols=q.graph.n).kernel_basis()
 
 
-# (A, w, T_w) of the last table built: one entry, so a walk over one (G, d)
-# builds its table once, and memory stays bounded by the largest table.
-_last_w_table: Optional[Tuple[Gf2Matrix, int, frozenset]] = None
+# (A, [T_0, T_1, ...]) for the last graph queried: one entry, so each weight
+# class is enumerated once per graph, and memory stays bounded by the tables
+# of one graph.
+_w_cache: Optional[Tuple[Gf2Matrix, List[frozenset]]] = None
 
 
-def _pauli_choices(a: Gf2Matrix) -> List[Tuple[int, int, int]]:
-    """Syndromes of X, Z and Y at each vertex v: A_v, e_v and their xor."""
-    return [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.columns())]
-
-
-def _w_table(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> frozenset:
-    """T_w, the syndromes of the Paulis of weight <= w."""
-    global _last_w_table
-    cached = _last_w_table
-    if cached is not None and cached[1] == w and cached[0] == a:
-        return cached[2]
-    choices = _pauli_choices(a)
-    table = frozenset(itertools.chain.from_iterable(
-        support_xors(choices, k, deadline) for k in range(w + 1)))
-    _last_w_table = (a, w, table)
-    return table
+def _w_tables(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> List[frozenset]:
+    """T_0 .. T_w at least, T_k being T_(k-1) joined with the syndromes of the
+    weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  A budget stop
+    in a build leaves the tables as they were."""
+    global _w_cache
+    if _w_cache is None or _w_cache[0] != a:
+        _w_cache = (a, [frozenset((0,))])
+    tables = _w_cache[1]
+    while len(tables) <= w:
+        choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.columns())]
+        tables.append(tables[-1].union(support_xors(choices, len(tables), deadline)))
+    return tables
 
 
 def _w_member(a: Gf2Matrix, d: int, deadline: Optional[Deadline]) -> Callable[[int], bool]:
-    """The predicate h -> (h in W) on ints, for one (A, d).
-
-    Meet in the middle: h ^ t in T_a for some t in T_b (module docstring),
-    with t streamed by weight so that a hit returns early.  T_a is fetched
-    at the first query, so a walk that yields nothing builds no table.
-    """
-    choices, b = _pauli_choices(a), (d - 1) // 2
-    table = None
+    """The predicate h -> (h in W) on ints, for one (A, d): h in T_a, or one
+    C-level scan of h ^ T_b against T_a (module docstring).  The tables are
+    fetched at the first query, so a walk that yields nothing builds none."""
+    pair = []
 
     def member(h: int) -> bool:
-        nonlocal table
-        if table is None:
-            table = _w_table(a, d // 2, deadline)
-        return any(
-            h ^ t in table
-            for w in range(b + 1)
-            for t in support_xors(choices, w, deadline)
-        )
+        if not pair:
+            tables = _w_tables(a, d // 2, deadline)
+            pair[:] = tables[d // 2], tables[(d - 1) // 2]
+        t_a, t_b = pair
+        return h in t_a or not t_a.isdisjoint(map(h.__xor__, t_b))
 
     return member
 

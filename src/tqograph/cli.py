@@ -30,12 +30,12 @@ COST_NOTE = (
     "Cost notes: the state-vector check works on real amplitudes and "
     "transforms the rows of every codeword pair for a block of X patterns of "
     "weight <= d-1 at once, one Sylvester-matrix product per run of at most 5 "
-    "index bits (n capped at 14).  W membership builds the syndromes of the "
-    "Paulis of weight <= ceil((d-1)/2) once per (G, d) and streams those of weight <= "
-    "floor((d-1)/2) per query.  The Z span and the code3d scan grow each Pauli "
-    "from its least qubit only onto the qubits of a check it still flips "
-    "(the toric 5 --d 5 span: about 5 ms; code3d --L 7: 0.2 s).  cset and dmax "
-    "walk the 2^r-element orthogonal span, with no cap but TQO_BUDGET_MS."
+    "index bits (n capped at 14).  W membership builds the syndromes of each "
+    "Pauli weight once per graph, and a query is one set scan.  The Z span and "
+    "the code3d scan grow each Pauli from its least qubit only onto the qubits "
+    "of a check it still flips (the toric 5 --d 5 span: about 5 ms; code3d "
+    "--L 7: 0.2 s).  cset and dmax walk the 2^r-element orthogonal span, with "
+    "no cap but TQO_BUDGET_MS."
 )
 
 

@@ -60,7 +60,7 @@ class BitString:
         return cls(len(text), bits)
 
     def to_text(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -360,6 +361,95 @@ def sparse_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
+def w_distance(g):
+    """dist[h], the least weight(m | l) over A.m ^ l = h, from the definition
+    of W: l is forced to h ^ A.m, so every m is tried against every h at
+    once.  h is in W at distance d iff dist[h] <= d - 1."""
+    n, cols = g.n, g.adjacency().columns()
+    hs = np.arange(1 << n)
+    dist = np.full(1 << n, n + 1)
+    for m in range(1 << n):
+        am = 0
+        for v in range(n):
+            if m >> v & 1:
+                am ^= cols[v]
+        np.minimum(dist, np.bitwise_count(m | (am ^ hs)), out=dist)
+    return dist
+
+
+class RaiseAtCheck:
+    """A deadline whose nth check raises."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def check(self):
+        self.left -= 1
+        if not self.left:
+            raise BudgetExceededError("stopped at a chosen check")
+
+
+class TestWTables:
+    """_w_member against W from its definition, n <= 12, every d, with the
+    one-entry table cache cold, warmed by smaller d, and last filled by
+    another graph."""
+
+    GRAPHS = [random_graph(random.Random(s), n) for s, n in ((21, 4), (22, 9), (23, 12))]
+    GRAPHS += [sparse_graph(random.Random(s), n) for s, n in ((24, 11), (25, 12))]
+
+    @staticmethod
+    def assert_predicate(g, d, dist):
+        member = analysis._w_member(g.adjacency(), d, None)
+        got = [h for h in range(1 << g.n) if member(h)]
+        assert got == [h for h in range(1 << g.n) if dist[h] <= d - 1], (g.edges, d)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_cold_warm_and_replaced_cache(self, g, monkeypatch):
+        dist, other = w_distance(g), star(5)
+        for d in range(1, g.n + 2):
+            monkeypatch.setattr(analysis, "_w_cache", None)
+            self.assert_predicate(g, d, dist)
+        for d in range(1, g.n + 2):  # warm: the tables of d - 1 are cached
+            self.assert_predicate(g, d, dist)
+        assert len(analysis._w_cache[1]) == (g.n + 1) // 2 + 1
+        for d in range(1, g.n + 2):
+            assert in_W(SetQuery(other, 6), BitString.zeros(5))
+            assert analysis._w_cache[0] == other.adjacency()
+            self.assert_predicate(g, d, dist)
+            assert analysis._w_cache[0] == g.adjacency()
+
+    def test_budget_stop_keeps_only_whole_tables(self, monkeypatch):
+        g = self.GRAPHS[1]
+        a = g.adjacency()
+        monkeypatch.setattr(analysis, "_w_cache", None)
+        whole = list(analysis._w_tables(a, 3, None))
+        lengths = []
+        for n in (1, 2, 20, 40):  # in the builds of weights 1, 2, 2 and 3
+            monkeypatch.setattr(analysis, "_w_cache", None)
+            with pytest.raises(BudgetExceededError):
+                analysis._w_tables(a, 3, RaiseAtCheck(n))
+            kept = analysis._w_cache[1]
+            assert kept == whole[:len(kept)]
+            lengths.append(len(kept))
+        assert lengths == [1, 2, 2, 3]
+        self.assert_predicate(g, 7, w_distance(g))
+
+    @pytest.mark.parametrize("g", [toric(4), line_of_complete(5), GRAPHS[2]],
+                             ids=["toric4", "loc5", "n12"])
+    def test_d_max_enumerates_each_weight_class_once(self, g, monkeypatch):
+        weights = []
+
+        def spy(choices, w, deadline=None):
+            weights.append(w)
+            return support_xors(choices, w, deadline)
+
+        monkeypatch.setattr(analysis, "_w_cache", None)
+        monkeypatch.setattr(analysis, "support_xors", spy)
+        res = d_max(g)
+        assert weights == list(range(1, len(weights) + 1)), weights
+        assert len(weights) <= res.value // 2 + 1
+
+
 def disjoint_union(g, h):
     shifted = [(u + g.n, v + g.n) for u, v in h.edges]
     return Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
@@ -524,7 +614,7 @@ class TestCSet:
         def forbidden(*args):
             raise AssertionError("W table built")
 
-        monkeypatch.setattr(analysis, "_w_table", forbidden)
+        monkeypatch.setattr(analysis, "_w_tables", forbidden)
         assert c_set(SetQuery(star(4), 5)).empty
 
     def test_matches_gray_reference(self):

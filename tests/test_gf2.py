@@ -52,6 +52,16 @@ class TestBitString:
         for t in ("", "0", "1", "0110", "111100"):
             assert bits(t).to_text() == t
 
+    def test_text_matches_per_bit_join(self):
+        # the format-based to_text against the per-bit join it replaced
+        rng = random.Random(3)
+        cases = [(0, 0), (1, 1), (70, 1 << 69), (70, (1 << 70) - 1)]
+        cases += [(n, rng.getrandbits(n) | (1 << (n - 1)) * rng.randrange(2))
+                  for n in (rng.randrange(1, 71) for _ in range(200))]
+        for n, x in cases:
+            want = "".join("1" if (x >> i) & 1 else "0" for i in range(n))
+            assert BitString(n, x).to_text() == want, (n, x)
+
     def test_text_leftmost_is_bit_zero(self):
         b = bits("10")
         assert b.bit(0) == 1 and b.bit(1) == 0
