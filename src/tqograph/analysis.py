@@ -49,7 +49,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitString, Gf2Matrix, cluster_xors, dot, support_xors
+from .gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, support_xors
 from .graphs import FamilySpec, Graph, gen_family
 
 DEFAULT_MAX_MEMBERS = 1024
@@ -151,14 +151,9 @@ def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitSt
             for _, batch in itertools.groupby(parts, lambda p: (p[0] | p[1]) & -(p[0] | p[1])):
                 yield sorted(k for k, _ in batch)
 
-    elim, kept = [], []  # reduced rows (pivot: lowest bit), and the vectors kept
+    ech, kept = Echelon(), []
     for k in itertools.chain(singles, itertools.chain.from_iterable(classes())):
-        r = k
-        for e in elim:
-            if r & (e & -e):
-                r ^= e
-        if r:
-            elim.append(r)
+        if ech.add(k):
             kept.append(k)
             if len(kept) == n:
                 break
@@ -349,7 +344,8 @@ def verify_codewords(
     """Check that the labels hs (zero label implicit) span a distance-d code.
 
     Pass iff every h lies in the Z-orthogonal space and every pairwise xor,
-    including each h against the zero label, avoids W.
+    including each h against the zero label, avoids W.  The deadline is
+    checked at every pair.
     """
     hs = list(hs)
     if len(set(hs)) != len(hs):
@@ -363,6 +359,8 @@ def verify_codewords(
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
     full = [BitString.zeros(g.n)] + hs
     for i, j in itertools.combinations(range(len(full)), 2):
+        if deadline is not None:
+            deadline.check()
         x = full[i] ^ full[j]
         if in_W(q, x, deadline):
             return VerifyVerdict(
@@ -390,13 +388,11 @@ class ClassicalCode:
         return self.generator.rows
 
     def codewords(self) -> Iterator[BitString]:
-        """All 2^k_c codewords, message order."""
-        rows = [self.generator.row(i) for i in range(self.k_c)]
-        for msg in range(1 << self.k_c):
-            bits = 0
-            for i in range(self.k_c):
-                if (msg >> i) & 1:
-                    bits ^= rows[i].bits
+        """All 2^k_c codewords, message order: from message c - 1 to c the
+        bits up to the lowest set bit of c flip, a prefix xor of the rows."""
+        yield BitString(self.q, 0)
+        steps = itertools.accumulate(self.generator.row_bits, operator.xor)
+        for bits in _span_walk(list(steps), None):
             yield BitString(self.q, bits)
 
 

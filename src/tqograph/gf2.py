@@ -125,6 +125,49 @@ def xor_columns(cols: Sequence[int], bits: int) -> int:
     return acc
 
 
+class Echelon:
+    """Independent int rows kept by pivot, each row's lowest set bit, with a
+    mask of all pivots; rows[p] is (row, comb) in insertion order, comb the
+    combination mask the caller passed along with the row.
+
+    reduce(r) xors into r the row of the lowest pivot r hits until it hits
+    none.  That clears the bit and changes only higher bits, so the loop
+    ends.  The residue and its combination are unique: exactly one subset of
+    rows clears every pivot bit of r (in the xor of two such subsets, the
+    least pivot of their difference would stay set).  So they equal those of
+    any other order of elimination, and the pivot set, the lowest set bits
+    of the row space's nonzero vectors, is fixed by the space.  add(r) keeps
+    a nonzero residue as a new row, not cleared from the rows before it; so
+    no row holds the pivot of a row added before it.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self.rows = {}
+        self.pivots = 0
+        for r in rows:
+            self.add(r)
+
+    def reduce(self, r: int, comb: int = 0) -> Tuple[int, int]:
+        """The residue of r, and comb xored with the combinations it took."""
+        rows, pivots = self.rows, self.pivots
+        while t := r & pivots:
+            row, c = rows[(t & -t).bit_length() - 1]
+            r ^= row
+            comb ^= c
+        return r, comb
+
+    def add(self, r: int, comb: int = 0) -> bool:
+        """Keep r's nonzero residue as a row; False when r is dependent."""
+        r, comb = self.reduce(r, comb)
+        if r:
+            p = (r & -r).bit_length() - 1
+            self.rows[p] = (r, comb)
+            self.pivots |= 1 << p
+        return bool(r)
+
+
 class Gf2Matrix:
     """Dense bit-packed GF(2) matrix, row-major (row bit j = column j)."""
 
@@ -191,48 +234,31 @@ class Gf2Matrix:
             raise ValueError(f"dimension mismatch: {self.cols} cols vs length {k.n}")
         return BitString(self.rows, xor_columns(self.columns(), k.bits))
 
-    def _row_reduce(self):
-        """Row reduce; returns (pivot column list, reduced nonzero rows)."""
-        work = list(self.row_bits)
-        pivots: List[int] = []
-        reduced: List[int] = []
-        for r in work:
-            for p, pr in zip(pivots, reduced):
-                if (r >> p) & 1:
-                    r ^= pr
-            if r == 0:
-                continue
-            # pivot on the lowest set bit, for determinism
-            p = (r & -r).bit_length() - 1
-            for idx in range(len(reduced)):
-                if (reduced[idx] >> p) & 1:
-                    reduced[idx] ^= r
-            pivots.append(p)
-            reduced.append(r)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        return [pivots[i] for i in order], [reduced[i] for i in order]
-
     def rank(self) -> int:
-        return len(self._row_reduce()[0])
+        return len(Echelon(self.row_bits).rows)
 
     def kernel_basis(self) -> List[BitString]:
         """Basis of {x : A.x = 0}; size is cols - rank.
 
-        Vector j's highest bit is its free column, which no other vector
-        has: pivots sit on lowest bits, so every other bit of the vector is
-        a pivot column below it.  The basis is thus fully reduced on highest
-        bits, and its span in sorted-row binary counting order is increasing.
+        Vector j is e_j for a free (non-pivot) column j plus the pivots that
+        clear every row: a row holds no pivot of the rows added before it
+        (Echelon), so one pass over the rows, latest first, sets pivot p when
+        row p meets the vector an odd number of times.  The vector is unique,
+        so it is also e_j plus the pivots p < j whose fully reduced row holds
+        bit j.  Its highest bit is its free column, which no other vector
+        has; the basis is thus fully reduced on highest bits, and its span in
+        sorted-row binary counting order is increasing.
         """
-        pivots, reduced = self._row_reduce()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
+        ech = Echelon(self.row_bits)
+        rows = list(ech.rows.items())[::-1]
         basis = []
-        for j in free:
-            x = 1 << j
-            for p, r in zip(pivots, reduced):
-                if (r >> j) & 1:
-                    x |= 1 << p
-            basis.append(BitString(self.cols, x))
+        for j in range(self.cols):
+            if not (ech.pivots >> j) & 1:
+                x = 1 << j
+                for p, (r, _) in rows:
+                    if (r & x).bit_count() & 1:
+                        x |= 1 << p
+                basis.append(BitString(self.cols, x))
         return basis
 
     def __eq__(self, other) -> bool:

@@ -70,11 +70,6 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise QubitCapExceededError(f"{n} qubits exceeds cap {cap}")
-
-
 @functools.lru_cache(maxsize=None)
 def _tables(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables over x < 2^n: x, popcount(x) and (-1)^popcount(x)."""
@@ -101,13 +96,14 @@ def _sylvester(c: int) -> np.ndarray:
 _last_graph_state: Optional[Tuple[Graph, StateVector]] = None
 
 
-def build_graph_state(g: Graph, cap: int = QUBIT_CAP) -> StateVector:
+def build_graph_state(g: Graph) -> StateVector:
     """CZ along every edge applied to the uniform superposition.
 
     Amplitude of |x> is 2^{-n/2} times (-1)^{#edges inside the support of x}.
     """
     global _last_graph_state
-    _check_cap(g.n, cap)
+    if g.n > QUBIT_CAP:
+        raise QubitCapExceededError(f"{g.n} qubits exceeds cap {QUBIT_CAP}")
     cached = _last_graph_state
     if cached is not None and cached[0].n == g.n and cached[0].edges == g.edges:
         return cached[1]
@@ -123,11 +119,11 @@ def build_graph_state(g: Graph, cap: int = QUBIT_CAP) -> StateVector:
     return state
 
 
-def graph_basis_state(g: Graph, h: BitString, cap: int = QUBIT_CAP) -> StateVector:
+def graph_basis_state(g: Graph, h: BitString) -> StateVector:
     """Z^h applied to the graph state of g."""
     if h.n != g.n:
         raise ValueError(f"length mismatch: {h.n} vs {g.n} vertices")
-    base = build_graph_state(g, cap)
+    base = build_graph_state(g)
     idx, _, sign = _tables(g.n)
     return StateVector(g.n, base.amps * sign[idx & h.bits])
 
@@ -203,16 +199,16 @@ def _operators_before(n: int, w: int, k: int, l: int) -> int:
 def brute_force_qecc_check(
     codewords: List[StateVector],
     d: int,
-    tol: float = DEFAULT_TOL,
     deadline=None,
 ) -> QeccVerdict:
     """Check the error-correction conditions on a codeword list by enumeration.
 
     For every O = X^k Z^l with weight(k | l) <= d - 1, all diagonal matrix
-    elements must agree and all off-diagonal ones must vanish, within tol.
-    The witness (i, j, k, l) identifies the first violation in canonical
-    (weight, k, l) order; diagonal witnesses have i == j.  operators_checked
-    counts the operators up to and including the witness's, or all of them.
+    elements must agree and all off-diagonal ones must vanish, within
+    DEFAULT_TOL.  The witness (i, j, k, l) identifies the first violation in
+    canonical (weight, k, l) order; diagonal witnesses have i == j.
+    operators_checked counts the operators up to and including the
+    witness's, or all of them.
 
     The X patterns of weight <= d - 1 run in (weight, k) order, in blocks
     of BLOCK_BYTES of rows, one row per codeword pair and pattern, all
@@ -235,7 +231,7 @@ def brute_force_qecc_check(
     for i, ci in enumerate(codewords):
         for j in range(i, len(codewords)):
             expect = 1.0 if i == j else 0.0
-            if abs(inner(ci, codewords[j]) - expect) > tol:
+            if abs(inner(ci, codewords[j]) - expect) > DEFAULT_TOL:
                 raise ValueError(f"codewords {i},{j} not orthonormal")
     total = sum(comb(n, w) * 3**w for w in range(d))
     if len(codewords) == 1:  # pair (0, 0) cannot fail: it is the reference
@@ -274,7 +270,7 @@ def brute_force_qecc_check(
             if i == j:
                 rows[p] -= base
         vals = _walsh_hadamard(scratch[0, :m], scratch[1, :m])
-        r, l = np.divmod(np.flatnonzero(np.abs(vals) > tol), 1 << n)
+        r, l = np.divmod(np.flatnonzero(np.abs(vals) > DEFAULT_TOL), 1 << n)
         pair, b = np.divmod(r, len(ks))
         k = ks[b]
         w = pc[k] + pc[l & ~k]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .analysis import BudgetExceededError
-from .gf2 import BitString, Gf2Matrix, cluster_xors, dot, xor_columns
+from .gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, xor_columns
 from .graphs import Graph, toric3d_rows
 
 
@@ -93,16 +93,6 @@ def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     return x, z, s
 
 
-def _eliminate(r: int, comb: int, pivmask: int, at: dict) -> Tuple[int, int]:
-    """Xor into r, and its combination into comb, the row at[p] of the lowest
-    pivot p that r hits, until r hits none (StabilizerGroup gives why)."""
-    while t := r & pivmask:
-        row, c = at[(t & -t).bit_length() - 1]
-        r ^= row
-        comb ^= c
-    return r, comb
-
-
 class StabilizerGroup:
     """Pairwise-commuting Pauli generators (need not be independent).
 
@@ -112,19 +102,12 @@ class StabilizerGroup:
     map the generator set onto itself; normalizer_min_weight checks that
     before it uses them, and nothing else reads them.
 
-    Row reduction keeps the basis rows by pivot (each row's lowest set bit)
-    with a mask of all pivots, and xors into a row only the basis rows whose
-    pivots it hits: while r has a pivot bit, xor the row of the lowest one.
-    That clears the bit and changes only higher bits, so the loop ends.  Its
-    result is the same as testing every basis row in insertion order: the
-    rows have distinct lowest-bit pivots, so exactly one subset of them
-    clears every pivot bit of r (in the xor of two such subsets, the least
-    pivot of their difference would stay set), and the residual and its
-    generator combination are unique.  So each generator leaves the same
-    residual, and the basis has the same pivots, rows and combinations.
+    Row reduction is a gf2.Echelon of the symplectic rows x | z << n, in
+    generator order, each carrying its generator-combination mask; its
+    residues and combinations are unique (Echelon gives why).
     """
 
-    __slots__ = ("n", "generators", "symmetries", "_x", "_z", "_basis")
+    __slots__ = ("n", "generators", "symmetries", "_x", "_z", "_ech")
 
     def __init__(
         self,
@@ -142,7 +125,7 @@ class StabilizerGroup:
         m = len(generators)
         object.__setattr__(self, "_x", Gf2Matrix(m, n, [g.x.bits for g in generators]))
         object.__setattr__(self, "_z", Gf2Matrix(m, n, [g.z.bits for g in generators]))
-        object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_ech", None)
         # Anticommutation is symmetric: the first generator with a syndrome has
         # its lowest partner above it, the first bad pair in combinations order.
         for a in generators:
@@ -154,39 +137,22 @@ class StabilizerGroup:
                 )
 
     def __setattr__(self, name, value):
-        if name == "_basis" and getattr(self, name, None) is None:
+        if name == "_ech" and getattr(self, name, None) is None:
             object.__setattr__(self, name, value)
             return
         raise AttributeError("StabilizerGroup is immutable")
 
-    def _reduction(self):
-        """(basis, pivot mask, pivot -> (row, comb)), built once.
-
-        basis holds the reduced symplectic rows as (pivot, row, comb), in
-        generator order, with comb the generator-combination mask."""
-        if self._basis is None:
-            basis: List[Tuple[int, int, int]] = []
-            pivmask, at = 0, {}
+    def _echelon(self) -> Echelon:
+        """The Echelon of the generators' symplectic rows, built once."""
+        if self._ech is None:
+            ech = Echelon()
             for idx, g in enumerate(self.generators):
-                r, comb = _eliminate(_sym_bits(g, self.n), 1 << idx, pivmask, at)
-                if r:
-                    p = (r & -r).bit_length() - 1
-                    basis.append((p, r, comb))
-                    pivmask |= 1 << p
-                    at[p] = (r, comb)
-            self._basis = (tuple(basis), pivmask, at)
-        return self._basis
-
-    def _reduced_basis(self) -> Tuple[Tuple[int, int, int], ...]:
-        return self._reduction()[0]
+                ech.add(_sym_bits(g, self.n), 1 << idx)
+            self._ech = ech
+        return self._ech
 
     def rank(self) -> int:
-        return len(self._reduced_basis())
-
-    def _reduce(self, r: int) -> Tuple[int, int]:
-        """Remainder and generator combination of a symplectic int x | z << n."""
-        _, pivmask, at = self._reduction()
-        return _eliminate(r, 0, pivmask, at)
+        return len(self._echelon().rows)
 
     def in_group(self, p: Pauli, sign_sensitive: bool = False) -> bool:
         """Row-space membership of p's symplectic vector.
@@ -196,7 +162,7 @@ class StabilizerGroup:
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
-        r, comb = self._reduce(_sym_bits(p, self.n))
+        r, comb = self._echelon().reduce(_sym_bits(p, self.n))
         if r:
             return False
         if not sign_sensitive:
@@ -410,11 +376,12 @@ def normalizer_min_weight(
     sx = [zc | 1 << (m + n + v) for v, zc in enumerate(s._z.columns())]
     sz = [xc | 1 << (m + v) for v, xc in enumerate(s._x.columns())]
     low, xors = (1 << n) - 1, cluster_xors([(a, b, a ^ b) for a, b in zip(sx, sz)], m)
+    reduce = s._echelon().reduce
     try:
         for w in range(1, min(w_max, n) + 1):
             keys = [  # of the hits outside the group
                 min(_orbit(op >> m, perms)) for op in xors(roots, w, deadline)
-                if s._reduce((op >> (m + n)) | ((op >> m) & low) << n)[0]]
+                if reduce((op >> (m + n)) | ((op >> m) & low) << n)[0]]
             if keys:
                 best = min(keys)
                 return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
@@ -498,11 +465,8 @@ def verify_3d_code(
     # independent iff the strings are independent modulo the group; a string
     # inside the group leaves residue 0.
     logicals = logical_strings(L)
-    residues = [s._reduce(_sym_bits(p, n))[0] for p in logicals]
-    logicals_ok = (
-        all(s.in_normalizer(p) for p in logicals)
-        and Gf2Matrix(L, 2 * n, residues).rank() == L
-    )
+    residues = Echelon(s._echelon().reduce(_sym_bits(p, n))[0] for p in logicals)
+    logicals_ok = all(s.in_normalizer(p) for p in logicals) and len(residues.rows) == L
 
     derivation_ok = _derived_rows_3d(L) == rows
 

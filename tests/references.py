@@ -11,12 +11,15 @@ runs on int rows: the coordinate formula of gen_3d_code, the derivation
 through graph_stabilizers, pauli_mul and hadamard_conjugate (a masked x/z
 swap in _derived_rows_3d), the layer products through pauli_mul, and a
 whole report from them.
+
+The full row reduction that gf2.Echelon replaced: each new row cleared from
+the rows before it, and the kernel read off the fully reduced rows.
 """
 
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
+from tqograph.gf2 import BitString, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
 from tqograph.stabilizer import (
     Code3DReport,
@@ -28,6 +31,42 @@ from tqograph.stabilizer import (
     logical_strings,
     pauli_mul,
 )
+
+
+def reference_row_reduce(row_bits: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """Fully reduce the rows, pivoting on lowest set bits; returns the pivot
+    columns and the reduced nonzero rows, both sorted by pivot."""
+    pivots: List[int] = []
+    reduced: List[int] = []
+    for r in row_bits:
+        for p, pr in zip(pivots, reduced):
+            if (r >> p) & 1:
+                r ^= pr
+        if r == 0:
+            continue
+        p = (r & -r).bit_length() - 1
+        for idx in range(len(reduced)):
+            if (reduced[idx] >> p) & 1:
+                reduced[idx] ^= r
+        pivots.append(p)
+        reduced.append(r)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [pivots[i] for i in order], [reduced[i] for i in order]
+
+
+def reference_kernel_basis(row_bits: Sequence[int], cols: int) -> List[int]:
+    """Kernel vector of each free column j in increasing j: e_j plus the
+    pivots whose fully reduced row holds bit j."""
+    pivots, reduced = reference_row_reduce(row_bits)
+    basis = []
+    for j in range(cols):
+        if j not in pivots:
+            x = 1 << j
+            for p, r in zip(pivots, reduced):
+                if (r >> j) & 1:
+                    x |= 1 << p
+            basis.append(x)
+    return basis
 
 
 def connected_support_xors(
@@ -148,7 +187,7 @@ def connected_normalizer_min_weight(s, w_max):
             if best is not None and key >= best:
                 continue
             xb, zb = key >> n, key & low
-            if s._reduce(xb | (zb << n))[0]:
+            if not s.in_group(Pauli(BitString(n, xb), BitString(n, zb))):
                 best = key
         if best is not None:
             return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
@@ -242,7 +281,7 @@ def reference_code3d_report(L) -> Code3DReport:
     n, gens, logicals = L**3, reference_gen_3d_code(L), logical_strings(L)
 
     def rank(ps):
-        return Gf2Matrix(len(ps), 2 * n, [p.x.bits | p.z.bits << n for p in ps]).rank()
+        return len(reference_row_reduce(p.x.bits | p.z.bits << n for p in ps)[0])
 
     r = rank(gens)
     derived = reference_gen_3d_code_derived(L).generators

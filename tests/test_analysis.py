@@ -745,6 +745,22 @@ class TestVerifyCodewords:
         v = verify_codewords(g, 2, bad)
         assert not v and v.witness == "xor of labels 1,2 lies in W: 1100"
 
+    def test_budget_stop_inside_the_pair_loop(self):
+        # With the W tables cached, the checks after the Z span's are one per
+        # label pair (the zero label included); a stop at the first or the
+        # last of them raises, where a loop without checks would pass.
+        g = multi_star(2, 2)
+        labels = [BitString.from_text(t) for t in ("1010", "0101", "1111")]
+        in_W(SetQuery(g, 2), labels[0])
+        span, run = RaiseAtCheck(0), RaiseAtCheck(0)  # never raise: left runs negative
+        z_span_basis(SetQuery(g, 2), span)
+        assert verify_codewords(g, 2, labels, run)
+        pairs = 6
+        assert -run.left == -span.left + pairs
+        for stop in (-span.left + 1, -run.left):
+            with pytest.raises(BudgetExceededError, match="chosen check"):
+                verify_codewords(g, 2, labels, RaiseAtCheck(stop))
+
 
 class TestClassicalCodes:
     def test_repetition(self):
@@ -759,6 +775,24 @@ class TestClassicalCodes:
         )
         assert classical_min_distance(code) == 2
         assert sum(1 for _ in code.codewords()) == 4
+
+    def test_codewords_in_message_order(self):
+        # message c is the xor of the rows picked by the bits of c
+        rng = random.Random(3)
+        for _ in range(200):
+            q, k_c = rng.randint(1, 12), rng.randint(0, 6)
+            rows = [rng.getrandbits(q) for _ in range(k_c)]
+            m = Gf2Matrix(k_c, q, rows)
+            if m.rank() < k_c:
+                continue
+            want = []
+            for msg in range(1 << k_c):
+                bits = 0
+                for i in range(k_c):
+                    if (msg >> i) & 1:
+                        bits ^= rows[i]
+                want.append(bits)
+            assert [c.bits for c in ClassicalCode(m).codewords()] == want
 
     def test_rank_enforced(self):
         with pytest.raises(ValueError, match="full row rank"):

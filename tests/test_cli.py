@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -162,6 +163,22 @@ class TestVerify:
         )
         assert code == 0 and rep["results"]["pass"]
         assert rep["results"]["label_count"] == 1
+
+    def test_budget_env(self, capsys, monkeypatch, tmp_path):
+        # the [16,11,4] extended Hamming code (monomials of degree <= 2 in 4
+        # variables) gives 2047 labels, about 2.1 million pairs to test; the
+        # deadline is checked at every pair, so the stop comes soon after
+        # the 200 ms budget
+        rows = [sum(1 << x for x in range(16) if all((x >> v) & 1 for v in mono))
+                for deg in range(3) for mono in itertools.combinations(range(4), deg)]
+        path = tmp_path / "hamming.txt"
+        path.write_text("".join(format(r, "016b")[::-1] + "\n" for r in rows))
+        monkeypatch.setenv("TQO_BUDGET_MS", "200")
+        code, rep = run_json(capsys, ["verify", "multi_star", "16", "4", "--d", "4",
+                                      "--ldpc", str(path), "--m", "4"])
+        assert code == 2 and rep["budget_exceeded"]
+        assert rep["results"] == {"error": "time budget of 0.200s exhausted"}
+        assert rep["elapsed_ms"] < 1200
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["verify", "star", "4", "--d", "2"])

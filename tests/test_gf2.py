@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, dot, support_xors
+from tqograph.gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, support_xors
 
-from references import connected_support_xors
+from references import connected_support_xors, reference_kernel_basis, reference_row_reduce
 
 
 def bits(text):
@@ -161,6 +161,73 @@ class TestGf2Matrix:
         k, l = BitString(len(rows), kb % (1 << len(rows))), BitString(6, lb)
         mt = Gf2Matrix(6, len(rows), m.columns())
         assert dot(k, m.mat_vec(l)) == dot(mt.mat_vec(k), l)
+
+
+def seeded_matrices():
+    """(rows, cols, row ints) for seeded random matrices with zero rows and
+    rows that are xors of earlier ones, plus the 0 x n and n x 0 shapes."""
+    out = [(0, 0, []), (0, 5, []), (4, 0, [0] * 4), (3, 3, [0] * 3)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        cols = rng.randint(1, 40)
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            pick = rng.random()
+            if pick < 0.1:
+                rows.append(0)
+            elif pick < 0.4 and rows:
+                rows.append(rows[rng.randrange(len(rows))] ^ rows[rng.randrange(len(rows))])
+            else:
+                # sparse or dense, so that pivots spread over the columns
+                rows.append(rng.getrandbits(cols) & rng.getrandbits(cols) if seed % 2
+                            else rng.getrandbits(cols))
+        out.append((len(rows), cols, rows))
+    return out
+
+
+class TestEchelon:
+    """Echelon and what runs on it against the full row reduction it replaced."""
+
+    @pytest.mark.parametrize("rows, cols, row_bits", seeded_matrices())
+    def test_matches_full_reduction(self, rows, cols, row_bits):
+        m = Gf2Matrix(rows, cols, row_bits)
+        pivots, reduced = reference_row_reduce(row_bits)
+        assert m.rank() == len(pivots)
+        assert [v.bits for v in m.kernel_basis()] == reference_kernel_basis(row_bits, cols)
+        ech = Echelon()
+        for i, r in enumerate(row_bits):
+            before = len(ech.rows)
+            assert ech.add(r, 1 << i) == (len(ech.rows) == before + 1)
+            assert len(ech.rows) == len(reference_row_reduce(row_bits[: i + 1])[0])
+        assert ech.pivots == sum(1 << p for p in pivots)
+        assert sorted(ech.rows) == pivots
+        rng = random.Random(rows * 1000 + cols)
+        for x in [0, *row_bits, *(rng.getrandbits(cols) for _ in range(10))]:
+            want = x
+            for p, r in zip(pivots, reduced):
+                if (want >> p) & 1:
+                    want ^= r
+            residue, comb = ech.reduce(x)
+            assert residue == want
+            acc = 0
+            for i, r in enumerate(row_bits):
+                if (comb >> i) & 1:
+                    acc ^= r
+            assert acc == x ^ residue
+
+    def test_no_row_holds_an_earlier_pivot(self):
+        ech = Echelon([0b0011, 0b0110, 0b0101, 0b1100])
+        rows = list(ech.rows.items())
+        assert [p for p, _ in rows] == [0, 1, 2]
+        for i, (_, (r, _)) in enumerate(rows):
+            assert not any((r >> p) & 1 for p, _ in rows[:i])
+
+    def test_add_reports_independence(self):
+        ech = Echelon()
+        assert ech.add(0b101) and ech.add(0b011)
+        assert not ech.add(0b110) and not ech.add(0)
+        assert ech.reduce(0b110, 0b1000) == (0, 0b1000)
+        assert ech.reduce(0b1000) == (0b1000, 0)
 
 
 class TestIndependentSubset:

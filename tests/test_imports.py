@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it, or re-exported through __all__."""
+"""Every name a module imports is used in it, or re-exported through __all__;
+and every private function or class of the package is used in the package."""
 
 import ast
 import pathlib
@@ -6,7 +7,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree):
@@ -63,3 +65,40 @@ def test_accepts_all_and_string_annotations():
     source = ("from .a import B, C\nfrom typing import List\n"
               "__all__ = ['B']\ndef f(x: 'List[C]') -> None: pass\n")
     assert unused_imports(source) == []
+
+
+def unreferenced_private(sources):
+    """(file, name, line) of each function or class named with a leading
+    underscore (dunders aside) that no name or attribute in the sources
+    refers to outside its own definition: a dead helper, or one only the
+    tests use."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    out = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                inside = {id(n) for n in ast.walk(node)}
+                if not any(name == node.name and ref not in inside for name, ref in refs):
+                    out.append((file, node.name, node.lineno))
+    return out
+
+
+def test_private_helpers_are_used_in_the_package():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unreferenced_private(sources) == []
+
+
+def test_detects_an_unreferenced_private_helper():
+    sources = {
+        "a.py": ("def _used(): pass\ndef _dead(): pass\n"
+                 "def _recursive(n): return _recursive(n - 1)\n"
+                 "class _Kept:\n    def _method(self): pass\n    def __init__(self): pass\n"),
+        "b.py": "from a import _used, _Kept\n_used()\n_Kept()\n",
+    }
+    assert unreferenced_private(sources) == [
+        ("a.py", "_dead", 2), ("a.py", "_recursive", 3), ("a.py", "_method", 5)]
