@@ -344,28 +344,32 @@ def verify_codewords(
     """Check that the labels hs (zero label implicit) span a distance-d code.
 
     Pass iff every h lies in the Z-orthogonal space and every pairwise xor,
-    including each h against the zero label, avoids W.  The deadline is
-    checked at every pair.
+    including each h against the zero label, avoids W.  The pairs go in
+    itertools.combinations order through one W predicate on ints, and a
+    xor already tested is not tested again, so the first failing pair is
+    still the one reported.  The deadline is checked at every pair.
     """
     hs = list(hs)
     if len(set(hs)) != len(hs):
         return VerifyVerdict(False, "duplicate labels")
-    q = SetQuery(g, d)
-    zb = z_span_basis(q, deadline)
+    zb = z_span_basis(SetQuery(g, d), deadline)
     for i, h in enumerate(hs):
+        if h.n != g.n:
+            raise ValueError(f"label length {h.n} != {g.n}")
         if h.is_zero():
             return VerifyVerdict(False, f"label {i} is the zero string")
         if any(dot(h, z) for z in zb):
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
-    full = [BitString.zeros(g.n)] + hs
+    full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline), set()
     for i, j in itertools.combinations(range(len(full)), 2):
         if deadline is not None:
             deadline.check()
         x = full[i] ^ full[j]
-        if in_W(q, x, deadline):
-            return VerifyVerdict(
-                False, f"xor of labels {i},{j} lies in W: {x.to_text()}"
-            )
+        if x not in tested:
+            tested.add(x)
+            if in_w(x):
+                return VerifyVerdict(
+                    False, f"xor of labels {i},{j} lies in W: {BitString(g.n, x).to_text()}")
     return VerifyVerdict(True)
 
 

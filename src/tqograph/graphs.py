@@ -1,4 +1,4 @@
-"""Undirected simple graphs, the graph families under study, and edge-space helpers.
+"""Undirected simple graphs and the graph families under study.
 
 Vertex ordering conventions (normative, 0-indexed):
   * star / complete / complete bipartite: natural order, hub or X-part first;
@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .gf2 import BitString, Gf2Matrix
+from .gf2 import Gf2Matrix
 
 FAMILIES = (
     "star",
@@ -332,40 +332,6 @@ def line_of_complete(m: int) -> Graph:
 
 def line_of_bipartite(m: int) -> Graph:
     return line_graph(complete_bipartite(m, m))[0]
-
-
-def s_vector(g: Graph, v: int) -> BitString:
-    """Edge-indicator bitstring of all edges incident to vertex v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return BitString.from_indices(
-        g.m, (i for i, (a, b) in enumerate(g.edges) if v in (a, b))
-    )
-
-
-@dataclass(frozen=True)
-class OddDegreeInfo:
-    vertices: Tuple[int, ...]
-    l: int
-    l_x: Optional[int] = None
-    l_y: Optional[int] = None
-
-
-def odd_degree_vertices(g: Graph, k: BitString) -> OddDegreeInfo:
-    """Vertices with odd degree in the edge subgraph selected by k."""
-    if k.n != g.m:
-        raise ValueError(f"expected {g.m} edge bits, got {k.n}")
-    deg = [0] * g.n
-    for i in k.support():
-        u, v = g.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    odd = tuple(v for v in range(g.n) if deg[v] & 1)
-    if g.x_part is not None:
-        xs = set(g.x_part)
-        l_x = sum(1 for v in odd if v in xs)
-        return OddDegreeInfo(odd, len(odd), l_x, len(odd) - l_x)
-    return OddDegreeInfo(odd, len(odd))
 
 
 def gen_family(spec: FamilySpec) -> Graph:

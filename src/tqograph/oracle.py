@@ -286,7 +286,3 @@ def brute_force_qecc_check(
     i, j = pairs[p]
     witness = (i, j, BitString(n, k), BitString(n, l))
     return QeccVerdict(False, witness, _operators_before(n, w, k, l) + 1)
-
-
-def pauli_expectation(psi: StateVector, k: BitString, l: BitString) -> complex:
-    return pauli_matrix_element(psi, psi, k, l)

@@ -2,18 +2,19 @@
 
 A Pauli is sign * X^x Z^z with the Z factors on the right; signs are tracked
 mod +-1 only (the +-i prefactors never arise in products of the Hermitian
-generators used here).  Includes the graph-state stabilizers, stabilized
-code-pair generators, the 3D toric-layer code, and brute-force code
-distance via minimum-weight normalizer search.
+generators used here).  Stabilizer groups work on (x, z) int rows, and a
+Pauli object appears only where a caller hands one in or asks for one.
+Includes the stabilized code-pair generators, the 3D toric-layer code, and
+brute-force code distance via minimum-weight normalizer search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis import BudgetExceededError
-from .gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, xor_columns
+from .gf2 import BitString, Echelon, cluster_xors, dot, xor_columns
 from .graphs import Graph, toric3d_rows
 
 
@@ -78,10 +79,6 @@ def pauli_mul(p: Pauli, q: Pauli) -> Pauli:
     return Pauli(p.x ^ q.x, p.z ^ q.z, sign)
 
 
-def _sym_bits(p: Pauli, n: int) -> int:
-    return p.x.bits | (p.z.bits << n)
-
-
 def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     """(x, z, s) of the ordered product of the +X^x Z^z rows, with sign
     (-1)^s: each factor adds z_acc . x_next to s, the rule of pauli_mul."""
@@ -93,48 +90,76 @@ def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     return x, z, s
 
 
-class StabilizerGroup:
-    """Pairwise-commuting Pauli generators (need not be independent).
+def _positions(bits: int) -> List[int]:
+    """The set bits of bits, highest first."""
+    out = []
+    while bits:
+        v = bits.bit_length() - 1
+        out.append(v)
+        bits ^= 1 << v
+    return out
 
-    A Pauli's syndrome (the generators it anticommutes with) xors the cached
-    per-qubit columns of the generators' opposite-type part over its support.
-    symmetries are qubit permutations (p[v] is the image of qubit v) that
-    map the generator set onto itself; normalizer_min_weight checks that
-    before it uses them, and nothing else reads them.
+
+class StabilizerGroup:
+    """Pairwise-commuting Pauli generators (need not be independent), kept
+    as (x, z) int rows: generator i is X^x Z^z, with sign -1 where bit i of
+    signs is set.  generators builds Paulis when asked for; from_paulis
+    converts Paulis for the same constructor.
+
+    Bit i of the per-qubit column _xcols[v] (_zcols[v]) is set iff generator
+    i has X (Z) on qubit v.  A Pauli's syndrome (the generators it
+    anticommutes with) xors the columns of the opposite type over its
+    support.  symmetries are qubit permutations (p[v] is the image of qubit
+    v) mapping the generator set onto itself; normalizer_min_weight checks.
 
     Row reduction is a gf2.Echelon of the symplectic rows x | z << n, in
     generator order, each carrying its generator-combination mask; its
     residues and combinations are unique (Echelon gives why).
     """
 
-    __slots__ = ("n", "generators", "symmetries", "_x", "_z", "_ech")
+    __slots__ = ("n", "rows", "signs", "symmetries", "_xcols", "_zcols", "_ech")
 
-    def __init__(
-        self,
-        n: int,
-        generators: Sequence[Pauli],
-        symmetries: Sequence[Sequence[int]] = (),
-    ):
-        generators = tuple(generators)
-        for g in generators:
-            if g.n != n:
+    def __init__(self, n: int, rows: Iterable[Tuple[int, int]], signs: int = 0,
+                 symmetries: Sequence[Sequence[int]] = ()):
+        rows = tuple(rows)
+        if signs < 0 or signs >> len(rows):
+            raise ValueError("sign mask outside the generators")
+        xcols, zcols, supports, bit = [0] * n, [0] * n, [], 1
+        for x, z in rows:
+            if x < 0 or z < 0 or (x | z) >> n:
                 raise ValueError("generator length mismatch")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "symmetries", tuple(tuple(p) for p in symmetries))
-        m = len(generators)
-        object.__setattr__(self, "_x", Gf2Matrix(m, n, [g.x.bits for g in generators]))
-        object.__setattr__(self, "_z", Gf2Matrix(m, n, [g.z.bits for g in generators]))
-        object.__setattr__(self, "_ech", None)
+            xs, zs = _positions(x), _positions(z)
+            for v in xs:
+                xcols[v] |= bit
+            for v in zs:
+                zcols[v] |= bit
+            supports.append((xs, zs))
+            bit <<= 1
+        for name, value in zip(self.__slots__, (n, rows, signs, tuple(map(tuple, symmetries)),
+                                                tuple(xcols), tuple(zcols), None)):
+            object.__setattr__(self, name, value)
         # Anticommutation is symmetric: the first generator with a syndrome has
         # its lowest partner above it, the first bad pair in combinations order.
-        for a in generators:
-            syn = self._syndrome(a.x.bits, a.z.bits)
+        for i, (xs, zs) in enumerate(supports):
+            syn = 0
+            for v in xs:
+                syn ^= zcols[v]
+            for v in zs:
+                syn ^= xcols[v]
             if syn:
-                b = generators[(syn & -syn).bit_length() - 1]
-                raise ValueError(
-                    f"generators do not commute: {a.to_text()} vs {b.to_text()}"
-                )
+                gens = self.generators
+                a, b = gens[i], gens[(syn & -syn).bit_length() - 1]
+                raise ValueError(f"generators do not commute: {a.to_text()} vs {b.to_text()}")
+
+    @classmethod
+    def from_paulis(cls, n: int, paulis: Iterable[Pauli],
+                    symmetries: Sequence[Sequence[int]] = ()) -> "StabilizerGroup":
+        """The group generated by the Paulis, in their order."""
+        paulis = tuple(paulis)
+        if any(p.n != n for p in paulis):
+            raise ValueError("generator length mismatch")
+        signs = sum(1 << i for i, p in enumerate(paulis) if p.sign < 0)
+        return cls(n, [(p.x.bits, p.z.bits) for p in paulis], signs, symmetries)
 
     def __setattr__(self, name, value):
         if name == "_ech" and getattr(self, name, None) is None:
@@ -142,12 +167,19 @@ class StabilizerGroup:
             return
         raise AttributeError("StabilizerGroup is immutable")
 
+    @property
+    def generators(self) -> Tuple[Pauli, ...]:
+        """The generators as Paulis, built at each call."""
+        n, signs = self.n, self.signs
+        return tuple(Pauli(BitString(n, x), BitString(n, z), -1 if signs >> i & 1 else 1)
+                     for i, (x, z) in enumerate(self.rows))
+
     def _echelon(self) -> Echelon:
         """The Echelon of the generators' symplectic rows, built once."""
         if self._ech is None:
-            ech = Echelon()
-            for idx, g in enumerate(self.generators):
-                ech.add(_sym_bits(g, self.n), 1 << idx)
+            ech, n = Echelon(), self.n
+            for i, (x, z) in enumerate(self.rows):
+                ech.add(x | z << n, 1 << i)
             self._ech = ech
         return self._ech
 
@@ -162,51 +194,54 @@ class StabilizerGroup:
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
-        r, comb = self._echelon().reduce(_sym_bits(p, self.n))
+        r, comb = self._echelon().reduce(p.x.bits | p.z.bits << self.n)
         if r:
             return False
         if not sign_sensitive:
             return True
-        gens = [g for idx, g in enumerate(self.generators) if comb >> idx & 1]
-        s = _product((g.x.bits, g.z.bits) for g in gens)[2] + sum(g.sign < 0 for g in gens)
+        used = [row for i, row in enumerate(self.rows) if comb >> i & 1]
+        s = _product(used)[2] + (comb & self.signs).bit_count()
         return (-1) ** s == p.sign
 
     def _syndrome(self, x: int, z: int) -> int:
         """Bit i set iff X^x Z^z anticommutes with generator i."""
-        return xor_columns(self._z.columns(), x) ^ xor_columns(self._x.columns(), z)
+        return xor_columns(self._zcols, x) ^ xor_columns(self._xcols, z)
 
-    def in_normalizer(self, p: Pauli) -> bool:
-        if p.n != self.n:
-            raise ValueError("length mismatch")
-        return not self._syndrome(p.x.bits, p.z.bits)
-
-
-def graph_stabilizers(g: Graph) -> StabilizerGroup:
-    """Generator i is X on vertex i and Z on each of its neighbors."""
-    a = g.adjacency()
-    gens = [
-        Pauli(BitString.basis(g.n, i), BitString(g.n, a.columns()[i]))
-        for i in range(g.n)
-    ]
-    return StabilizerGroup(g.n, gens)
+    def in_normalizer(self, p: Union[Pauli, Tuple[int, int]]) -> bool:
+        """Whether p, a Pauli or an (x, z) row, commutes with every generator."""
+        if isinstance(p, Pauli):
+            if p.n != self.n:
+                raise ValueError("length mismatch")
+            p = p.x.bits, p.z.bits
+        return not self._syndrome(*p)
 
 
 def code_pair_stabilizers(g: Graph, h: BitString) -> StabilizerGroup:
     """n-1 independent generators fixing both the graph state and label h.
 
-    Products of graph-state generators over the kernel of r -> r.h; each
-    such product fixes the Z^h state because its eigenvalue there is
-    (-1)^{r.h} = +1.
+    Graph-state generator v is K_v = +X_v Z^(adjacency row v).  The group
+    is that of the products over the kernel of r -> r.h: K_v for each v
+    outside supp(h), and K_u K_w for each two consecutive vertices u < w of
+    supp(h), which span that kernel.  Each such product fixes the Z^h state
+    because its eigenvalue there is (-1)^{r.h} = +1.  Chaining supp(h),
+    rather than pairing each of its vertices with the lowest, puts each
+    vertex in the X part of at most two generators.
     """
     if h.n != g.n:
         raise ValueError("length mismatch")
     if h.is_zero():
         raise ValueError("label must be nonzero")
-    a, gens = g.adjacency().row_bits, []
-    for r in Gf2Matrix.from_rows([h]).kernel_basis():
-        x, z, sign = _product((1 << j, a[j]) for j in r.support())
-        gens.append(Pauli(BitString(g.n, x), BitString(g.n, z), -1 if sign else 1))
-    return StabilizerGroup(g.n, gens)
+    a, rows, signs, prev = g.adjacency().row_bits, [], 0, None
+    for v in range(g.n):
+        if not h.bits >> v & 1:
+            rows.append((1 << v, a[v]))
+            continue
+        if prev is not None:
+            x, z, s = _product([(1 << prev, a[prev]), (1 << v, a[v])])
+            signs |= s << len(rows)
+            rows.append((x, z))
+        prev = v
+    return StabilizerGroup(g.n, rows, signs)
 
 
 def _cells(L: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -248,9 +283,8 @@ def gen_3d_code(L: int) -> StabilizerGroup:
     # unit shifts along i, j and k: each adds 1 mod L to one base-L digit
     # of the vertex index (i-1) + (j-1) L + (k-1) L^2
     shifts = [[u - u % (t * L) + (u + t) % (t * L) for u in range(n)] for t in (1, L, L * L)]
-    return StabilizerGroup(n, [
-        Pauli(BitString(n, 1 << a ^ 1 << b), BitString(n, 1 << c ^ 1 << d ^ 1 << e ^ 1 << f))
-        for _, (a, b, c, d, e, f) in _cells(L)], shifts)
+    return StabilizerGroup(n, [(1 << a ^ 1 << b, 1 << c ^ 1 << d ^ 1 << e ^ 1 << f)
+                               for _, (a, b, c, d, e, f) in _cells(L)], symmetries=shifts)
 
 
 def _derived_rows_3d(L: int) -> List[Tuple[int, int]]:
@@ -278,15 +312,13 @@ def _derived_rows_3d(L: int) -> List[Tuple[int, int]]:
 
 def gen_3d_code_derived(L: int) -> StabilizerGroup:
     """gen_3d_code's generators as derived by _derived_rows_3d."""
-    n, rows = L**3, _derived_rows_3d(L)
-    return StabilizerGroup(n, [Pauli(BitString(n, x), BitString(n, z)) for x, z in rows])
+    return StabilizerGroup(L**3, _derived_rows_3d(L))
 
 
-def logical_strings(L: int) -> List[Pauli]:
-    """The L Pauli-X strings along the j axis of the i = 1 hub plane."""
-    n = L**3  # vertex (1, j + 1, k + 1) is (j + k L) L
-    return [Pauli(BitString(n, sum(1 << (j + k * L) * L for j in range(L))), BitString.zeros(n))
-            for k in range(L)]
+def logical_strings(L: int) -> List[Tuple[int, int]]:
+    """(x, z) rows of the L Pauli-X strings along the j axis of the i = 1
+    hub plane; vertex (1, j + 1, k + 1) is (j + k L) L."""
+    return [(sum(1 << (j + k * L) * L for j in range(L)), 0) for k in range(L)]
 
 
 def _permute(bits: int, p: Sequence[int]) -> int:
@@ -315,8 +347,7 @@ def _orbit_roots(s: StabilizerGroup) -> List[int]:
     """Least qubit of each orbit of s.symmetries, once each is checked to be
     a permutation that maps the generator set onto itself (signs play no
     part in the scan, so only the x and z bits are compared)."""
-    n = s.n
-    gens = {(g.x.bits, g.z.bits) for g in s.generators}
+    n, gens = s.n, set(s.rows)
     for p in s.symmetries:
         if sorted(p) != list(range(n)):
             raise ValueError(f"symmetry {list(p)} is not a permutation of {n} qubits")
@@ -326,8 +357,7 @@ def _orbit_roots(s: StabilizerGroup) -> List[int]:
     for v in range(n):
         if not (covered >> v) & 1:
             roots.append(v)
-            for b in _orbit(1 << v, s.symmetries):
-                covered |= b
+            covered |= sum(_orbit(1 << v, s.symmetries))  # distinct single bits
     return roots
 
 
@@ -370,11 +400,11 @@ def normalizer_min_weight(
     When the deadline runs out, ScanBudgetExceededError names the weight
     class it was in.
     """
-    n, m = s.n, len(s.generators)
+    n, m = s.n, len(s.rows)
     roots = _orbit_roots(s)
     perms = [p + tuple(n + t for t in p) for p in s.symmetries]  # on the key's 2n bits
-    sx = [zc | 1 << (m + n + v) for v, zc in enumerate(s._z.columns())]
-    sz = [xc | 1 << (m + v) for v, xc in enumerate(s._x.columns())]
+    sx = [zc | 1 << (m + n + v) for v, zc in enumerate(s._zcols)]
+    sz = [xc | 1 << (m + v) for v, xc in enumerate(s._xcols)]
     low, xors = (1 << n) - 1, cluster_xors([(a, b, a ^ b) for a, b in zip(sx, sz)], m)
     reduce = s._echelon().reduce
     try:
@@ -447,14 +477,14 @@ def verify_3d_code(
     (e) minimum normalizer weight is L (scan skipped when distance_scan is
         off);
     plus the derivation-chain equality against the graph-state construction.
-    (a) and the derivation run on gen_3d_code's (x, z) int rows, whose
-    group alone is built (its constructor checks that they commute).  When
-    the deadline runs out in the scan, the report keeps (a)-(d) and carries
-    the budget message and the distance's lower bound instead.
+    (a)-(d) and the derivation run on the (x, z) int rows of gen_3d_code and
+    of the strings, and only the code's group is built (its constructor
+    checks that the generators commute).  When the deadline runs out in the
+    scan, the report keeps (a)-(d) and carries the budget message and the
+    distance's lower bound instead.
     """
     s = gen_3d_code(L)
-    n = L**3
-    rows = list(zip(s._x.row_bits, s._z.row_bits))
+    n, rows = L**3, s.rows
     # generator (i, j, k) is row (i L + j) L + k, so layer k is rows[k::L]
     constraints_hold = all(_product(rows[k::L]) == (0, 0, 0) for k in range(L))
 
@@ -465,10 +495,10 @@ def verify_3d_code(
     # independent iff the strings are independent modulo the group; a string
     # inside the group leaves residue 0.
     logicals = logical_strings(L)
-    residues = Echelon(s._echelon().reduce(_sym_bits(p, n))[0] for p in logicals)
-    logicals_ok = all(s.in_normalizer(p) for p in logicals) and len(residues.rows) == L
+    residues = Echelon(s._echelon().reduce(x | z << n)[0] for x, z in logicals)
+    logicals_ok = all(map(s.in_normalizer, logicals)) and len(residues.rows) == L
 
-    derivation_ok = _derived_rows_3d(L) == rows
+    derivation_ok = tuple(_derived_rows_3d(L)) == rows
 
     distance = dist_op = error = lower = None
     if distance_scan:
@@ -480,18 +510,6 @@ def verify_3d_code(
             distance, op = hit
             dist_op = op.to_text()
 
-    return Code3DReport(
-        L,
-        n,
-        constraints_hold,
-        rank,
-        n - rank,
-        code_dim,
-        logicals_ok,
-        derivation_ok,
-        distance,
-        dist_op,
-        distance_scan and error is None,
-        error,
-        lower,
-    )
+    return Code3DReport(L, n, constraints_hold, rank, n - rank, code_dim, logicals_ok,
+                        derivation_ok, distance, dist_op, distance_scan and error is None,
+                        error, lower)

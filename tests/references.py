@@ -14,23 +14,73 @@ whole report from them.
 
 The full row reduction that gf2.Echelon replaced: each new row cleared from
 the rows before it, and the kernel read off the fully reduced rows.
+
+Stabilizer groups on Pauli objects, which StabilizerGroup replaced with
+(x, z) int rows: a group with every element listed, and the code-pair
+generators that paired each vertex of supp(h) with the lowest one.
+
+Helpers that only the tests call: graph_stabilizers, pauli_expectation, and
+the edge-space helpers s_vector and odd_degree_vertices.
 """
 
 import itertools
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from tqograph.gf2 import BitString, dot, support_xors
+from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
+from tqograph.oracle import pauli_matrix_element
 from tqograph.stabilizer import (
     Code3DReport,
     Pauli,
     StabilizerGroup,
     _orbit,
     _orbit_roots,
-    graph_stabilizers,
     logical_strings,
     pauli_mul,
 )
+
+
+def graph_stabilizers(g: Graph) -> StabilizerGroup:
+    """Generator i is X on vertex i and Z on each of its neighbors."""
+    return StabilizerGroup(g.n, [(1 << i, r) for i, r in enumerate(g.adjacency().row_bits)])
+
+
+def pauli_expectation(psi, k: BitString, l: BitString) -> complex:
+    """<psi| X^k Z^l |psi>."""
+    return pauli_matrix_element(psi, psi, k, l)
+
+
+def s_vector(g: Graph, v: int) -> BitString:
+    """Edge-indicator bitstring of all edges incident to vertex v."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return BitString.from_indices(g.m, (i for i, (a, b) in enumerate(g.edges) if v in (a, b)))
+
+
+@dataclass(frozen=True)
+class OddDegreeInfo:
+    vertices: Tuple[int, ...]
+    l: int
+    l_x: Optional[int] = None
+    l_y: Optional[int] = None
+
+
+def odd_degree_vertices(g: Graph, k: BitString) -> OddDegreeInfo:
+    """Vertices with odd degree in the edge subgraph selected by k."""
+    if k.n != g.m:
+        raise ValueError(f"expected {g.m} edge bits, got {k.n}")
+    deg = [0] * g.n
+    for i in k.support():
+        u, v = g.edges[i]
+        deg[u] += 1
+        deg[v] += 1
+    odd = tuple(v for v in range(g.n) if deg[v] & 1)
+    if g.x_part is not None:
+        xs = set(g.x_part)
+        l_x = sum(1 for v in odd if v in xs)
+        return OddDegreeInfo(odd, len(odd), l_x, len(odd) - l_x)
+    return OddDegreeInfo(odd, len(odd))
 
 
 def reference_row_reduce(row_bits: Iterable[int]) -> Tuple[List[int], List[int]]:
@@ -163,10 +213,10 @@ def connected_normalizer_min_weight(s, w_max):
     """The normalizer_min_weight the kernel replaced: every X/Z/Y choice on
     the supports connected in the qubit-interaction graph, grown from the
     orbit minima, filtered on the syndrome, keyed by the orbit minimum."""
-    n, m = s.n, len(s.generators)
+    n, m = s.n, len(s.rows)
     roots = _orbit_roots(s)
     perms = [p + tuple(n + t for t in p) for p in s.symmetries]
-    xcols, zcols = s._x.columns(), s._z.columns()
+    xcols, zcols = s._xcols, s._zcols
     choices = []
     for v in range(n):
         xv, zv = 1 << (m + n + v), 1 << (m + v)
@@ -230,7 +280,7 @@ def hadamard_conjugate(s: StabilizerGroup, b: Iterable[int]) -> StabilizerGroup:
         xb = (g.x.bits & ~mask) | (g.z.bits & mask)
         zb = (g.z.bits & ~mask) | (g.x.bits & mask)
         gens.append(Pauli(BitString(s.n, xb), BitString(s.n, zb), g.sign))
-    return StabilizerGroup(s.n, gens)
+    return StabilizerGroup.from_paulis(s.n, gens)
 
 
 def reference_gen_3d_code_derived(L) -> StabilizerGroup:
@@ -254,7 +304,7 @@ def reference_gen_3d_code_derived(L) -> StabilizerGroup:
             p = pauli_mul(s(i, j, k), s(i + 1, j, k))
         prods.append(p)
     hub_plane = [v(1, j, k) for j in range(1, L + 1) for k in range(1, L + 1)]
-    return hadamard_conjugate(StabilizerGroup(g.n, prods), hub_plane)
+    return hadamard_conjugate(StabilizerGroup.from_paulis(g.n, prods), hub_plane)
 
 
 def reference_product(paulis: Sequence[Pauli]) -> Pauli:
@@ -278,7 +328,8 @@ def reference_code3d_report(L) -> Code3DReport:
     """verify_3d_code(L, distance_scan=False) from the references: ranks by
     plain row reduction of the symplectic rows, pairwise commutation of the
     strings, and the derivation compared generator by generator."""
-    n, gens, logicals = L**3, reference_gen_3d_code(L), logical_strings(L)
+    n, gens = L**3, reference_gen_3d_code(L)
+    logicals = [Pauli(BitString(n, x), BitString(n, z)) for x, z in logical_strings(L)]
 
     def rank(ps):
         return len(reference_row_reduce(p.x.bits | p.z.bits << n for p in ps)[0])
@@ -292,3 +343,55 @@ def reference_code3d_report(L) -> Code3DReport:
         L, n, reference_layers_hold(gens, L), r, n - r, 1 << (n - r), logicals_ok,
         all(a.x == b.x and a.z == b.z for a, b in zip(gens, derived)),
         None, None, False)
+
+
+def reference_commutation_error(gens: Sequence[Pauli]):
+    """The error of the pairwise commutation loop the syndrome columns
+    replaced (first bad pair in itertools.combinations order), or None."""
+    for a, b in itertools.combinations(gens, 2):
+        if dot(a.x, b.z) ^ dot(a.z, b.x):
+            return f"generators do not commute: {a.to_text()} vs {b.to_text()}"
+    return None
+
+
+class ReferencePauliGroup:
+    """A stabilizer group on Pauli objects with every element listed, for
+    small n: elements maps (x bits, z bits) to the element, grown by
+    doubling with pauli_mul (a generator already listed adds nothing).
+    Commutation is checked by reference_commutation_error."""
+
+    def __init__(self, n: int, gens: Sequence[Pauli]):
+        error = reference_commutation_error(gens)
+        if error is not None:
+            raise ValueError(error)
+        self.n, self.gens = n, list(gens)
+        self.elements = {(0, 0): Pauli.identity(n)}
+        for g in gens:
+            if (g.x.bits, g.z.bits) not in self.elements:
+                for p in list(self.elements.values()):
+                    q = pauli_mul(p, g)
+                    self.elements[q.x.bits, q.z.bits] = q
+
+    def rank(self) -> int:
+        return len(self.elements).bit_length() - 1
+
+    def in_group(self, p: Pauli, sign_sensitive: bool = False) -> bool:
+        q = self.elements.get((p.x.bits, p.z.bits))
+        return q is not None and (not sign_sensitive or q.sign == p.sign)
+
+    def in_normalizer(self, p: Pauli) -> bool:
+        return not any(dot(p.x, g.z) ^ dot(p.z, g.x) for g in self.gens)
+
+
+def reference_code_pair_stabilizers(g: Graph, h: BitString) -> StabilizerGroup:
+    """The pivot pattern the chained generators replaced: the products of
+    graph-state generators over Gf2Matrix.kernel_basis([h]), which pairs
+    every other vertex of supp(h) with the lowest one, by pauli_mul."""
+    base = graph_stabilizers(g).generators
+    gens = []
+    for r in Gf2Matrix.from_rows([h]).kernel_basis():
+        p = Pauli.identity(g.n)
+        for j in r.support():
+            p = pauli_mul(p, base[j])
+        gens.append(p)
+    return StabilizerGroup.from_paulis(g.n, gens)

@@ -27,8 +27,6 @@ from tqograph.graphs import (
     lattice,
     line_graph,
     multi_star,
-    odd_degree_vertices,
-    s_vector,
     star,
     toric,
     toric_vertex,
@@ -51,6 +49,8 @@ from tqograph.oracle import (
     pauli_matrix_element,
 )
 from tqograph.stabilizer import verify_3d_code
+
+from references import odd_degree_vertices, s_vector
 
 
 def report(num, ok, detail, elapsed, bound):

@@ -18,7 +18,6 @@ from tqograph.graphs import (
     line_of_bipartite,
     line_of_complete,
     multi_star,
-    s_vector,
     star,
     toric,
 )
@@ -44,7 +43,7 @@ from tqograph.analysis import (
 )
 from tqograph.oracle import graph_basis_state, pauli_matrix_element
 
-from references import connected_z_span_basis, square_nbrs
+from references import connected_z_span_basis, s_vector, square_nbrs
 
 
 def random_graph(rng, n):

@@ -16,9 +16,7 @@ from tqograph.graphs import (
     line_of_bipartite,
     line_of_complete,
     multi_star,
-    odd_degree_vertices,
     read_edge_list,
-    s_vector,
     star,
     toric,
     toric3d,
@@ -27,6 +25,8 @@ from tqograph.graphs import (
     toric_vertex,
     write_edge_list,
 )
+
+from references import odd_degree_vertices, s_vector
 
 
 class TestGraphBasics:

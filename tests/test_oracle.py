@@ -19,9 +19,10 @@ from tqograph.oracle import (
     build_graph_state,
     graph_basis_state,
     inner,
-    pauli_expectation,
     pauli_matrix_element,
 )
+
+from references import pauli_expectation
 
 TOL = 1e-12
 

@@ -5,11 +5,12 @@ import time
 
 import pytest
 
-from tqograph.analysis import BudgetExceededError
-from tqograph.gf2 import BitString, cluster_xors, dot, support_xors
-from tqograph.graphs import Graph, complete, star, toric, toric3d, toric3d_vertex
+from tqograph.analysis import BudgetExceededError, d_max
+from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, dot, support_xors
+from tqograph.graphs import (
+    FamilySpec, Graph, complete, gen_family, star, toric, toric3d, toric3d_vertex)
 from tqograph import stabilizer
-from tqograph.oracle import build_graph_state, graph_basis_state, pauli_expectation
+from tqograph.oracle import build_graph_state, graph_basis_state
 from tqograph.stabilizer import (
     Pauli,
     ScanBudgetExceededError,
@@ -17,7 +18,6 @@ from tqograph.stabilizer import (
     code_pair_stabilizers,
     gen_3d_code,
     gen_3d_code_derived,
-    graph_stabilizers,
     logical_strings,
     normalizer_min_weight,
     pauli_mul,
@@ -25,10 +25,15 @@ from tqograph.stabilizer import (
 )
 
 from references import (
+    ReferencePauliGroup,
     connected_normalizer_min_weight,
     connected_support_xors,
+    graph_stabilizers,
     hadamard_conjugate,
+    pauli_expectation,
     reference_code3d_report,
+    reference_code_pair_stabilizers,
+    reference_commutation_error,
     reference_gen_3d_code,
     reference_gen_3d_code_derived,
     reference_product,
@@ -37,18 +42,8 @@ from references import (
 TOL = 1e-12
 
 
-# Pairwise commutation check the syndrome columns replaced, kept as reference.
-
 def commutes(p, q):
     return (dot(p.x, q.z) ^ dot(p.z, q.x)) == 0
-
-
-def reference_commutation_error(gens):
-    """The error StabilizerGroup(n, gens) raised from the pairwise loop, or None."""
-    for a, b in itertools.combinations(gens, 2):
-        if not commutes(a, b):
-            return f"generators do not commute: {a.to_text()} vs {b.to_text()}"
-    return None
 
 
 # Row reduction that tests every basis row in insertion order, which the
@@ -83,6 +78,10 @@ def reference_in_group(s, basis, p):
         if (comb >> idx) & 1:
             prod = pauli_mul(prod, g)
     return prod.sign == p.sign
+
+
+def row_paulis(n, rows):
+    return [Pauli(BitString(n, x), BitString(n, z)) for x, z in rows]
 
 
 def random_pauli(rng, n):
@@ -129,7 +128,7 @@ def seeded_commuting_groups(count=240):
             for g in rng.sample(gens, rng.randrange(1, len(gens) + 1)):
                 p = pauli_mul(p, g)
             gens.insert(rng.randrange(len(gens) + 1), p)
-        out.append((rng, StabilizerGroup(n, gens)))
+        out.append((rng, StabilizerGroup.from_paulis(n, gens)))
     return out
 
 
@@ -142,6 +141,31 @@ def group_queries(rng, s, count):
             if rng.random() < 0.5:
                 p = pauli_mul(p, g)
         out.append(Pauli(p.x, p.z, rng.choice((1, -1))))
+    return out
+
+
+def seeded_row_groups(count=80):
+    """(rng, n, generators) of random commuting groups with n <= 12: random
+    signed Paulis kept when they commute with those so far and lie outside
+    their group (so no product of generators is -I), then signed products of
+    earlier generators (dependent rows) planted among them."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(5000 + seed)
+        n = rng.randrange(1, 13)
+        gens, span = [], {(0, 0)}
+        for _ in range(rng.randrange(1, 2 * n + 1)):
+            q = random_pauli(rng, n)
+            p = Pauli(q.x, q.z, rng.choice((1, -1)))
+            if (p.x.bits, p.z.bits) not in span and all(commutes(p, g) for g in gens):
+                gens.append(p)
+                span |= {(x ^ p.x.bits, z ^ p.z.bits) for x, z in span}
+        for _ in range(rng.randrange(0, 4) if gens else 0):
+            p = Pauli.identity(n)
+            for g in rng.sample(gens, rng.randrange(1, len(gens) + 1)):
+                p = pauli_mul(p, g)
+            gens.insert(rng.randrange(len(gens) + 1), p)
+        out.append((rng, n, gens))
     return out
 
 
@@ -277,24 +301,24 @@ class TestPauliAlgebra:
                            ("XY", "YY", False), ("YY", "ZX", True)):
             p, q = Pauli.from_text(a), Pauli.from_text(b)
             assert commutes(p, q) == want
-            assert StabilizerGroup(q.n, [q]).in_normalizer(p) == want
+            assert StabilizerGroup.from_paulis(q.n, [q]).in_normalizer(p) == want
 
 
 class TestStabilizerGroup:
     def test_rejects_anticommuting(self):
         with pytest.raises(ValueError, match="do not commute"):
-            StabilizerGroup(1, [Pauli.from_text("X"), Pauli.from_text("Z")])
+            StabilizerGroup.from_paulis(1, [Pauli.from_text("X"), Pauli.from_text("Z")])
 
     def test_commutation_check_matches_pairwise(self):
         rejected = 0
         for n, gens in seeded_pauli_lists():
             want = reference_commutation_error(gens)
             if want is None:
-                StabilizerGroup(n, gens)
+                StabilizerGroup.from_paulis(n, gens)
                 continue
             rejected += 1
             with pytest.raises(ValueError) as err:
-                StabilizerGroup(n, gens)
+                StabilizerGroup.from_paulis(n, gens)
             assert str(err.value) == want
         assert 20 <= rejected <= 40
 
@@ -312,18 +336,18 @@ class TestStabilizerGroup:
                          else Pauli(g.x, BitString(n, g.z.bits ^ bit)))
             want = reference_commutation_error(gens)
             if want is None:
-                StabilizerGroup(n, gens)
+                StabilizerGroup.from_paulis(n, gens)
                 continue
             rejected += 1
             with pytest.raises(ValueError) as err:
-                StabilizerGroup(n, gens)
+                StabilizerGroup.from_paulis(n, gens)
             assert str(err.value) == want
         assert rejected >= 30
 
     def test_in_normalizer_matches_pairwise(self):
         rng = random.Random(5)
         for n, gens in seeded_pauli_lists():
-            s = StabilizerGroup(n, [g for g in gens if all(commutes(g, h) for h in gens)])
+            s = StabilizerGroup.from_paulis(n, [g for g in gens if all(commutes(g, h) for h in gens)])
             for _ in range(5):
                 p = random_pauli(rng, n)
                 assert s.in_normalizer(p) == all(commutes(p, g) for g in s.generators)
@@ -332,11 +356,11 @@ class TestStabilizerGroup:
         zz1 = Pauli.from_text("ZZI")
         zz2 = Pauli.from_text("IZZ")
         zz3 = pauli_mul(zz1, zz2)  # dependent third generator
-        s = StabilizerGroup(3, [zz1, zz2, zz3])
+        s = StabilizerGroup.from_paulis(3, [zz1, zz2, zz3])
         assert s.rank() == 2
 
     def test_in_group_sign_sensitivity(self):
-        s = StabilizerGroup(2, [Pauli.from_text("+ZZ")])
+        s = StabilizerGroup.from_paulis(2, [Pauli.from_text("+ZZ")])
         assert s.in_group(Pauli.from_text("+ZZ"))
         assert s.in_group(Pauli.from_text("-ZZ"))  # sign-insensitive default
         assert s.in_group(Pauli.from_text("+ZZ"), sign_sensitive=True)
@@ -350,9 +374,37 @@ class TestStabilizerGroup:
         assert s.in_group(prod, sign_sensitive=True)
 
     def test_in_normalizer(self):
-        s = StabilizerGroup(2, [Pauli.from_text("+ZZ")])
+        s = StabilizerGroup.from_paulis(2, [Pauli.from_text("+ZZ")])
         assert s.in_normalizer(Pauli.from_text("+XX"))
         assert not s.in_normalizer(Pauli.from_text("+XI"))
+
+
+class TestIntRowsAgainstPauliObjects:
+    """The int-row group against references.ReferencePauliGroup, which lists
+    every element of the group as a Pauli object.  The commutation error
+    text is compared in TestStabilizerGroup, with the same reference check."""
+
+    def test_rank_membership_and_normalizer(self):
+        counts = [0, 0, 0]
+        for rng, n, gens in seeded_row_groups():
+            s, ref = StabilizerGroup.from_paulis(n, gens), ReferencePauliGroup(n, gens)
+            assert s.generators == tuple(gens) and s.rank() == ref.rank()
+            for p in group_queries(rng, s, 10):
+                got = (s.in_group(p), s.in_group(p, sign_sensitive=True), s.in_normalizer(p))
+                assert got == (ref.in_group(p), ref.in_group(p, sign_sensitive=True),
+                               ref.in_normalizer(p)), (gens, p)
+                assert s.in_normalizer((p.x.bits, p.z.bits)) == got[2]
+                counts = [c + b for c, b in zip(counts, got)]
+        assert counts[0] > counts[1] >= 300 and counts[2] > counts[0]
+
+    def test_normalizer_min_weight_witness(self):
+        hits = 0
+        for _, n, gens in seeded_row_groups()[::2]:
+            s, ref = StabilizerGroup.from_paulis(n, gens), ReferencePauliGroup(n, gens)
+            got = hit_text(normalizer_min_weight(s, min(n, 3)))
+            assert got == hit_text(reference_normalizer_min_weight(ref, min(n, 3))), gens
+            hits += got is not None
+        assert hits >= 10
 
 
 class TestPivotReduction:
@@ -382,8 +434,8 @@ class TestPivotReduction:
         s = gen_3d_code(L)
         self.assert_same_reduction(random.Random(L), s, 20)
         basis = reference_reduced_basis(s)
-        for p in logical_strings(L):
-            r = p.x.bits | (p.z.bits << s.n)
+        for x, z in logical_strings(L):
+            r = x | (z << s.n)
             assert s._echelon().reduce(r) == reference_reduce(basis, r)
 
 
@@ -446,6 +498,34 @@ class TestCodePairStabilizers:
         assert abs(pauli_expectation(psi, prod.x, prod.z) - prod.sign) < TOL
         assert abs(pauli_expectation(phi, prod.x, prod.z) + prod.sign) < TOL
 
+    def test_chain_spans_the_pivot_group(self):
+        # the same signed group as the pivot pattern, each vertex in the X
+        # part of at most two generators
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randrange(2, 11)
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            h = BitString(n, rng.randrange(1, 1 << n))
+            s, ref = code_pair_stabilizers(g, h), reference_code_pair_stabilizers(g, h)
+            assert s.rank() == ref.rank() == n - 1
+            assert all(s.in_group(p, sign_sensitive=True) for p in ref.generators)
+            assert all(ref.in_group(p, sign_sensitive=True) for p in s.generators)
+            assert max(c.bit_count() for c in s._xcols) <= 2
+
+    @pytest.mark.parametrize("family, params", [
+        ("star", (6,)), ("complete", (6,)), ("toric", (3,)), ("lattice", (3, 2)),
+        ("line_of_bipartite", (3,))])
+    def test_pair_distance_is_d_max(self, family, params):
+        # Knill-Laflamme: h is in C(G, d) iff the pair code of h has
+        # distance >= d, so the d_max certificate's pair code has distance
+        # exactly d_max
+        g = gen_family(FamilySpec(family, params))
+        res = d_max(g)
+        s = code_pair_stabilizers(g, res.certificate)
+        assert s.rank() == g.n - 1
+        assert normalizer_min_weight(s, res.value + 1)[0] == res.value
+
     def test_validation(self):
         with pytest.raises(ValueError, match="nonzero"):
             code_pair_stabilizers(star(3), BitString.zeros(3))
@@ -455,7 +535,7 @@ class TestCodePairStabilizers:
 
 class TestHadamardConjugate:
     def test_swaps_on_subset(self):
-        s = StabilizerGroup(2, [Pauli.from_text("+XZ")])
+        s = StabilizerGroup.from_paulis(2, [Pauli.from_text("+XZ")])
         out = hadamard_conjugate(s, [0])
         assert out.generators[0].to_text() == "+ZZ"
         out2 = hadamard_conjugate(s, [0, 1])
@@ -475,16 +555,16 @@ class TestHadamardConjugate:
 
 class TestNormalizerScan:
     def test_single_qubit_z(self):
-        s = StabilizerGroup(1, [Pauli.from_text("Z")])
+        s = StabilizerGroup.from_paulis(1, [Pauli.from_text("Z")])
         assert normalizer_min_weight(s, 1) is None
 
     def test_bell_pair(self):
-        s = StabilizerGroup(2, [Pauli.from_text("+XX"), Pauli.from_text("+ZZ")])
+        s = StabilizerGroup.from_paulis(2, [Pauli.from_text("+XX"), Pauli.from_text("+ZZ")])
         # full rank on 2 qubits: every commuting Pauli is in the group
         assert normalizer_min_weight(s, 2) is None
 
     def test_repetition_code(self):
-        s = StabilizerGroup(3, [Pauli.from_text("ZZI"), Pauli.from_text("IZZ")])
+        s = StabilizerGroup.from_paulis(3, [Pauli.from_text("ZZI"), Pauli.from_text("IZZ")])
         w, p = normalizer_min_weight(s, 3)
         assert w == 1 and p.to_text() == "+ZII"
 
@@ -498,7 +578,7 @@ class TestNormalizerScan:
 
 
 def without_symmetries(s):
-    return StabilizerGroup(s.n, s.generators)
+    return StabilizerGroup(s.n, s.rows, s.signs)
 
 
 def torus_code(a, b, pattern, step=1):
@@ -515,7 +595,7 @@ def torus_code(a, b, pattern, step=1):
             gens.append(Pauli.from_text("".join(chars)))
     shifts = [[(v % a + 1) % a + v - v % a for v in range(n)],
               [(v + a * step) % n for v in range(n)]]
-    return StabilizerGroup(n, gens, shifts)
+    return StabilizerGroup.from_paulis(n, gens, shifts)
 
 
 def ring_code(n, pattern, step=1):
@@ -580,8 +660,8 @@ def random_permutation_codes():
         gens = [base[v] for v in range(n) if v not in drop]
         gens += [pauli_mul(base[u], base[w]) for u, w in itertools.combinations(drop, 2)]
         flip = [v for c in cycles if rng.random() < 0.3 for v in c]
-        s = hadamard_conjugate(StabilizerGroup(n, gens), flip)
-        out.append(StabilizerGroup(n, s.generators, [perm]))
+        s = hadamard_conjugate(StabilizerGroup.from_paulis(n, gens), flip)
+        out.append(StabilizerGroup(n, s.rows, s.signs, [perm]))
     return out
 
 
@@ -670,7 +750,7 @@ class TestSymmetryRootedScan:
         # pattern; XZZX has least hits of weight 2 and 3 on these rings
         for n in (4, 5, 7, 8, 9):
             s = ring_code(n, {0: "X", 1: "Z", 2: "Z", 3: "X"})
-            both = StabilizerGroup(n, s.generators, s.symmetries + ([(-v) % n for v in range(n)],))
+            both = StabilizerGroup(n, s.rows, s.signs, s.symmetries + ([(-v) % n for v in range(n)],))
             for w_max in (1, 2, 3):
                 assert hit_text(normalizer_min_weight(both, w_max)) == hit_text(
                     normalizer_min_weight(without_symmetries(s), w_max))
@@ -711,14 +791,14 @@ class TestSymmetryRootedScan:
         swap = list(range(s.n))
         swap[0], swap[1] = 1, 0
         with pytest.raises(ValueError, match="does not map the generators"):
-            normalizer_min_weight(StabilizerGroup(s.n, s.generators, [swap]), 3)
+            normalizer_min_weight(StabilizerGroup(s.n, s.rows, symmetries=[swap]), 3)
         ring = ring_code(5, {0: "Z", 1: "Z"})
         with pytest.raises(ValueError, match="does not map the generators"):
-            normalizer_min_weight(StabilizerGroup(5, ring.generators, [[0, 1, 2, 4, 3]]), 2)
+            normalizer_min_weight(StabilizerGroup(5, ring.rows, symmetries=[[0, 1, 2, 4, 3]]), 2)
         with pytest.raises(ValueError, match="not a permutation"):
-            normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4, 4]]), 2)
+            normalizer_min_weight(StabilizerGroup(5, ring.rows, symmetries=[[1, 2, 3, 4, 4]]), 2)
         with pytest.raises(ValueError, match="not a permutation"):
-            normalizer_min_weight(StabilizerGroup(5, ring.generators, [[1, 2, 3, 4]]), 2)
+            normalizer_min_weight(StabilizerGroup(5, ring.rows, symmetries=[[1, 2, 3, 4]]), 2)
 
 
 TORUS_CODES = [
@@ -837,7 +917,7 @@ class Test3DCode:
         assert flips >= 50
         # layer 0 of gen_3d_code(2) is +identity; so is it times XXZZ on qubit
         # 0, but the reorder XZXZ of the same factors is -identity
-        rows = list(zip(gen_3d_code(2)._x.row_bits, gen_3d_code(2)._z.row_bits))[0::2]
+        rows = list(gen_3d_code(2).rows[0::2])
         x, z = (1, 0), (0, 1)
         assert stabilizer._product(rows) == (0, 0, 0)
         assert stabilizer._product(rows + [x, x, z, z]) == (0, 0, 0)
@@ -885,7 +965,7 @@ class Test3DCode:
             logs = logical_strings(L)
             assert len(logs) == L
             s = gen_3d_code(L)
-            for p in logs:
+            for p in row_paulis(L**3, logs):
                 assert p.weight() == L and p.z.is_zero()
                 assert s.in_normalizer(p)
                 assert not s.in_group(p)
@@ -894,26 +974,41 @@ class Test3DCode:
     def combined_rank_logicals_ok(s, logicals):
         """The check verify_3d_code replaced: rank of generators plus strings."""
         return all(s.in_normalizer(p) and not s.in_group(p) for p in logicals) and (
-            StabilizerGroup(s.n, list(s.generators) + logicals).rank()
+            StabilizerGroup.from_paulis(s.n, list(s.generators) + logicals).rank()
             == s.rank() + len(logicals)
         )
 
     def test_logicals_ok_matches_combined_rank(self, monkeypatch):
         for L in range(2, 9):
-            want = self.combined_rank_logicals_ok(gen_3d_code(L), logical_strings(L))
+            want = self.combined_rank_logicals_ok(
+                gen_3d_code(L), row_paulis(L**3, logical_strings(L)))
             assert verify_3d_code(L, distance_scan=False).logicals_ok == want
             assert want
         # string lists that fail: dependent, inside the group, outside the normalizer
         s = gen_3d_code(3)
-        a, b, c = logical_strings(3)
+        a, b, c = row_paulis(27, logical_strings(3))
         g0 = s.generators[0]
         z = Pauli(BitString.zeros(27), BitString.basis(27, 0))
         for logs in ([a, a, c], [a, b, pauli_mul(a, b)], [g0, b, c],
                      [pauli_mul(a, g0), b, c], [z, b, c]):
             with monkeypatch.context() as m:
-                m.setattr(stabilizer, "logical_strings", lambda L, logs=logs: logs)
+                rows = [(p.x.bits, p.z.bits) for p in logs]
+                m.setattr(stabilizer, "logical_strings", lambda L, rows=rows: rows)
                 got = verify_3d_code(3, distance_scan=False).logicals_ok
             assert got == self.combined_rank_logicals_ok(s, logs), logs
+
+    def test_structural_checks_build_no_objects(self, monkeypatch):
+        # the checks stay on int rows: no BitString, Pauli or Gf2Matrix
+        made = []
+        for cls in (BitString, Pauli, Gf2Matrix):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, cls=cls, init=cls.__init__:
+                                made.append(cls.__name__) or init(self, *args))
+        for L in range(2, 6):
+            rep = verify_3d_code(L, distance_scan=False)
+            assert rep.constraints_hold and rep.logicals_ok and rep.derivation_ok
+        assert made == []
+        Pauli.identity(1)  # the spies do see a construction
+        assert made == ["BitString", "BitString", "Pauli"]
 
     def test_verify_L2(self):
         rep = verify_3d_code(2)
