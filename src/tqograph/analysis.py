@@ -347,7 +347,9 @@ def verify_codewords(
     including each h against the zero label, avoids W.  The pairs go in
     itertools.combinations order through one W predicate on ints, and a
     xor already tested is not tested again, so the first failing pair is
-    still the one reported.  The deadline is checked at every pair.
+    still the one reported.  In a subspace with zero (2^rank labels) every
+    xor is a label, so only the zero-label pairs, which come first, run.
+    The deadline is checked at every pair.
     """
     hs = list(hs)
     if len(set(hs)) != len(hs):
@@ -361,7 +363,10 @@ def verify_codewords(
         if any(dot(h, z) for z in zb):
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
     full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline), set()
-    for i, j in itertools.combinations(range(len(full)), 2):
+    pairs = itertools.combinations(range(len(full)), 2)
+    if 1 << len(Echelon(full).rows) == len(full):
+        pairs = ((0, j) for j in range(1, len(full)))
+    for i, j in pairs:
         if deadline is not None:
             deadline.check()
         x = full[i] ^ full[j]

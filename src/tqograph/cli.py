@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from . import __version__
 from .gf2 import BitString
-from .graphs import FamilySpec, Graph, format_edge_list, gen_family
+from .graphs import FAMILIES, FamilySpec, Graph, format_edge_list, gen_family
 from . import analysis
 from .analysis import BudgetExceededError, Deadline, SetQuery
 from . import oracle as qoracle
@@ -27,11 +27,10 @@ from . import stabilizer
 SCHEMA = "tqograph-report/1"
 
 COST_NOTE = (
-    "Cost notes: the state-vector check works on real amplitudes and "
-    "transforms the rows of every codeword pair for a block of X patterns of "
-    "weight <= d-1 at once, one Sylvester-matrix product per run of at most 5 "
-    "index bits (n capped at 14).  W membership builds the syndromes of each "
-    "Pauli weight once per graph, and a query is one set scan.  The Z span and "
+    "Cost notes: the state-vector check (real amplitudes, n capped at 14) "
+    "takes one transposed copy, one Gram product and one Sylvester-matrix "
+    "product per support of weight <= d-1.  W membership builds the syndromes "
+    "of each Pauli weight once per graph, and a query is one set scan.  The Z span and "
     "the code3d scan grow each Pauli from its least qubit only onto the qubits "
     "of a check it still flips (the toric 5 --d 5 span: about 5 ms; code3d "
     "--L 7: 0.2 s).  cset and dmax walk the 2^r-element orthogonal span, with "
@@ -44,10 +43,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _add_graph(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family",
-                   help="family name (star, complete, complete_bipartite, "
-                        "multi_star, lattice, toric, connected_multi_star, "
-                        "line_of_complete, line_of_bipartite, toric3d, custom)")
+    p.add_argument("family", help=f"family name ({', '.join(FAMILIES)})")
     p.add_argument("params", nargs="*", type=int, help="family parameters")
     p.add_argument("--graph-file", default=None,
                    help="edge-list file for the custom family")
@@ -251,8 +247,8 @@ def cmd_oracle(args) -> int:
     except BudgetExceededError as exc:
         results = {"error": str(exc)}
         if isinstance(exc, qoracle.QeccBudgetExceededError):
-            # every X pattern of a lighter weight class was checked
-            results["x_pattern_weight"] = exc.weight
+            # every operator of a lighter weight class was checked
+            results["operator_weight"] = exc.weight
         return _report(args, "oracle", config, results, False, True, t0)
     return _report(args, "oracle", config, results, ok, False, t0)
 

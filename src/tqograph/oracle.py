@@ -9,18 +9,21 @@ Operator convention: ``X^k Z^l`` applies all Z factors first, so
 ``X^k Z^l |x> = (-1)^{l.x} |x xor k>``.  Enumerating (k, l) pairs covers Y up
 to a global phase, which the phase-insensitive conditions never see.
 
-For codewords c_i and c_j and an X pattern k, the row f(x) = conj(c_i[x xor
-k]) c_j[x] has the unnormalised Walsh-Hadamard transform F(l) = sum_x
-(-1)^{l.x} f(x) = <c_i| X^k Z^l |c_j>: one transform gives every l at once.
-H_n is the Kronecker product of the Sylvester matrices of any runs of the
-index bits (H_n = H_a (x) H_b), so a block of rows is transformed by one
-matrix product per run of at most RUN_BITS bits.
+The error-correction conditions are checked on reduced matrices (Knill and
+Laflamme, Phys. Rev. A 55, 900): split an index x into the bits y of a
+support S and the bits z of the rest.  Then R_ij(S)[y', y] = sum_z
+conj(c_i[y', z]) c_j[y, z] gives every operator supported inside S at once,
+<c_i| X^k Z^l |c_j> = sum_y (-1)^{l.y} R_ij(S)[y xor k, y].  One transposed
+copy of the stacked codewords with S's bits in front (runs of bits between
+them as single axes) turns all R_ij(S) into one Gram product, and the sum
+over y is one product with the Sylvester matrix of |S| bits.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import List, Optional, Tuple
 
@@ -32,13 +35,8 @@ from .graphs import Graph
 
 QUBIT_CAP = 14
 DEFAULT_TOL = 1e-9
-# Bytes of the (pairs, patterns, 2^n) rows of one transform block.
-BLOCK_BYTES = 1 << 17
-RUN_BITS = 5
-# At most 2^18 multiply-adds per product, the default size up to which
-# OpenBLAS runs one on a single thread (threaded, on two cores, a 2^20 one
-# ran ten times slower than four 2^18 ones).
-PRODUCT_ENTRIES = 1 << 13
+# Bytes of the transposed codeword copies of one chunk of supports.
+BLOCK_BYTES = 1 << 19
 
 
 class QubitCapExceededError(RuntimeError):
@@ -128,12 +126,6 @@ def graph_basis_state(g: Graph, h: BitString) -> StateVector:
     return StateVector(g.n, base.amps * sign[idx & h.bits])
 
 
-def inner(phi: StateVector, psi: StateVector) -> complex:
-    if phi.n != psi.n:
-        raise ValueError("qubit count mismatch")
-    return complex(np.vdot(phi.amps, psi.amps))
-
-
 def pauli_matrix_element(
     phi: StateVector, psi: StateVector, k: BitString, l: BitString
 ) -> complex:
@@ -158,32 +150,52 @@ class QeccVerdict:
 
 
 class QeccBudgetExceededError(BudgetExceededError):
-    """A budget stop in brute_force_qecc_check, in X-pattern weight class
-    weight: every pattern of a lighter class was checked without a hit."""
+    """A budget stop in brute_force_qecc_check, in operator weight class
+    weight: every operator of a lighter class was checked without a hit."""
 
     def __init__(self, message: str, weight: int):
         super().__init__(message)
         self.weight = weight
 
 
-def _walsh_hadamard(rows: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Entry (p, l) of the result is sum_x (-1)^{l.x} rows[p, x]; rows and
-    spare are (P, 2^n) scratch.  The product with the Sylvester matrix of the
-    top c index bits sums them out and moves their sign bits to the bottom,
-    so after every run's product the sign bits are back in order.
-    """
-    n = rows.shape[1].bit_length() - 1
-    runs = -(-n // RUN_BITS)
-    a, b = rows, spare
-    for r in range(runs):
-        c = (n + r) // runs  # balanced runs of at most RUN_BITS bits, summing to n
-        src, dst = a.reshape(len(rows), 1 << c, -1), b.reshape(len(rows), -1, 1 << c)
-        step = PRODUCT_ENTRIES >> c
-        for s in range(0, src.shape[2], step):
-            np.matmul(src[:, :, s : s + step].transpose(0, 2, 1), _sylvester(c),
-                      out=dst[:, s : s + step])
-        a, b = b, a
-    return a
+def _gram(m: np.ndarray, top: int) -> np.ndarray:
+    """conj(m) m^T per matrix of the stack m, by its top rows and the rest: numpy
+    runs a square product of a matrix and its transpose as the far slower syrk."""
+    mt = m.transpose(0, 2, 1)
+    return np.concatenate((m[:, :top].conj() @ mt, m[:, top:].conj() @ mt), axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _layouts(n: int, w: int) -> Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]:
+    """(support mask, shape, axis order) per support of weight w, in
+    combinations order: the codewords viewed with one axis per support bit and
+    per run of bits around them, support bits moved in front, top first.  The
+    copy's inner loop is the last axis: the contiguous run below the support
+    if it has 16 entries or more, else the longest run (faster at n = 14)."""
+    out = []
+    for s in combinations(range(n), w):
+        cuts = (n,) + tuple(q for b in reversed(s) for q in (b + 1, b)) + (0,)
+        shape = (-1,) + tuple(1 << (hi - lo) for hi, lo in zip(cuts, cuts[1:]))
+        runs = sorted(range(1, 2 * w + 2, 2), key=lambda a: shape[-1] < 16 and shape[a])
+        order = (0,) + tuple(range(2, 2 * w + 1, 2)) + tuple(runs)
+        out.append((sum(1 << q for q in s), shape, order))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_tables(nc: int, w: int) -> Tuple[np.ndarray, ...]:
+    """The pairs (pi, pj): (0, 0), the other diagonal ones, the rest.  Entry
+    (p, k, y) of flat indexes R_{pi pj}[y xor k, y] in a flat (nc 2^w)^2 Gram
+    matrix; limit(k, l) is DEFAULT_TOL where k | l covers the support, else
+    infinity, so an operator counts only on its own support."""
+    pairs = [(i, i) for i in range(nc)] + [(i, j) for i in range(nc) for j in range(i + 1, nc)]
+    pi, pj = np.array(pairs).T
+    y = np.arange(1 << w)
+    flat = ((((pi[:, None, None] << w) + (y[:, None] ^ y)) * nc + pj[:, None, None]) << w) + y
+    limit = np.where((y[:, None] | y) == (1 << w) - 1, DEFAULT_TOL, np.inf)
+    for t in (pi, pj, flat, limit):
+        t.setflags(write=False)
+    return pi, pj, flat, limit
 
 
 def _operators_before(n: int, w: int, k: int, l: int) -> int:
@@ -210,16 +222,13 @@ def brute_force_qecc_check(
     operators_checked counts the operators up to and including the
     witness's, or all of them.
 
-    The X patterns of weight <= d - 1 run in (weight, k) order, in blocks
-    of BLOCK_BYTES of rows, one row per codeword pair and pattern, all
-    transformed at once (module docstring).  For i == j the row is the
-    difference from pair (0, 0), built once per pattern.  The earliest
-    violation is the least (weight, k, l, pair) hit.  Once it has weight w
-    and X pattern k_w, only patterns before (w, k_w) in that order can hold
-    an earlier one, so the scan stops at the first block starting past it; a
-    pattern past it inside a block has weight class >= w and k > k_w, so
-    it cannot win.  The deadline is checked once per block, and a stop
-    raises QeccBudgetExceededError with its first pattern's weight class.
+    Supports of weight w = 0 .. d - 1 run class by class (module docstring),
+    in chunks of at most BLOCK_BYTES of copies, one support at least, that
+    never straddle a class.  The witness is the least (k, l, i, j) hit of
+    the first class with one, where the scan stops; a chunk is skipped when
+    Z^S, the least operator on each of its supports S, comes after a hit.
+    The deadline is checked once per chunk; a stop raises
+    QeccBudgetExceededError with its class.
     """
     if not codewords:
         raise ValueError("need at least one codeword")
@@ -228,61 +237,51 @@ def brute_force_qecc_check(
         raise ValueError("codeword qubit counts differ")
     if d < 1 or d > n:
         raise ValueError(f"need 1 <= d <= {n}")
-    for i, ci in enumerate(codewords):
-        for j in range(i, len(codewords)):
-            expect = 1.0 if i == j else 0.0
-            if abs(inner(ci, codewords[j]) - expect) > DEFAULT_TOL:
-                raise ValueError(f"codewords {i},{j} not orthonormal")
+    kets = np.stack([c.amps for c in codewords])
+    nc = len(kets)
+    overlaps = np.abs(_gram(kets[None], 1)[0] - np.eye(nc)) > DEFAULT_TOL
+    if overlaps.any():
+        i, j = sorted(np.argwhere(overlaps)[0])
+        raise ValueError(f"codewords {i},{j} not orthonormal")
     total = sum(comb(n, w) * 3**w for w in range(d))
-    if len(codewords) == 1:  # pair (0, 0) cannot fail: it is the reference
+    if nc == 1:  # pair (0, 0) cannot fail: it is the reference
         return QeccVerdict(True, None, total)
 
-    dtype = np.result_type(*(c.amps for c in codewords))
-    kets = [c.amps.astype(dtype, copy=False) for c in codewords]
-    bras = [np.conj(a) for a in kets]
-    pairs = [(i, j) for i in range(len(kets)) for j in range(i, len(kets)) if j]
-    idx, pc, _ = _tables(n)
-    patterns = np.argsort(pc, kind="stable")[: sum(comb(n, w) for w in range(d))]
-    step = max(1, BLOCK_BYTES // (len(pairs) * dtype.itemsize << n))
-    # a block's rows and their transform, one allocation per call
-    scratch = np.empty((2, len(pairs) * min(step, len(patterns)), 1 << n), dtype)
-    best = None  # (w, k, l, pair) of the earliest violation so far
-    for start in range(0, len(patterns), step):
-        ks = patterns[start : start + step]
-        pk, k0 = int(pc[ks[0]]), int(ks[0])
-        if best is not None and (pk, k0) > best[:2]:
-            break
-        if deadline is not None:
-            try:
-                deadline.check()
-            except BudgetExceededError as exc:
-                raise QeccBudgetExceededError(str(exc), pk) from exc
-        flip = ks[:, None] ^ idx
-        m = len(pairs) * len(ks)
-        rows = scratch[0, :m].reshape(len(pairs), len(ks), 1 << n)
-        base = scratch[1, : len(ks)]
-        # flip < 2^n; unlike "raise", "clip" writes out without a buffer
-        np.take(bras[0], flip, out=base, mode="clip")
-        base *= kets[0]
-        for p, (i, j) in enumerate(pairs):
-            np.take(bras[i], flip, out=rows[p], mode="clip")
-            rows[p] *= kets[j]
-            if i == j:
-                rows[p] -= base
-        vals = _walsh_hadamard(scratch[0, :m], scratch[1, :m])
-        r, l = np.divmod(np.flatnonzero(np.abs(vals) > DEFAULT_TOL), 1 << n)
-        pair, b = np.divmod(r, len(ks))
-        k = ks[b]
-        w = pc[k] + pc[l & ~k]
-        hits = np.flatnonzero(w < d)
-        if hits.size:
-            h = hits[np.lexsort((pair[hits], l[hits], k[hits], w[hits]))[0]]
-            hit = (int(w[h]), int(k[h]), int(l[h]), int(pair[h]))
-            if best is None or hit < best:
-                best = hit
-    if best is None:
-        return QeccVerdict(True, None, total)
-    w, k, l, p = best
-    i, j = pairs[p]
-    witness = (i, j, BitString(n, k), BitString(n, l))
-    return QeccVerdict(False, witness, _operators_before(n, w, k, l) + 1)
+    step = max(1, BLOCK_BYTES // kets.nbytes)
+    # the widest class to copy has C(n, min(d - 1, n // 2)) supports
+    scratch = np.empty(min(step, comb(n, min(d - 1, n // 2))) * kets.size, kets.dtype)
+    for w in range(d):
+        pi, pj, flat, limit = _pair_tables(nc, w)
+        layouts = _layouts(n, w)
+        hits = []  # the least (k, l, i, j) violation of each chunk with one
+        for start in range(0, len(layouts), step):
+            if deadline is not None:
+                try:
+                    deadline.check()
+                except BudgetExceededError as exc:
+                    raise QeccBudgetExceededError(str(exc), w) from exc
+            chunk = layouts[start : start + step]
+            # w = 0 holds the overlaps checked above; Z^S is the least operator on S
+            if not w or hits and min(hits)[:2] <= (0, min(m for m, _, _ in chunk)):
+                continue
+            copies = scratch[: len(chunk) * kets.size].reshape(len(chunk), nc << w, -1)
+            for t, (_, shape, order) in enumerate(chunk):
+                src = kets.reshape(shape).transpose(order)
+                np.copyto(copies[t].reshape(src.shape), src)
+            gram = _gram(copies, 1 << w).reshape(len(chunk), -1)
+            vals = np.matmul(np.take(gram, flat, axis=1), _sylvester(w))
+            vals[:, 1:nc] -= vals[:, :1]
+            bad = np.abs(vals[:, 1:]) > limit
+            if not bad.any():
+                continue
+            t, p, k, l = np.nonzero(bad)
+            # local bit b of a support stands for its b-th qubit
+            qubits = np.array([[q for q in range(n) if m >> q & 1] for m, _, _ in chunk])[t]
+            k, l = ((np.stack((k, l))[:, :, None] >> np.arange(w) & 1) << qubits).sum(axis=2)
+            h = np.lexsort((pj[p + 1], pi[p + 1], l, k))[0]
+            hits.append((int(k[h]), int(l[h]), int(pi[p[h] + 1]), int(pj[p[h] + 1])))
+        if hits:
+            k, l, i, j = min(hits)
+            witness = (i, j, BitString(n, k), BitString(n, l))
+            return QeccVerdict(False, witness, _operators_before(n, w, k, l) + 1)
+    return QeccVerdict(True, None, total)

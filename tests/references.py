@@ -19,6 +19,10 @@ Stabilizer groups on Pauli objects, which StabilizerGroup replaced with
 (x, z) int rows: a group with every element listed, and the code-pair
 generators that paired each vertex of supp(h) with the lowest one.
 
+verify_codewords as it was before a label set that forms a subspace with
+zero was walked on its zero-label pairs only: every pair, in
+itertools.combinations order, each xor through in_W.
+
 Helpers that only the tests call: graph_stabilizers, pauli_expectation, and
 the edge-space helpers s_vector and odd_degree_vertices.
 """
@@ -27,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from tqograph.analysis import SetQuery, VerifyVerdict, in_W, z_span_basis
 from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
 from tqograph.oracle import pauli_matrix_element
@@ -395,3 +400,22 @@ def reference_code_pair_stabilizers(g: Graph, h: BitString) -> StabilizerGroup:
             p = pauli_mul(p, base[j])
         gens.append(p)
     return StabilizerGroup.from_paulis(g.n, gens)
+
+
+def reference_verify_codewords(g: Graph, d: int, hs: Sequence[BitString]) -> VerifyVerdict:
+    """verify_codewords walking every label pair, with in_W on each xor."""
+    hs = list(hs)
+    if len(set(hs)) != len(hs):
+        return VerifyVerdict(False, "duplicate labels")
+    zb = z_span_basis(SetQuery(g, d))
+    for i, h in enumerate(hs):
+        if h.is_zero():
+            return VerifyVerdict(False, f"label {i} is the zero string")
+        if any(dot(h, z) for z in zb):
+            return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
+    full = [BitString.zeros(g.n)] + hs
+    for i, j in itertools.combinations(range(len(full)), 2):
+        x = full[i] ^ full[j]
+        if in_W(SetQuery(g, d), x):
+            return VerifyVerdict(False, f"xor of labels {i},{j} lies in W: {x.to_text()}")
+    return VerifyVerdict(True)

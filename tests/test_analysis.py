@@ -43,7 +43,12 @@ from tqograph.analysis import (
 )
 from tqograph.oracle import graph_basis_state, pauli_matrix_element
 
-from references import connected_z_span_basis, s_vector, square_nbrs
+from references import (
+    connected_z_span_basis,
+    reference_verify_codewords,
+    s_vector,
+    square_nbrs,
+)
 
 
 def random_graph(rng, n):
@@ -744,21 +749,59 @@ class TestVerifyCodewords:
         v = verify_codewords(g, 2, bad)
         assert not v and v.witness == "xor of labels 1,2 lies in W: 1100"
 
-    def test_budget_stop_inside_the_pair_loop(self):
+    @staticmethod
+    def _checks_per_pair(texts, pairs):
         # With the W tables cached, the checks after the Z span's are one per
-        # label pair (the zero label included); a stop at the first or the
-        # last of them raises, where a loop without checks would pass.
+        # label pair walked (the zero label included); a stop at the first or
+        # the last of them raises, where a loop without checks would pass.
         g = multi_star(2, 2)
-        labels = [BitString.from_text(t) for t in ("1010", "0101", "1111")]
+        labels = [BitString.from_text(t) for t in texts]
         in_W(SetQuery(g, 2), labels[0])
         span, run = RaiseAtCheck(0), RaiseAtCheck(0)  # never raise: left runs negative
         z_span_basis(SetQuery(g, 2), span)
         assert verify_codewords(g, 2, labels, run)
-        pairs = 6
         assert -run.left == -span.left + pairs
         for stop in (-span.left + 1, -run.left):
             with pytest.raises(BudgetExceededError, match="chosen check"):
                 verify_codewords(g, 2, labels, RaiseAtCheck(stop))
+
+    def test_budget_stop_inside_the_pair_loop(self):
+        # the labels and zero form a subspace: only the 3 zero-label pairs run
+        self._checks_per_pair(("1010", "0101", "1111"), 3)
+
+    def test_budget_stop_inside_the_pair_loop_of_a_nonlinear_set(self):
+        self._checks_per_pair(("1010", "0101"), 3)
+
+
+class TestVerifyLinearSets:
+    def test_zero_row_shortcut_matches_the_full_walk(self):
+        # random subspaces of Z^perp (every nonzero element, shuffled), and
+        # the same sets with one element dropped, which walk every pair
+        rng = random.Random("verify-linear")
+        seen = collections.Counter()
+        for _ in range(60):
+            n = rng.randint(3, 9)
+            g = random_graph(rng, n)
+            d = rng.randint(2, min(4, n))
+            basis = zperp_basis(SetQuery(g, d))
+            if not basis:
+                continue
+            span = {0}
+            for _ in range(rng.randint(1, min(4, len(basis)))):
+                v = 0
+                for b in basis:
+                    v ^= b.bits if rng.random() < 0.5 else 0
+                span |= {x ^ v for x in span}
+            labels = [BitString(n, x) for x in span if x]
+            rng.shuffle(labels)
+            for hs in (labels, labels[:-1]):
+                if not hs:
+                    continue
+                got = verify_codewords(g, d, hs)
+                want = reference_verify_codewords(g, d, hs)
+                assert (got.ok, got.witness) == (want.ok, want.witness), (g.edges, d, hs)
+                seen[got.ok] += 1
+        assert seen[True] and seen[False]
 
 
 class TestClassicalCodes:

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import json
+import operator
+import random
 from pathlib import Path
 
 import pytest
@@ -165,20 +168,44 @@ class TestVerify:
         assert rep["results"]["label_count"] == 1
 
     def test_budget_env(self, capsys, monkeypatch, tmp_path):
-        # the [16,11,4] extended Hamming code (monomials of degree <= 2 in 4
-        # variables) gives 2047 labels, about 2.1 million pairs to test; the
+        # 2000 random words of the [24,18,4] shortened extended Hamming code
+        # (even weight, positions xoring to zero) on the hubs: a set that is
+        # not a subspace, so all 2 million pairs are walked, with about 2^18
+        # distinct xors to test against W (about 10 s uncapped); the
         # deadline is checked at every pair, so the stop comes soon after
         # the 200 ms budget
+        rng = random.Random("verify-budget")
+        words = set()
+        while len(words) < 2000:
+            x = rng.getrandbits(24)
+            if x and bin(x).count("1") % 2 == 0 and functools.reduce(
+                    operator.xor, (i for i in range(24) if x >> i & 1), 0) == 0:
+                words.add(x)
+        path = tmp_path / "labels.txt"
+        path.write_text("".join(
+            "".join("1" if v % 4 == 0 and x >> (v // 4) & 1 else "0" for v in range(96)) + "\n"
+            for x in sorted(words)))
+        monkeypatch.setenv("TQO_BUDGET_MS", "200")
+        code, rep = run_json(capsys, ["verify", "multi_star", "24", "4", "--d", "4",
+                                      "--codewords", str(path)])
+        assert code == 2 and rep["budget_exceeded"]
+        assert rep["results"] == {"error": "time budget of 0.200s exhausted"}
+        assert rep["elapsed_ms"] < 1200
+
+    def test_linear_ldpc_set_tests_only_the_zero_row(self, capsys, monkeypatch, tmp_path):
+        # the 2047 labels of the [16,11,4] extended Hamming code (monomials
+        # of degree <= 2 in 4 variables) form a subspace with zero, so the
+        # 2047 pairs with the zero label test every xor: about 0.1 s, where
+        # the walk of all 2.1 million pairs outlasts the 500 ms budget
         rows = [sum(1 << x for x in range(16) if all((x >> v) & 1 for v in mono))
                 for deg in range(3) for mono in itertools.combinations(range(4), deg)]
         path = tmp_path / "hamming.txt"
         path.write_text("".join(format(r, "016b")[::-1] + "\n" for r in rows))
-        monkeypatch.setenv("TQO_BUDGET_MS", "200")
+        monkeypatch.setenv("TQO_BUDGET_MS", "500")
         code, rep = run_json(capsys, ["verify", "multi_star", "16", "4", "--d", "4",
                                       "--ldpc", str(path), "--m", "4"])
-        assert code == 2 and rep["budget_exceeded"]
-        assert rep["results"] == {"error": "time budget of 0.200s exhausted"}
-        assert rep["elapsed_ms"] < 1200
+        assert code == 0 and rep["results"]["pass"]
+        assert rep["results"]["label_count"] == 2047
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["verify", "star", "4", "--d", "2"])
@@ -234,7 +261,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("stop,weight", [(1, 0), (2, 1), (10, 2)])
     def test_budget_stop_reports_the_weight_class(self, capsys, monkeypatch, stop, weight):
-        # one X pattern per block, so check t comes before pattern t - 1:
+        # one support per chunk, so check t comes before support t - 1:
         # 1 of weight 0, then 8 of weight 1, then weight 2
         class StopAtCheck:
             checks = 0
@@ -249,7 +276,7 @@ class TestOracle:
         code, rep = run_json(capsys, ["oracle", "toric", "2", "--h", "10100101", "--d", "3"])
         assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
         assert rep["results"] == {"error": "time budget of 0.000s exhausted",
-                                  "x_pattern_weight": weight}
+                                  "operator_weight": weight}
 
     def test_zero_label_is_an_error_line(self, capsys):
         code, out, err = run(capsys, ["oracle", "star", "3", "--h", "000", "--d", "2"])

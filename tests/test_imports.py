@@ -1,8 +1,10 @@
 """Every name a module imports is used in it, or re-exported through __all__;
-and every private function or class of the package is used in the package."""
+every private function or class of the package is used in the package; and
+every module-level constant of the package is read in the package."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -102,3 +104,37 @@ def test_detects_an_unreferenced_private_helper():
     }
     assert unreferenced_private(sources) == [
         ("a.py", "_dead", 2), ("a.py", "_recursive", 3), ("a.py", "_method", 5)]
+
+
+def unread_constants(sources):
+    """(file, name, line) of each module-level UPPER_CASE constant that no
+    module reads, as a name or as an attribute: a dead setting, or one only
+    the tests use."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            out.extend((file, t.id, node.lineno) for t in targets
+                       if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)
+                       and t.id not in reads)
+    return out
+
+
+def test_constants_are_read_in_the_package():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unread_constants(sources) == []
+
+
+def test_detects_an_unread_constant():
+    sources = {
+        "a.py": ("LIMIT = 3\nDEAD = 4\nSHADOWED: int = 5\n_private = 6\n"
+                 "def f():\n    INNER = 7\n    return LIMIT\n"),
+        "b.py": "import a\nprint(a.SHADOWED)\nDEAD_TOO = 8\nDEAD_TOO = 9\n",
+    }
+    assert unread_constants(sources) == [("a.py", "DEAD", 2), ("b.py", "DEAD_TOO", 3),
+                                         ("b.py", "DEAD_TOO", 4)]

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tqograph import oracle
-from tqograph.analysis import BudgetExceededError, Deadline
+from tqograph.analysis import BudgetExceededError, Deadline, d_max
 from tqograph.gf2 import BitString
 from tqograph.graphs import Graph, complete, star, toric
 from tqograph.oracle import (
@@ -18,7 +19,6 @@ from tqograph.oracle import (
     brute_force_qecc_check,
     build_graph_state,
     graph_basis_state,
-    inner,
     pauli_matrix_element,
 )
 
@@ -140,7 +140,7 @@ class TestGraphState:
         for i in range(16):
             for j in range(16):
                 want = 1.0 if i == j else 0.0
-                assert abs(inner(states[i], states[j]) - want) < TOL
+                assert abs(np.vdot(states[i].amps, states[j].amps) - want) < TOL
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
@@ -255,9 +255,9 @@ class TestQeccCheck:
         (1, 1, 0), (1, 2, 1), (1, 9, 1), (1, 10, 2), (1, 37, 2),
         (4, 3, 1), (4, 4, 2)])
     def test_budget_stop_names_the_weight_class(self, monkeypatch, per_block, stop, weight):
-        # check t comes before block t - 1, which starts at pattern
-        # per_block * (t - 1) of the (weight, k) order: on 8 qubits at d = 3
-        # that order has 1 + 8 + 28 patterns
+        # check t comes before chunk t - 1; on 8 qubits at d = 3 the weight
+        # classes hold 1 + 8 + 28 supports, in chunks of per_block supports
+        # that never straddle a class
         g = toric(2)
         states = [build_graph_state(g), graph_basis_state(g, BitString.from_text("10100101"))]
         monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, per_block))
@@ -267,11 +267,55 @@ class TestQeccCheck:
         assert info.value.weight == weight and deadline.checks == stop
         assert str(info.value) == "time budget of 0.000s exhausted"
         assert isinstance(info.value, BudgetExceededError)
-        # one check more than there are blocks lets the scan finish
-        blocks = -(-37 // per_block)
-        deadline = StopAtCheck(blocks + 1)
+        # one check more than there are chunks lets the scan finish
+        chunks = sum(-(-math.comb(8, w) // per_block) for w in range(3))
+        deadline = StopAtCheck(chunks + 1)
         assert brute_force_qecc_check(states, 3, deadline=deadline).ok
-        assert deadline.checks == blocks
+        assert deadline.checks == chunks
+
+    def test_weight_one_witness_stops_after_its_class(self, monkeypatch):
+        # Z on vertex 5 maps |G> onto the label state: the witness has weight
+        # 1, so the scan checks class 0 and the 10 supports of class 1, one
+        # chunk each, and stops
+        g = Graph.from_edges(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5)])
+        states = [build_graph_state(g), graph_basis_state(g, BitString(10, 1 << 5))]
+        monkeypatch.setattr(oracle, "BLOCK_BYTES", 1)
+        deadline = StopAtCheck(0)
+        verdict = brute_force_qecc_check(states, 4, deadline=deadline)
+        assert _verdict_key(verdict) == (False, (0, 1, 0, 1 << 5), 1 + 6)  # after I, Z_0 .. Z_4
+        assert deadline.checks == 1 + 10
+
+    @pytest.mark.parametrize("n,d,edges,label", [
+        (14, 3, [(0, 1), (0, 2), (0, 4), (0, 12), (1, 8), (1, 11), (1, 13), (2, 4), (2, 5),
+                 (2, 6), (2, 11), (2, 13), (3, 7), (3, 9), (3, 10), (3, 11), (3, 13), (4, 13),
+                 (5, 8), (5, 10), (6, 7), (6, 12), (7, 10), (8, 11), (9, 12), (9, 13), (12, 13)],
+         "11100100000000"),
+        (11, 4, [(0, 1), (0, 7), (0, 10), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (1, 10),
+                 (2, 6), (3, 4), (3, 6), (3, 7), (3, 8), (4, 7), (4, 8), (5, 8), (5, 9),
+                 (5, 10), (6, 10), (7, 10)],
+         "01010110101"),
+    ])
+    def test_member_check_memory(self, n, d, edges, label):
+        # a member scans every support of weight <= d - 1: the peak is the
+        # stacked codewords and one chunk of copies (BLOCK_BYTES) plus the
+        # small per-chunk matrices
+        g = Graph.from_edges(n, edges)
+        states = [build_graph_state(g), graph_basis_state(g, BitString.from_text(label))]
+        tracemalloc.start()
+        try:
+            assert brute_force_qecc_check(states, d).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
+
+    @pytest.mark.parametrize("w", range(5))
+    def test_each_operator_is_read_on_its_own_support_only(self, w):
+        # of the 4^w (k, l) a support's matrices give, only the 3^w whose
+        # k | l covers the support are tested; the rest have smaller supports
+        limit = oracle._pair_tables(2, w)[3]
+        k, l = np.nonzero(np.isfinite(limit))
+        assert len(k) == 3**w and np.all(k | l == (1 << w) - 1)
 
     def test_single_codeword_trivially_consistent(self):
         verdict = brute_force_qecc_check([build_graph_state(star(3))], 2)
@@ -330,6 +374,27 @@ class TestQeccMatchesReference:
             assert got == _verdict_key(reference_qecc_check(twisted, d)), (d, labels)
             assert got[0] == want[0]
 
+    @pytest.mark.parametrize("n", (11, 12))
+    def test_larger_graphs(self, n):
+        # a random connected graph with 2n - 1 edges, its d_max certificate
+        # (a member up to d_max), and two random labels, for d <= 4
+        rng = random.Random(f"qecc-reference:{n}")
+        edges = {(rng.randrange(u), u) for u in range(1, n)}
+        while len(edges) < 2 * n - 1:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph.from_edges(n, sorted(edges))
+        cert = d_max(g).certificate
+        base = build_graph_state(g)
+        for labels in ([cert.bits], rng.sample(range(1, 1 << n), 2)):
+            plain = [base] + [graph_basis_state(g, BitString(n, h)) for h in labels]
+            twisted = _phase_twist(plain, rng)
+            for d in range(1, 5):
+                want = _verdict_key(reference_qecc_check(plain, d))
+                assert _verdict_key(brute_force_qecc_check(plain, d)) == want, (d, labels)
+                got = _verdict_key(brute_force_qecc_check(twisted, d))
+                assert got == _verdict_key(reference_qecc_check(twisted, d)), (d, labels)
+                assert got[0] == want[0]
+
     def test_distance_three_member(self):
         # d_max(toric(2)) = 3 with this certificate, so d = 3 scans every operator
         g = toric(2)
@@ -363,16 +428,16 @@ class TestQeccMatchesReference:
         assert _verdict_key(verdict) == (False, (1, 1, 3, 0), 55)
 
 
-def _block_bytes(states, patterns):
-    """BLOCK_BYTES that holds `patterns` X patterns of these states' rows."""
-    pairs = len(states) * (len(states) + 1) // 2 - 1
-    return patterns * pairs * states[0].amps.itemsize << states[0].n
+def _block_bytes(states, supports):
+    """BLOCK_BYTES that holds `supports` transposed copies of these states."""
+    itemsize = max(s.amps.itemsize for s in states)
+    return supports * len(states) * itemsize << states[0].n
 
 
 class TestQeccBlocks:
-    """Block boundaries: one pattern per block, and blocks of a whole weight
-    class, which straddle the class boundaries; the verdict is the
-    per-operator reference's either way."""
+    """Chunk boundaries: one support per chunk, a chunk as wide as the widest
+    weight class, and the default; the verdict is the per-operator
+    reference's either way."""
 
     @staticmethod
     def _check_all_blocks(monkeypatch, states, d):
@@ -418,6 +483,18 @@ class TestQeccBlocks:
             for d in (1, 2, 3):
                 want = self._check_all_blocks(monkeypatch, real, d)
                 assert self._check_all_blocks(monkeypatch, states, d) == want
+
+    def test_later_chunk_can_hold_a_lighter_z_pattern(self, monkeypatch):
+        # On the 6-cycle, labels 9 (qubits 0, 3) and 6 (qubits 1, 2) violate
+        # at Z^9 and Z^6.  In chunks of 3 supports, (0, 3) ends the first
+        # chunk of weight 2, while (1, 2) sits in the second behind (0, 4)
+        # and (0, 5): that chunk must still run, and Z^6 is the witness
+        g = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+        states = [build_graph_state(g)] + [graph_basis_state(g, BitString(6, h)) for h in (9, 6)]
+        monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, 3))
+        verdict = _verdict_key(brute_force_qecc_check(states, 3))
+        assert verdict == _verdict_key(reference_qecc_check(states, 3))
+        assert verdict[:2] == (False, (0, 2, 0, 6))
 
     def test_lighter_z_pattern_wins_over_earlier_pair(self, monkeypatch):
         # |0+> and (|0-> + |1+>)/sqrt 2: pair (1, 1) violates at Z on qubit 0
