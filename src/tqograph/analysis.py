@@ -17,19 +17,32 @@ The Z span runs the check-guided kernel gf2.cluster_xors on the graph-state
 generators: each stabilizer X^k Z^{A.k} of weight <= d-1 grows from its least
 qubit only onto generators it does not yet commute with (z_span_basis: why).
 
-W by meet in the middle.  A.m ^ l is the syndrome of the Pauli with X part
-m and Z part l: at vertex v, X contributes column A_v, Z contributes e_v and
-Y contributes A_v ^ e_v, and the syndrome of a product is the xor of the
-syndromes.  Let T_w be the syndromes of the Paulis of weight <= w.  With
-a = ceil((d-1)/2) and b = floor((d-1)/2),
+W by meet in the middle, peeled down to the tables.  A.m ^ l is the
+syndrome of the Pauli with X part m and Z part l: at vertex v, X contributes
+column A_v, Z contributes e_v and Y contributes A_v ^ e_v, and the syndrome
+of a product is the xor of the syndromes.  Let T_w be the syndromes of the
+Paulis of weight <= w.  With k = ceil((d-1)/2) and b = floor((d-1)/2),
 
-  W = T_a ^ T_b = {s ^ t : s in T_a, t in T_b}.
+  W = T_k ^ T_b = {s ^ t : s in T_k, t in T_b}.
 
 Every Pauli of weight <= d-1 splits into two Paulis on disjoint supports,
-of weights <= a and <= b; and the weight of a product is at most the sum of
-the weights.  The tables T_0, T_1, ... are kept for the last graph and grow
-one weight class at a time, so each class is enumerated once per graph;
-h is in W iff h ^ t lies in T_a for some t in T_b, one set scan per query.
+of weights <= k and <= b; and the weight of a product is at most the sum of
+the weights.  The tables T_0 .. T_k are kept for the last graph and grow
+one weight class at a time, so each class is enumerated once per graph.
+
+A query h not in T_k is peeled (the cluster method's step, as in
+gf2.cluster_xors): with c the lowest set bit of h, the flips of check c are
+the syndromes of Z_c, Y_c, and X_v, Y_v for v in N(c).  For h != 0,
+
+  h in T_k ^ T_j  iff  h ^ s in T_k ^ T_(j-1) for some flip s,
+
+since a Pauli of weight <= k + j with syndrome h has a qubit whose choice
+flips c, and without it the Pauli has weight <= k + j - 1 (conversely, a
+flip is the syndrome of one qubit's choice).  The peel runs from j = b down
+to j = 1, which is one set scan of h ^ flips against T_k.  Where
+|flips| * |T_(j-1)| >= |T_j| it scans h ^ T_j against T_k instead, so by
+induction a level-j call does at most |T_j| lookups, and a query no more
+than the 1 + |T_b| of one scan of h ^ T_b.
 
 Zp is walked by one int generator, _span_walk: at step c it xors in the
 step indexed by the lowest set bit of c.  With the kernel basis as the
@@ -45,7 +58,7 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,10 +179,10 @@ def zperp_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitStr
     return Gf2Matrix.from_rows(rows, cols=q.graph.n).kernel_basis()
 
 
-# (A, [T_0, T_1, ...]) for the last graph queried: one entry, so each weight
-# class is enumerated once per graph, and memory stays bounded by the tables
-# of one graph.
-_w_cache: Optional[Tuple[Gf2Matrix, List[frozenset]]] = None
+# (A, [T_0, T_1, ...], {1 << c: flips of check c}) for the last graph queried:
+# one entry, so each weight class is enumerated once per graph, and memory
+# stays bounded by the tables of one graph.
+_w_cache: Optional[Tuple[Gf2Matrix, List[frozenset], Dict[int, Tuple[int, ...]]]] = None
 
 
 def _w_tables(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> List[frozenset]:
@@ -178,7 +191,7 @@ def _w_tables(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> List[frozen
     in a build leaves the tables as they were."""
     global _w_cache
     if _w_cache is None or _w_cache[0] != a:
-        _w_cache = (a, [frozenset((0,))])
+        _w_cache = (a, [frozenset((0,))], {})
     tables = _w_cache[1]
     while len(tables) <= w:
         choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.columns())]
@@ -187,17 +200,46 @@ def _w_tables(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> List[frozen
 
 
 def _w_member(a: Gf2Matrix, d: int, deadline: Optional[Deadline]) -> Callable[[int], bool]:
-    """The predicate h -> (h in W) on ints, for one (A, d): h in T_a, or one
-    C-level scan of h ^ T_b against T_a (module docstring).  The tables are
-    fetched at the first query, so a walk that yields nothing builds none."""
-    pair = []
+    """The predicate h -> (h in W) on ints, for one (A, d): h in T_k, or the
+    peel of h down to T_k (module docstring), k = d // 2.  The flips of a
+    check are listed at its first peel and kept with the tables; the tables
+    are fetched at the first query, so a walk that yields nothing builds none."""
+    k, b = d // 2, (d - 1) // 2
+    cols = a.columns()
+    t_k = tables = sizes = flips = None
+
+    def flips_of(bit: int) -> Tuple[int, ...]:
+        # Z_c, Y_c, then X_v, Y_v for v in N(c), c the index of bit; once each
+        col = cols[bit.bit_length() - 1]
+        out, rest = [bit, col ^ bit], col
+        while rest:
+            v = rest & -rest
+            x = cols[v.bit_length() - 1]
+            out += (x, x ^ v)
+            rest ^= v
+        flips[bit] = f = tuple(dict.fromkeys(out))
+        return f
+
+    def peel(h: int, j: int) -> bool:
+        # h in T_k ^ T_j, for j >= 1
+        if not h:
+            return True
+        f = flips.get(h & -h) or flips_of(h & -h)
+        if len(f) * sizes[j - 1] >= sizes[j]:
+            return not t_k.isdisjoint(map(h.__xor__, tables[j]))
+        if j == 1:
+            return not t_k.isdisjoint(map(h.__xor__, f))
+        for s in f:
+            if peel(h ^ s, j - 1):
+                return True
+        return False
 
     def member(h: int) -> bool:
-        if not pair:
-            tables = _w_tables(a, d // 2, deadline)
-            pair[:] = tables[d // 2], tables[(d - 1) // 2]
-        t_a, t_b = pair
-        return h in t_a or not t_a.isdisjoint(map(h.__xor__, t_b))
+        nonlocal t_k, tables, sizes, flips
+        if t_k is None:
+            tables = _w_tables(a, k, deadline)[: k + 1]
+            t_k, sizes, flips = tables[k], [len(t) for t in tables], _w_cache[2]
+        return h in t_k or (b > 0 and peel(h, b))
 
     return member
 

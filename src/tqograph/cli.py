@@ -30,7 +30,8 @@ COST_NOTE = (
     "Cost notes: the state-vector check (real amplitudes, n capped at 14) "
     "takes one transposed copy, one Gram product and one Sylvester-matrix "
     "product per support of weight <= d-1.  W membership builds the syndromes "
-    "of each Pauli weight once per graph, and a query is one set scan.  The Z span and "
+    "of each Pauli weight up to d//2 once per graph; a query branches only on "
+    "the Paulis that flip its lowest check, down to those tables.  The Z span and "
     "the code3d scan grow each Pauli from its least qubit only onto the qubits "
     "of a check it still flips (the toric 5 --d 5 span: about 5 ms; code3d "
     "--L 7: 0.2 s).  cset and dmax walk the 2^r-element orthogonal span, with "

@@ -165,13 +165,15 @@ def _gram(m: np.ndarray, top: int) -> np.ndarray:
     return np.concatenate((m[:, :top].conj() @ mt, m[:, top:].conj() @ mt), axis=1)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=None)
 def _layouts(n: int, w: int) -> Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]:
     """(support mask, shape, axis order) per support of weight w, in
     combinations order: the codewords viewed with one axis per support bit and
     per run of bits around them, support bits moved in front, top first.  The
     copy's inner loop is the last axis: the contiguous run below the support
-    if it has 16 entries or more, else the longest run (faster at n = 14)."""
+    if it has 16 entries or more, else the longest run (faster at n = 14).
+    Every (n, w) stays cached: one oracle pass at n = 10 .. 14 asks for more
+    than 16, and QUBIT_CAP bounds them."""
     out = []
     for s in combinations(range(n), w):
         cuts = (n,) + tuple(q for b in reversed(s) for q in (b + 1, b)) + (0,)

@@ -23,6 +23,10 @@ verify_codewords as it was before a label set that forms a subspace with
 zero was walked on its zero-label pairs only: every pair, in
 itertools.combinations order, each xor through in_W.
 
+W membership before the check-guided peel: h in T_a, or one scan of h ^ T_b
+against T_a, a = d // 2 and b = (d - 1) // 2, T_w the syndromes of the
+Paulis of weight <= w.
+
 Helpers that only the tests call: graph_stabilizers, pauli_expectation, and
 the edge-space helpers s_vector and odd_degree_vertices.
 """
@@ -419,3 +423,12 @@ def reference_verify_codewords(g: Graph, d: int, hs: Sequence[BitString]) -> Ver
         if in_W(SetQuery(g, d), x):
             return VerifyVerdict(False, f"xor of labels {i},{j} lies in W: {x.to_text()}")
     return VerifyVerdict(True)
+
+
+def reference_w_member(g: Graph, d: int):
+    """The one-scan W predicate on ints, with its own tables T_a and T_b."""
+    choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(g.adjacency().columns())]
+    t_a, t_b = (frozenset(itertools.chain.from_iterable(support_xors(choices, i)
+                                                        for i in range(w + 1)))
+                for w in (d // 2, (d - 1) // 2))
+    return lambda h: h in t_a or not t_a.isdisjoint(map(h.__xor__, t_b))

@@ -45,6 +45,7 @@ from tqograph.oracle import graph_basis_state, pauli_matrix_element
 
 from references import (
     connected_z_span_basis,
+    reference_w_member,
     reference_verify_codewords,
     s_vector,
     square_nbrs,
@@ -452,6 +453,89 @@ class TestWTables:
         res = d_max(g)
         assert weights == list(range(1, len(weights) + 1)), weights
         assert len(weights) <= res.value // 2 + 1
+
+
+class CountingSet(frozenset):
+    """A W table that counts its lookups (those of isdisjoint included) and
+    the scans over it."""
+
+    lookups = scans = 0
+
+    def __contains__(self, x):
+        CountingSet.lookups += 1
+        return frozenset.__contains__(self, x)
+
+    def isdisjoint(self, items):
+        return not any(x in self for x in items)
+
+    def __iter__(self):
+        CountingSet.scans += 1
+        return frozenset.__iter__(self)
+
+
+class TestWPeel:
+    """_w_member's check-guided peel against the one-scan predicate it
+    replaced (references.reference_w_member)."""
+
+    @staticmethod
+    def assert_matches(g, d, hs):
+        member, want = analysis._w_member(g.adjacency(), d, None), reference_w_member(g, d)
+        assert [h for h in hs if member(h)] == [h for h in hs if want(h)], (g.edges, d)
+
+    @staticmethod
+    def counts(g, d, hs, monkeypatch):
+        """The most table lookups _w_member makes on one h of hs, and the
+        number of h of hs whose query scanned a table."""
+        a, k = g.adjacency(), d // 2
+        tables = [CountingSet(t) for t in analysis._w_tables(a, k, None)[: k + 1]]
+        monkeypatch.setattr(analysis, "_w_cache", (a, tables, {}))
+        member, most, scanned = analysis._w_member(a, d, None), 0, 0
+        for h in hs:
+            CountingSet.lookups = CountingSet.scans = 0
+            member(h)
+            most, scanned = max(most, CountingSet.lookups), scanned + bool(CountingSet.scans)
+        return most, scanned
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_random_graphs_every_d(self, dense):
+        rng = random.Random(f"w-peel:{dense}")
+        for n in (4, 6, 8, 10, 12):
+            g = (random_graph if dense else sparse_graph)(rng, n)
+            for d in range(1, n + 2):
+                self.assert_matches(g, d, range(1 << n))
+
+    @pytest.mark.parametrize("g", [toric(3), lattice(4, 2)], ids=["toric3", "lattice42"])
+    def test_peel_two_levels(self, g, monkeypatch):
+        # b = 2, and |flips| * |T_1| < |T_2| at every check: no query scans
+        rng = random.Random(f"w-peel:{g.n}")
+        hs = sorted({rng.getrandbits(g.n) for _ in range(3000)}
+                    | {sum(1 << v for v in s) for w in range(4)
+                       for s in itertools.combinations(range(g.n), w)})
+        flips = max(2 * (col.bit_count() + 1) for col in g.adjacency().columns())
+        for d in (5, 6):
+            self.assert_matches(g, d, hs)
+            most, scanned = self.counts(g, d, hs, monkeypatch)
+            assert most <= 1 + flips**2 and not scanned
+
+    @pytest.mark.parametrize("g", [complete(8), line_of_complete(5), lattice(3, 2)],
+                             ids=["K8", "loc5", "lattice32"])
+    def test_scan_fallback(self, g, monkeypatch):
+        # |flips| * |T_(b-1)| >= |T_b| at every check: every h outside T_k scans
+        for d in range(5, g.n + 2):
+            hs = range(1 << g.n)
+            self.assert_matches(g, d, hs)
+            t_k = analysis._w_tables(g.adjacency(), d // 2, None)[d // 2]
+            assert self.counts(g, d, hs, monkeypatch)[1] == (1 << g.n) - len(t_k)
+
+    @pytest.mark.parametrize("g", [toric(3), complete(8), complete_bipartite(6, 6),
+                                   TestWTables.GRAPHS[1], TestWTables.GRAPHS[3]],
+                             ids=["toric3", "K8", "K66", "n9", "sparse11"])
+    def test_no_query_looks_up_more_than_one_scan(self, g, monkeypatch):
+        rng = random.Random(f"w-lookups:{g.n}")
+        hs = range(1 << g.n) if g.n <= 12 else [rng.getrandbits(g.n) for _ in range(2000)]
+        for d in range(1, min(g.n, 8) + 2):
+            t_b = analysis._w_tables(g.adjacency(), (d - 1) // 2, None)[(d - 1) // 2]
+            assert self.counts(g, d, hs, monkeypatch)[0] <= 1 + len(t_b), d
 
 
 def disjoint_union(g, h):

@@ -503,3 +503,27 @@ class TestQeccBlocks:
         states = [StateVector(2, np.array([1, 0, 1, 0]) / math.sqrt(2)),
                   StateVector(2, np.array([1, 1, -1, 1]) / 2)]
         assert self._check_all_blocks(monkeypatch, states, 2) == (False, (1, 1, 0, 1), 2)
+
+
+def test_layouts_stay_cached_across_rounds():
+    # a round of checks at n = 10 .. 14 and d <= 4 asks for more (n, w)
+    # layouts than a 16-entry cache holds; the second round rebuilds none
+    rng = random.Random("layouts")
+    plans = []
+    for n in range(10, 15):
+        g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if rng.random() < 0.5])
+        h = d_max(g).certificate
+        plans.append([build_graph_state(g), graph_basis_state(g, h)])
+
+    def check_all():
+        for states in plans:
+            for d in range(1, 5):
+                brute_force_qecc_check(states, d)
+
+    oracle._layouts.cache_clear()
+    check_all()
+    first = oracle._layouts.cache_info()
+    assert first.currsize > 16
+    check_all()
+    assert oracle._layouts.cache_info().misses == first.misses
