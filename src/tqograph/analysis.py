@@ -56,36 +56,16 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, support_xors
+from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, Gf2Matrix,
+                  cluster_xors, dot, support_xors)
 from .graphs import FamilySpec, Graph, gen_family
 
 DEFAULT_MAX_MEMBERS = 1024
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration exceeds its configured budget."""
-
-
-class Deadline:
-    """Soft wall-clock cap checked inside enumeration loops."""
-
-    __slots__ = ("t0", "seconds")
-
-    def __init__(self, seconds: float):
-        self.t0 = time.monotonic()
-        self.seconds = seconds
-
-    def check(self) -> None:
-        if time.monotonic() - self.t0 > self.seconds:
-            raise BudgetExceededError(
-                f"time budget of {self.seconds:.3f}s exhausted"
-            )
 
 
 @dataclass(frozen=True)
@@ -131,7 +111,7 @@ def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
                          for v, c in enumerate(a.columns())], n)
 
 
-def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
+def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     """Independent set spanning span(Z), in canonical order.
 
     k is in Z iff S_k = X^k Z^{A.k}, its graph-state stabilizer, has weight
@@ -145,8 +125,7 @@ def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitSt
     sorted root by root, keep the same vectors, since a member with a
     commuting part lies in the span of the lighter classes.
     """
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     n, top = q.graph.n, q.d - 1
     cols = q.graph.adjacency().columns()
     singles = [1 << v for v, c in enumerate(cols) if c.bit_count() < top]
@@ -173,7 +152,7 @@ def z_span_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitSt
     return [BitString(n, k) for k in kept]
 
 
-def zperp_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitString]:
+def zperp_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     """Kernel basis of the matrix whose rows span Z."""
     rows = z_span_basis(q, deadline)
     return Gf2Matrix.from_rows(rows, cols=q.graph.n).kernel_basis()
@@ -185,7 +164,7 @@ def zperp_basis(q: SetQuery, deadline: Optional[Deadline] = None) -> List[BitStr
 _w_cache: Optional[Tuple[Gf2Matrix, List[frozenset], Dict[int, Tuple[int, ...]]]] = None
 
 
-def _w_tables(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> List[frozenset]:
+def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozenset]:
     """T_0 .. T_w at least, T_k being T_(k-1) joined with the syndromes of the
     weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  A budget stop
     in a build leaves the tables as they were."""
@@ -199,7 +178,7 @@ def _w_tables(a: Gf2Matrix, w: int, deadline: Optional[Deadline]) -> List[frozen
     return tables
 
 
-def _w_member(a: Gf2Matrix, d: int, deadline: Optional[Deadline]) -> Callable[[int], bool]:
+def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER) -> Callable[[int], bool]:
     """The predicate h -> (h in W) on ints, for one (A, d): h in T_k, or the
     peel of h down to T_k (module docstring), k = d // 2.  The flips of a
     check are listed at its first peel and kept with the tables; the tables
@@ -244,18 +223,18 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Optional[Deadline]) -> Callable[[i
     return member
 
 
-def in_W(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
+def in_W(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
     """True iff h = A.m ^ l for some weight(m | l) <= d - 1."""
     if h.n != q.graph.n:
         raise ValueError(f"label length {h.n} != {q.graph.n}")
     return _w_member(q.graph.adjacency(), q.d, deadline)(h.bits)
 
 
-def in_zperp(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
+def in_zperp(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
     return all(dot(h, z) == 0 for z in z_span_basis(q, deadline))
 
 
-def in_C(q: SetQuery, h: BitString, deadline: Optional[Deadline] = None) -> bool:
+def in_C(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
     """Membership test without enumerating the whole set."""
     if h.is_zero():
         return False
@@ -275,7 +254,7 @@ class CSetResult:
         return not self.members
 
 
-def _span_walk(steps: Sequence[int], deadline: Optional[Deadline]) -> Iterator[int]:
+def _span_walk(steps: Sequence[int], deadline: Deadline = NEVER) -> Iterator[int]:
     """h at steps c = 1 .. 2^r - 1, for r steps: h starts at 0, and step c
     xors in steps[i], i the index of the lowest set bit of c.
 
@@ -286,15 +265,14 @@ def _span_walk(steps: Sequence[int], deadline: Optional[Deadline]) -> Iterator[i
     """
     h = 0
     for c in range(1, 1 << len(steps)):
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         h ^= steps[(c & -c).bit_length() - 1]
         yield h
 
 
 def c_set(
     q: SetQuery,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = NEVER,
     max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> CSetResult:
     """Enumerate C by filtering the span of the Z-orthogonal basis.
@@ -315,7 +293,7 @@ def c_set(
     return CSetResult(q.d, tuple(zb), tuple(zp), members, len(found) < max_members)
 
 
-def _least_member(q: SetQuery, deadline: Optional[Deadline]) -> Optional[BitString]:
+def _least_member(q: SetQuery, deadline: Deadline = NEVER) -> Optional[BitString]:
     """The canonical-least member of C, or None when C is empty.
 
     A kernel basis is fully reduced on its highest bits (see
@@ -345,7 +323,7 @@ class DMaxResult:
         return self.value is not None
 
 
-def d_max(g: Graph, deadline: Optional[Deadline] = None) -> DMaxResult:
+def d_max(g: Graph, deadline: Deadline = NEVER) -> DMaxResult:
     """Largest d with C(G, n, d) nonempty, plus the canonical-least witness.
 
     C(G, n, 1) is all nonzero strings and C(G, n, n+1) is empty, so the
@@ -381,7 +359,7 @@ def verify_codewords(
     g: Graph,
     d: int,
     hs: Sequence[BitString],
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = NEVER,
 ) -> VerifyVerdict:
     """Check that the labels hs (zero label implicit) span a distance-d code.
 
@@ -409,8 +387,7 @@ def verify_codewords(
     if 1 << len(Echelon(full).rows) == len(full):
         pairs = ((0, j) for j in range(1, len(full)))
     for i, j in pairs:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         x = full[i] ^ full[j]
         if x not in tested:
             tested.add(x)
@@ -443,7 +420,7 @@ class ClassicalCode:
         bits up to the lowest set bit of c flip, a prefix xor of the rows."""
         yield BitString(self.q, 0)
         steps = itertools.accumulate(self.generator.row_bits, operator.xor)
-        for bits in _span_walk(list(steps), None):
+        for bits in _span_walk(list(steps)):
             yield BitString(self.q, bits)
 
 
@@ -509,7 +486,7 @@ class ScanResult:
 def family_scan(
     family: str,
     params_list: Sequence[Tuple[int, ...]],
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = NEVER,
 ) -> ScanResult:
     """Tabulate d_max across family sizes and fit log d_max vs log n.
 

@@ -2,7 +2,8 @@
 
 Reports are deterministic JSON (sorted keys; the only run-dependent field is
 elapsed_ms).  Exit codes: 0 all requested checks passed, 1 a check failed
-or the input was rejected (an error: line on stderr), 2 budget exhausted (env var TQO_BUDGET_MS soft-caps per-command runtime).
+or the input was rejected (an error: line on stderr), 2 budget exhausted
+(env var TQO_BUDGET_MS, milliseconds >= 0, soft-caps per-command runtime).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .gf2 import BitString
+from .gf2 import NEVER, BitString, BudgetExceededError, Deadline
 from .graphs import FAMILIES, FamilySpec, Graph, format_edge_list, gen_family
 from . import analysis
-from .analysis import BudgetExceededError, Deadline, SetQuery
+from .analysis import SetQuery
 from . import oracle as qoracle
 from . import stabilizer
 
@@ -62,9 +63,19 @@ def _build_graph(args) -> Graph:
     return gen_family(spec)
 
 
-def _deadline() -> Optional[Deadline]:
+def _deadline() -> Deadline:
+    """The TQO_BUDGET_MS budget, in milliseconds, or NEVER when it is unset
+    or empty; a value that is not a number >= 0 is a ValueError."""
     ms = os.environ.get("TQO_BUDGET_MS")
-    return Deadline(float(ms) / 1000.0) if ms else None
+    if not ms:
+        return NEVER
+    try:
+        budget = float(ms)
+        if not budget >= 0:  # NaN fails it too
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"TQO_BUDGET_MS must be a number >= 0, got {ms!r}") from None
+    return Deadline(budget / 1000.0)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -210,8 +221,7 @@ def cmd_oracle(args) -> int:
             a = g.adjacency()
             worst = 0.0
             for _ in range(args.samples):
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 h, gg, k, l = (BitString(g.n, rng.getrandbits(g.n)) for _ in range(4))
                 lhs = analysis.graph_basis_inner_analytic(a, h, gg, k, l)
                 rhs = qoracle.pauli_matrix_element(
@@ -247,8 +257,9 @@ def cmd_oracle(args) -> int:
             raise ValueError("need --h/--d or --matrix-elements")
     except BudgetExceededError as exc:
         results = {"error": str(exc)}
-        if isinstance(exc, qoracle.QeccBudgetExceededError):
-            # every operator of a lighter weight class was checked
+        if exc.weight is not None:
+            # a stop in the state-vector check: every operator of a lighter
+            # weight class was checked
             results["operator_weight"] = exc.weight
         return _report(args, "oracle", config, results, False, True, t0)
     return _report(args, "oracle", config, results, ok, False, t0)

@@ -2,12 +2,48 @@
 
 Bit i of the backing integer is coordinate i (0-indexed).  The text form
 is an ASCII '0'/'1' string whose leftmost character is bit 0.
+
+Deadline and BudgetExceededError live here, beside the kernels that check
+them, so every layer above shares one budget path.  A deadline parameter
+takes anything with a check() method; it defaults to NEVER, which never
+expires.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+import math
+from time import monotonic
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration exceeds its configured budget.  A scan by
+    weight class sets weight to the class it was in: every lighter class was
+    scanned to the end without a hit."""
+
+    def __init__(self, message: str, weight: Optional[int] = None):
+        super().__init__(message)
+        self.weight = weight
+
+
+class Deadline:
+    """Soft wall-clock cap checked inside enumeration loops."""
+
+    __slots__ = ("seconds", "end")
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+        self.end = monotonic() + seconds
+
+    def check(self) -> None:
+        if monotonic() > self.end:
+            raise BudgetExceededError(
+                f"time budget of {self.seconds:.3f}s exhausted"
+            )
+
+
+NEVER = Deadline(math.inf)  # the deadline of an unbudgeted run
 
 
 class BitString:
@@ -115,13 +151,26 @@ def dot(k: BitString, l: BitString) -> int:
     return (k.bits & l.bits).bit_count() & 1
 
 
+def transpose(rows: Iterable[int], width: int) -> Tuple[int, ...]:
+    """The width column bitsets of the int rows: bit i of column j is bit j
+    of row i."""
+    cols = [0] * width
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            v = r.bit_length() - 1
+            cols[v] |= bit
+            r ^= 1 << v
+    return tuple(cols)
+
+
 def xor_columns(cols: Sequence[int], bits: int) -> int:
     """The xor of cols[v] over the set bits v of bits."""
     acc = 0
     while bits:
-        low = bits & -bits
-        acc ^= cols[low.bit_length() - 1]
-        bits ^= low
+        v = bits.bit_length() - 1
+        acc ^= cols[v]
+        bits ^= 1 << v
     return acc
 
 
@@ -216,13 +265,7 @@ class Gf2Matrix:
     def columns(self) -> tuple:
         """Column bitsets (bit i = row i), computed once and cached."""
         if self._col_bits is None:
-            cols = [0] * self.cols
-            for i, r in enumerate(self.row_bits):
-                while r:
-                    low = r & -r
-                    cols[low.bit_length() - 1] |= 1 << i
-                    r ^= low
-            self._col_bits = tuple(cols)
+            self._col_bits = transpose(self.row_bits, self.cols)
         return self._col_bits
 
     def column(self, j: int) -> BitString:
@@ -276,7 +319,8 @@ class Gf2Matrix:
         return f"Gf2Matrix({self.rows}x{self.cols})"
 
 
-def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> Iterator[int]:
+def support_xors(choices: Sequence[Tuple[int, ...]], w: int,
+                 deadline: Deadline = NEVER) -> Iterator[int]:
     """Xors of one choice per position over the weight-w supports.
 
     The low-weight Pauli kernel: a position's choices are the ints its
@@ -284,14 +328,13 @@ def support_xors(choices: Sequence[Tuple[int, ...]], w: int, deadline=None) -> I
     operator's own bits packed above them), and the xor of one choice per
     support position is the product's.  Supports come in
     itertools.combinations order, and the choices of a position in their
-    given order.  The deadline (anything with a check() method) is checked
-    at each inner node of the support tree, not per leaf.
+    given order.  The deadline is checked at each inner node of the support
+    tree, not per leaf.
     """
     n = len(choices)
 
     def batches(start: int, left: int, acc: int) -> Iterator[List[int]]:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         if left == 1:
             yield [acc ^ c for options in choices[start:] for c in options]
             return
@@ -310,7 +353,7 @@ CHECK_EVERY = 64  # kernel nodes between two deadline checks in cluster_xors
 
 
 def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., Iterator[int]]:
-    """The cluster method (arXiv:1611.07164): xors(roots, w, deadline=None)
+    """The cluster method (arXiv:1611.07164): xors(roots, w, deadline=NEVER)
     yields zero-syndrome xors of one choice on each of w positions.
 
     A choice packs its syndrome against m checks in the low m bits, with any
@@ -323,8 +366,8 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
     syndrome; a zero-syndrome prefix ends the branch.  So the yield holds,
     once each, every zero-syndrome operator of weight w whose least position
     is a root and which has no zero-syndrome proper part, and maybe some
-    that have one.  The deadline (anything with a check() method) is checked
-    at the start and then every CHECK_EVERY nodes.
+    that have one.  The deadline is checked at the start and then every
+    CHECK_EVERY nodes.
     """
     # Each choice has a bit in the "open" mask a growth passes down: a branch
     # closes its position's choices and those of the branches before it.
@@ -351,17 +394,16 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
         tiers.extend(sum(1 << i for i, f in enumerate(flips) if len(f) == k)
                      for k in sorted({len(f) for f in flips}))
 
-    def xors(roots: Iterable[int], w: int, deadline=None) -> Iterator[int]:
-        check = deadline.check if deadline is not None else (lambda: None)
+    def xors(roots: Iterable[int], w: int, deadline: Deadline = NEVER) -> Iterator[int]:
         nodes = itertools.count(1)  # growth nodes, for the deadline
-        check()
+        deadline.check()
         if w > 2 and not tiers:
             tables()
 
         def grow(acc: int, left: int, open_: int) -> Iterator[List[int]]:
             # left >= 2 positions still to add to acc, whose syndrome is nonzero
             if not next(nodes) % CHECK_EVERY:
-                check()
+                deadline.check()
             syn = acc & low
             if syn.bit_count() > left * spread:
                 return

@@ -37,8 +37,10 @@ FAMILIES = (
 class Graph:
     """Simple undirected graph with a canonical vertex order.
 
-    ``x_part`` marks the X side of a declared bipartition (used by the
-    complete bipartite family to split odd-degree counts).
+    ``x_part`` marks the X side of a declared bipartition, set by the
+    complete bipartite family.  Its only reader is
+    tests/references.py::odd_degree_vertices, which splits odd-degree
+    counts by side.
     """
 
     n: int

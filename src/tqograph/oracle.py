@@ -29,8 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import BudgetExceededError
-from .gf2 import BitString
+from .gf2 import NEVER, BitString, BudgetExceededError, Deadline
 from .graphs import Graph
 
 QUBIT_CAP = 14
@@ -149,15 +148,6 @@ class QeccVerdict:
         return self.ok
 
 
-class QeccBudgetExceededError(BudgetExceededError):
-    """A budget stop in brute_force_qecc_check, in operator weight class
-    weight: every operator of a lighter class was checked without a hit."""
-
-    def __init__(self, message: str, weight: int):
-        super().__init__(message)
-        self.weight = weight
-
-
 def _gram(m: np.ndarray, top: int) -> np.ndarray:
     """conj(m) m^T per matrix of the stack m, by its top rows and the rest: numpy
     runs a square product of a matrix and its transpose as the far slower syrk."""
@@ -213,7 +203,7 @@ def _operators_before(n: int, w: int, k: int, l: int) -> int:
 def brute_force_qecc_check(
     codewords: List[StateVector],
     d: int,
-    deadline=None,
+    deadline: Deadline = NEVER,
 ) -> QeccVerdict:
     """Check the error-correction conditions on a codeword list by enumeration.
 
@@ -229,8 +219,8 @@ def brute_force_qecc_check(
     never straddle a class.  The witness is the least (k, l, i, j) hit of
     the first class with one, where the scan stops; a chunk is skipped when
     Z^S, the least operator on each of its supports S, comes after a hit.
-    The deadline is checked once per chunk; a stop raises
-    QeccBudgetExceededError with its class.
+    The deadline is checked once per chunk; a stop's BudgetExceededError
+    carries its class as weight.
     """
     if not codewords:
         raise ValueError("need at least one codeword")
@@ -257,11 +247,11 @@ def brute_force_qecc_check(
         layouts = _layouts(n, w)
         hits = []  # the least (k, l, i, j) violation of each chunk with one
         for start in range(0, len(layouts), step):
-            if deadline is not None:
-                try:
-                    deadline.check()
-                except BudgetExceededError as exc:
-                    raise QeccBudgetExceededError(str(exc), w) from exc
+            try:
+                deadline.check()
+            except BudgetExceededError as exc:
+                exc.weight = w
+                raise
             chunk = layouts[start : start + step]
             # w = 0 holds the overlaps checked above; Z^S is the least operator on S
             if not w or hits and min(hits)[:2] <= (0, min(m for m, _, _ in chunk)):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .analysis import BudgetExceededError
-from .gf2 import BitString, Echelon, cluster_xors, dot, xor_columns
+from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, cluster_xors, dot,
+                  transpose, xor_columns)
 from .graphs import Graph, toric3d_rows
 
 
@@ -90,16 +90,6 @@ def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     return x, z, s
 
 
-def _positions(bits: int) -> List[int]:
-    """The set bits of bits, highest first."""
-    out = []
-    while bits:
-        v = bits.bit_length() - 1
-        out.append(v)
-        bits ^= 1 << v
-    return out
-
-
 class StabilizerGroup:
     """Pairwise-commuting Pauli generators (need not be independent), kept
     as (x, z) int rows: generator i is X^x Z^z, with sign -1 where bit i of
@@ -124,29 +114,16 @@ class StabilizerGroup:
         rows = tuple(rows)
         if signs < 0 or signs >> len(rows):
             raise ValueError("sign mask outside the generators")
-        xcols, zcols, supports, bit = [0] * n, [0] * n, [], 1
-        for x, z in rows:
-            if x < 0 or z < 0 or (x | z) >> n:
-                raise ValueError("generator length mismatch")
-            xs, zs = _positions(x), _positions(z)
-            for v in xs:
-                xcols[v] |= bit
-            for v in zs:
-                zcols[v] |= bit
-            supports.append((xs, zs))
-            bit <<= 1
+        if any(x < 0 or z < 0 or (x | z) >> n for x, z in rows):
+            raise ValueError("generator length mismatch")
+        xcols, zcols = transpose((x for x, _ in rows), n), transpose((z for _, z in rows), n)
         for name, value in zip(self.__slots__, (n, rows, signs, tuple(map(tuple, symmetries)),
-                                                tuple(xcols), tuple(zcols), None)):
+                                                xcols, zcols, None)):
             object.__setattr__(self, name, value)
         # Anticommutation is symmetric: the first generator with a syndrome has
         # its lowest partner above it, the first bad pair in combinations order.
-        for i, (xs, zs) in enumerate(supports):
-            syn = 0
-            for v in xs:
-                syn ^= zcols[v]
-            for v in zs:
-                syn ^= xcols[v]
-            if syn:
+        for i, row in enumerate(rows):
+            if syn := self._syndrome(*row):
                 gens = self.generators
                 a, b = gens[i], gens[(syn & -syn).bit_length() - 1]
                 raise ValueError(f"generators do not commute: {a.to_text()} vs {b.to_text()}")
@@ -361,19 +338,10 @@ def _orbit_roots(s: StabilizerGroup) -> List[int]:
     return roots
 
 
-class ScanBudgetExceededError(BudgetExceededError):
-    """A budget stop in normalizer_min_weight, in weight class weight: every
-    lighter class was scanned to the end without a hit."""
-
-    def __init__(self, message: str, weight: int):
-        super().__init__(message)
-        self.weight = weight
-
-
 def normalizer_min_weight(
     s: StabilizerGroup,
     w_max: int,
-    deadline=None,
+    deadline: Deadline = NEVER,
 ) -> Optional[Tuple[int, Pauli]]:
     """Least-weight Pauli commuting with all generators but outside the group.
 
@@ -397,8 +365,8 @@ def normalizer_min_weight(
     one of its qubits to r, and the image's other qubits lie in orbits with
     minima at least r, so above r.  Each hit is keyed by the least key over
     its orbit, so the least hit of the class is still the one returned.
-    When the deadline runs out, ScanBudgetExceededError names the weight
-    class it was in.
+    When the deadline runs out, the BudgetExceededError's weight is the
+    weight class it was in.
     """
     n, m = s.n, len(s.rows)
     roots = _orbit_roots(s)
@@ -416,7 +384,8 @@ def normalizer_min_weight(
                 best = min(keys)
                 return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
     except BudgetExceededError as exc:
-        raise ScanBudgetExceededError(str(exc), w) from exc
+        exc.weight = w
+        raise
     return None
 
 
@@ -465,7 +434,7 @@ class Code3DReport:
 def verify_3d_code(
     L: int,
     distance_scan: bool = True,
-    deadline=None,
+    deadline: Deadline = NEVER,
 ) -> Code3DReport:
     """Full check of the layered toric code at size L.
 
@@ -504,7 +473,7 @@ def verify_3d_code(
     if distance_scan:
         try:
             hit = normalizer_min_weight(s, L, deadline=deadline)
-        except ScanBudgetExceededError as exc:
+        except BudgetExceededError as exc:
             hit, error, lower = None, str(exc), exc.weight
         if hit is not None:
             distance, op = hit

@@ -203,13 +203,13 @@ class TestWeightIter:
 
 class TestSpanWalk:
     def test_empty_basis(self):
-        assert list(analysis._span_walk([], None)) == []
+        assert list(analysis._span_walk([])) == []
 
     def test_singleton(self):
-        assert list(analysis._span_walk([0b010], None)) == [0b010]
+        assert list(analysis._span_walk([0b010])) == [0b010]
 
     def test_four_distinct(self):
-        out = list(analysis._span_walk([0b0010, 0b0100], None))
+        out = list(analysis._span_walk([0b0010, 0b0100]))
         assert sorted(out) == [0b0010, 0b0100, 0b0110]
 
     def test_basis_steps_give_gray_order(self):
@@ -217,7 +217,7 @@ class TestSpanWalk:
         for _ in range(200):
             n = rng.randrange(1, 11)
             basis = random_kernel_basis(rng, n)
-            walk = list(analysis._span_walk([b.bits for b in basis], None))
+            walk = list(analysis._span_walk([b.bits for b in basis]))
             assert walk == [b.bits for b in span_iter(basis, n)][1:]
 
     def test_prefix_steps_increase(self):
@@ -227,7 +227,7 @@ class TestSpanWalk:
             basis = random_kernel_basis(rng, n)
             rows = sorted(b.bits for b in basis)
             steps = list(itertools.accumulate(rows, lambda x, y: x ^ y))
-            walk = list(analysis._span_walk(steps, None))
+            walk = list(analysis._span_walk(steps))
             # the 2^r - 1 nonzero span members, strictly increasing
             assert walk == sorted(b.bits for b in span_iter(basis, n))[1:]
 
@@ -404,7 +404,7 @@ class TestWTables:
 
     @staticmethod
     def assert_predicate(g, d, dist):
-        member = analysis._w_member(g.adjacency(), d, None)
+        member = analysis._w_member(g.adjacency(), d)
         got = [h for h in range(1 << g.n) if member(h)]
         assert got == [h for h in range(1 << g.n) if dist[h] <= d - 1], (g.edges, d)
 
@@ -427,7 +427,7 @@ class TestWTables:
         g = self.GRAPHS[1]
         a = g.adjacency()
         monkeypatch.setattr(analysis, "_w_cache", None)
-        whole = list(analysis._w_tables(a, 3, None))
+        whole = list(analysis._w_tables(a, 3))
         lengths = []
         for n in (1, 2, 20, 40):  # in the builds of weights 1, 2, 2 and 3
             monkeypatch.setattr(analysis, "_w_cache", None)
@@ -479,7 +479,7 @@ class TestWPeel:
 
     @staticmethod
     def assert_matches(g, d, hs):
-        member, want = analysis._w_member(g.adjacency(), d, None), reference_w_member(g, d)
+        member, want = analysis._w_member(g.adjacency(), d), reference_w_member(g, d)
         assert [h for h in hs if member(h)] == [h for h in hs if want(h)], (g.edges, d)
 
     @staticmethod
@@ -487,9 +487,9 @@ class TestWPeel:
         """The most table lookups _w_member makes on one h of hs, and the
         number of h of hs whose query scanned a table."""
         a, k = g.adjacency(), d // 2
-        tables = [CountingSet(t) for t in analysis._w_tables(a, k, None)[: k + 1]]
+        tables = [CountingSet(t) for t in analysis._w_tables(a, k)[: k + 1]]
         monkeypatch.setattr(analysis, "_w_cache", (a, tables, {}))
-        member, most, scanned = analysis._w_member(a, d, None), 0, 0
+        member, most, scanned = analysis._w_member(a, d), 0, 0
         for h in hs:
             CountingSet.lookups = CountingSet.scans = 0
             member(h)
@@ -524,7 +524,7 @@ class TestWPeel:
         for d in range(5, g.n + 2):
             hs = range(1 << g.n)
             self.assert_matches(g, d, hs)
-            t_k = analysis._w_tables(g.adjacency(), d // 2, None)[d // 2]
+            t_k = analysis._w_tables(g.adjacency(), d // 2)[d // 2]
             assert self.counts(g, d, hs, monkeypatch)[1] == (1 << g.n) - len(t_k)
 
     @pytest.mark.parametrize("g", [toric(3), complete(8), complete_bipartite(6, 6),
@@ -534,7 +534,7 @@ class TestWPeel:
         rng = random.Random(f"w-lookups:{g.n}")
         hs = range(1 << g.n) if g.n <= 12 else [rng.getrandbits(g.n) for _ in range(2000)]
         for d in range(1, min(g.n, 8) + 2):
-            t_b = analysis._w_tables(g.adjacency(), (d - 1) // 2, None)[(d - 1) // 2]
+            t_b = analysis._w_tables(g.adjacency(), (d - 1) // 2)[(d - 1) // 2]
             assert self.counts(g, d, hs, monkeypatch)[0] <= 1 + len(t_b), d
 
 

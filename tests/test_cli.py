@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tqograph import analysis, cli, oracle, stabilizer
+from tqograph import analysis, cli, gf2, oracle, stabilizer
 from tqograph.cli import main
 from tqograph.graphs import Graph
 
@@ -95,6 +95,7 @@ class TestCset:
         code, rep = run_json(capsys, ["cset", "line_of_complete", "5", "--d", "3"])
         assert code == 2 and rep["budget_exceeded"]
         assert "time budget" in rep["results"]["error"]
+        assert rep["results"] == {"error": "time budget of 0.000s exhausted"}  # no progress
 
 
 class TestDmax:
@@ -472,3 +473,24 @@ def test_benchmark_reference_replay(capsys, key, entry):
             for part in path.split("."):
                 got = got[part]
         assert got == want, path
+
+
+class TestBudget:
+    """TQO_BUDGET_MS: one deadline path, with or without a budget."""
+
+    @pytest.mark.parametrize("value", ["nan", "-5", "abc"])
+    def test_bad_value_is_an_error_line(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TQO_BUDGET_MS", value)
+        code, out, err = run(capsys, ["dmax", "toric", "4"])
+        assert code == 1 and out == ""
+        assert err == f"error: TQO_BUDGET_MS must be a number >= 0, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_no_budget_never_expires(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("TQO_BUDGET_MS", raising=False)
+        else:
+            monkeypatch.setenv("TQO_BUDGET_MS", value)
+        deadline = cli._deadline()
+        monkeypatch.setattr(gf2, "monotonic", lambda: 1e300)
+        deadline.check()

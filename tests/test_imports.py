@@ -138,3 +138,38 @@ def test_detects_an_unread_constant():
     }
     assert unread_constants(sources) == [("a.py", "DEAD", 2), ("b.py", "DEAD_TOO", 3),
                                          ("b.py", "DEAD_TOO", 4)]
+
+
+LOWER_LAYERS = ("gf2", "graphs", "oracle", "stabilizer")
+
+
+def upper_layer_imports(source):
+    """(module, line) of each import of the package's analysis or cli
+    module: `from .analysis import X`, `from . import cli`, `import
+    tqograph.analysis` and the like."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if {"analysis", "cli"} & set(name.split(".")):
+                yield name, node.lineno
+                break
+
+
+@pytest.mark.parametrize("module", LOWER_LAYERS)
+def test_lower_layers_import_no_upper_layer(module):
+    source = (ROOT / "src" / "tqograph" / f"{module}.py").read_text()
+    assert list(upper_layer_imports(source)) == []
+
+
+def test_detects_an_upper_layer_import():
+    source = ("from .analysis import BudgetExceededError\nfrom . import gf2, cli\n"
+              "import tqograph.analysis as a\nfrom .gf2 import Deadline\n"
+              "from tqograph.cli import main\n")
+    assert list(upper_layer_imports(source)) == [
+        (".analysis", 1), (".cli", 2), ("tqograph.analysis", 3), ("tqograph.cli", 5)]

@@ -12,7 +12,6 @@ from tqograph.gf2 import BitString
 from tqograph.graphs import Graph, complete, star, toric
 from tqograph.oracle import (
     DEFAULT_TOL,
-    QeccBudgetExceededError,
     QeccVerdict,
     QubitCapExceededError,
     StateVector,
@@ -262,7 +261,7 @@ class TestQeccCheck:
         states = [build_graph_state(g), graph_basis_state(g, BitString.from_text("10100101"))]
         monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, per_block))
         deadline = StopAtCheck(stop)
-        with pytest.raises(QeccBudgetExceededError) as info:
+        with pytest.raises(BudgetExceededError) as info:
             brute_force_qecc_check(states, 3, deadline=deadline)
         assert info.value.weight == weight and deadline.checks == stop
         assert str(info.value) == "time budget of 0.000s exhausted"

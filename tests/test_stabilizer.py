@@ -13,7 +13,6 @@ from tqograph import stabilizer
 from tqograph.oracle import build_graph_state, graph_basis_state
 from tqograph.stabilizer import (
     Pauli,
-    ScanBudgetExceededError,
     StabilizerGroup,
     code_pair_stabilizers,
     gen_3d_code,
@@ -1052,7 +1051,7 @@ class Test3DCode:
         assert through[5] - through[4] >= 20
         for stop, cls in ((through[3] + 1, 5), (through[4], 5), (through[4] + 1, 6),
                           ((through[4] + through[5]) // 2, 6), (through[5], 6)):
-            with pytest.raises(ScanBudgetExceededError) as info:
+            with pytest.raises(BudgetExceededError) as info:
                 normalizer_min_weight(s, 6, StopAtCheck(stop))
             assert info.value.weight == cls, stop
 
