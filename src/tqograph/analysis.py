@@ -63,7 +63,7 @@ import numpy as np
 
 from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, Gf2Matrix,
                   cluster_xors, dot, support_xors)
-from .graphs import FamilySpec, Graph, gen_family
+from .graphs import FamilySpec, Graph, content_lines, gen_family
 
 DEFAULT_MAX_MEMBERS = 1024
 
@@ -437,14 +437,21 @@ def classical_min_distance(code: ClassicalCode) -> int:
     return min(c.weight() for c in code.codewords() if not c.is_zero())
 
 
+def read_bitstrings(path: str, n: Optional[int] = None) -> List[BitString]:
+    """One BitString per '0'/'1' row of the file ('#' comments and blank
+    lines skipped); with n given, each row must have n bits."""
+    out = []
+    for line in content_lines(path):
+        b = BitString.from_text(line)
+        if n is not None and b.n != n:
+            raise ValueError(f"label length {b.n} != {n}")
+        out.append(b)
+    return out
+
+
 def read_classical_code(path: str) -> ClassicalCode:
     """Generator file: one '0'/'1' row per line, '#' comments allowed."""
-    rows = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append(BitString.from_text(line))
+    rows = read_bitstrings(path)
     if not rows:
         raise ValueError(f"{path}: no generator rows")
     return ClassicalCode(Gf2Matrix.from_rows(rows))

@@ -1,9 +1,14 @@
 """Command-line front end: generate graphs, run set analyses, verify codes.
 
-Reports are deterministic JSON (sorted keys; the only run-dependent field is
-elapsed_ms).  Exit codes: 0 all requested checks passed, 1 a check failed
-or the input was rejected (an error: line on stderr), 2 budget exhausted
-(env var TQO_BUDGET_MS, milliseconds >= 0, soft-caps per-command runtime).
+gen writes an edge list.  Every other command fills in its config and
+returns (results, ok, budget_exceeded); main writes the one report, as
+deterministic JSON (sorted keys) or a table, with the keys schema, version,
+command, config, results, ok, budget_exceeded and elapsed_ms (the only
+run-dependent field).  A BudgetExceededError that reaches main becomes the
+results {"error": ...}.  Exit codes: 2 when the budget was exhausted (env
+var TQO_BUDGET_MS, milliseconds >= 0, soft-caps per-command runtime), else
+0 if ok, else 1; a rejected input is an error: line on stderr, no report,
+and exit 1.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 import random
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .gf2 import NEVER, BitString, BudgetExceededError, Deadline
@@ -26,6 +31,7 @@ from . import oracle as qoracle
 from . import stabilizer
 
 SCHEMA = "tqograph-report/1"
+Outcome = Tuple[dict, bool, bool]  # (results, ok, budget_exceeded)
 
 COST_NOTE = (
     "Cost notes: the state-vector check (real amplitudes, n capped at 14) "
@@ -53,14 +59,12 @@ def _add_graph(p: argparse.ArgumentParser) -> None:
                    help="non-periodic lattice boundaries")
 
 
-def _build_graph(args) -> Graph:
-    spec = FamilySpec(
-        args.family,
-        tuple(args.params),
-        periodic=not getattr(args, "open_boundary", False),
-        path=getattr(args, "graph_file", None),
-    )
-    return gen_family(spec)
+def _graph(args, config: dict) -> Graph:
+    """The family graph of args; its name, parameters and size go into config."""
+    g = gen_family(FamilySpec(args.family, tuple(args.params),
+                              periodic=not args.open_boundary, path=args.graph_file))
+    config.update(family=args.family, params=list(args.params), n=g.n, edges=g.m)
+    return g
 
 
 def _deadline() -> Deadline:
@@ -94,33 +98,8 @@ def _emit(report: dict, fmt: str) -> None:
         walk("", report)
 
 
-def _report(args, command: str, config: dict, results: dict,
-            ok: bool, budget: bool, t0: float) -> int:
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "results": results,
-        "ok": ok,
-        "budget_exceeded": budget,
-        "elapsed_ms": round((time.monotonic() - t0) * 1000, 3),
-    }
-    _emit(report, getattr(args, "format", "json"))
-    return 2 if budget else (0 if ok else 1)
-
-
-def _graph_config(args, g: Graph) -> dict:
-    return {
-        "family": args.family,
-        "params": list(args.params),
-        "n": g.n,
-        "edges": g.m,
-    }
-
-
 def cmd_gen(args) -> int:
-    g = _build_graph(args)
+    g = _graph(args, {})
     text = format_edge_list(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -131,15 +110,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_cset(args) -> int:
-    t0 = time.monotonic()
-    g = _build_graph(args)
-    config = _graph_config(args, g)
-    config.update({"d": args.d, "max_members": args.max_members})
-    try:
-        res = analysis.c_set(SetQuery(g, args.d), _deadline(), args.max_members)
-    except BudgetExceededError as exc:
-        return _report(args, "cset", config, {"error": str(exc)}, False, True, t0)
+# Each reporting command fills in config before it starts enumerating, then
+# returns (results, ok, budget_exceeded) for main to report.
+
+def cmd_cset(args, config: dict) -> Outcome:
+    g = _graph(args, config)
+    config.update(d=args.d, max_members=args.max_members)
+    res = analysis.c_set(SetQuery(g, args.d), _deadline(), args.max_members)
     results = {
         "empty": res.empty,
         "exhaustive": res.exhaustive,
@@ -148,126 +125,91 @@ def cmd_cset(args) -> int:
         "zperp_dim": len(res.zperp_basis),
         "z_span_dim": len(res.z_basis),
     }
-    return _report(args, "cset", config, results, True, False, t0)
+    return results, True, False
 
 
-def cmd_dmax(args) -> int:
-    t0 = time.monotonic()
-    g = _build_graph(args)
-    config = _graph_config(args, g)
-    res = analysis.d_max(g, _deadline())
+def cmd_dmax(args, config: dict) -> Outcome:
+    res = analysis.d_max(_graph(args, config), _deadline())
     results = {
         "d_max": res.value,
         "certificate": res.certificate.to_text() if res.certificate else None,
         "bracket": list(res.bracket) if res.bracket else None,
         "error": res.error,
     }
-    return _report(args, "dmax", config, results, res.ok, not res.ok, t0)
+    return results, res.ok, not res.ok
 
 
-def _read_labels(path: str, n: int) -> List[BitString]:
-    out = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                b = BitString.from_text(line)
-                if b.n != n:
-                    raise ValueError(f"label length {b.n} != {n}")
-                out.append(b)
-    return out
-
-
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    g = _build_graph(args)
-    config = _graph_config(args, g)
-    config.update({"d": args.d, "codewords": args.codewords,
-                   "ldpc": args.ldpc, "m": args.m})
-    try:
-        if args.ldpc:
-            if args.m is None:
-                raise ValueError("--ldpc requires --m")
-            code = analysis.read_classical_code(args.ldpc)
-            labels = [b for b in analysis.ldpc_embed(code, args.m) if not b.is_zero()]
-        elif args.codewords:
-            labels = _read_labels(args.codewords, g.n)
-        else:
-            raise ValueError("need --codewords or --ldpc")
-        verdict = analysis.verify_codewords(g, args.d, labels, _deadline())
-    except BudgetExceededError as exc:
-        return _report(args, "verify", config, {"error": str(exc)}, False, True, t0)
+def cmd_verify(args, config: dict) -> Outcome:
+    g = _graph(args, config)
+    config.update(d=args.d, codewords=args.codewords, ldpc=args.ldpc, m=args.m)
+    if args.ldpc:
+        if args.m is None:
+            raise ValueError("--ldpc requires --m")
+        code = analysis.read_classical_code(args.ldpc)
+        labels = [b for b in analysis.ldpc_embed(code, args.m) if not b.is_zero()]
+    elif args.codewords:
+        labels = analysis.read_bitstrings(args.codewords, g.n)
+    else:
+        raise ValueError("need --codewords or --ldpc")
+    verdict = analysis.verify_codewords(g, args.d, labels, _deadline())
     results = {
         "pass": verdict.ok,
         "witness": verdict.witness,
         "label_count": len(labels),
         "labels": [b.to_text() for b in labels],
     }
-    return _report(args, "verify", config, results, verdict.ok, False, t0)
+    return results, verdict.ok, False
 
 
-def cmd_oracle(args) -> int:
-    t0 = time.monotonic()
-    g = _build_graph(args)
-    config = _graph_config(args, g)
-    config.update({"d": args.d, "h": args.h, "matrix_elements": args.matrix_elements,
-                   "samples": args.samples, "seed": args.seed})
+def cmd_oracle(args, config: dict) -> Outcome:
+    g = _graph(args, config)
+    config.update(d=args.d, h=args.h, matrix_elements=args.matrix_elements,
+                  samples=args.samples, seed=args.seed)
     deadline = _deadline()
-    try:
-        if args.matrix_elements:
-            if args.samples < 1:
-                raise ValueError("--samples must be at least 1")
-            rng = random.Random(args.seed)
-            a = g.adjacency()
-            worst = 0.0
-            for _ in range(args.samples):
-                deadline.check()
-                h, gg, k, l = (BitString(g.n, rng.getrandbits(g.n)) for _ in range(4))
-                lhs = analysis.graph_basis_inner_analytic(a, h, gg, k, l)
-                rhs = qoracle.pauli_matrix_element(
-                    qoracle.graph_basis_state(g, h),
-                    qoracle.graph_basis_state(g, gg), k, l)
-                worst = max(worst, abs(lhs - rhs))
-            ok = worst <= qoracle.DEFAULT_TOL
-            results = {"samples": args.samples, "max_deviation": worst, "pass": ok}
-        elif args.h is not None:
-            if args.d is None:
-                raise ValueError("--h requires --d")
-            h = BitString.from_text(args.h)
-            if h.n != g.n:
-                raise ValueError(f"label length {h.n} != {g.n}")
-            if h.is_zero():
-                raise ValueError("label must be nonzero")
-            states = [qoracle.build_graph_state(g), qoracle.graph_basis_state(g, h)]
-            verdict = qoracle.brute_force_qecc_check(states, args.d, deadline=deadline)
-            analytic = analysis.in_C(SetQuery(g, args.d), h, deadline)
-            ok = bool(verdict) and verdict.ok == analytic
-            results = {
-                "pass": verdict.ok,
-                "analytic_membership": analytic,
-                "agreement": verdict.ok == analytic,
-                "operators_checked": verdict.operators_checked,
-                "witness": None if verdict.witness is None else {
-                    "i": verdict.witness[0], "j": verdict.witness[1],
-                    "k": verdict.witness[2].to_text(),
-                    "l": verdict.witness[3].to_text(),
-                },
-            }
-        else:
-            raise ValueError("need --h/--d or --matrix-elements")
-    except BudgetExceededError as exc:
-        results = {"error": str(exc)}
-        if exc.weight is not None:
-            # a stop in the state-vector check: every operator of a lighter
-            # weight class was checked
-            results["operator_weight"] = exc.weight
-        return _report(args, "oracle", config, results, False, True, t0)
-    return _report(args, "oracle", config, results, ok, False, t0)
+    if args.matrix_elements:
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
+        rng = random.Random(args.seed)
+        a = g.adjacency()
+        worst = 0.0
+        for _ in range(args.samples):
+            deadline.check()
+            h, gg, k, l = (BitString(g.n, rng.getrandbits(g.n)) for _ in range(4))
+            lhs = analysis.graph_basis_inner_analytic(a, h, gg, k, l)
+            rhs = qoracle.pauli_matrix_element(
+                qoracle.graph_basis_state(g, h),
+                qoracle.graph_basis_state(g, gg), k, l)
+            worst = max(worst, abs(lhs - rhs))
+        ok = worst <= qoracle.DEFAULT_TOL
+        return {"samples": args.samples, "max_deviation": worst, "pass": ok}, ok, False
+    if args.h is None:
+        raise ValueError("need --h/--d or --matrix-elements")
+    if args.d is None:
+        raise ValueError("--h requires --d")
+    h = BitString.from_text(args.h)
+    if h.n != g.n:
+        raise ValueError(f"label length {h.n} != {g.n}")
+    if h.is_zero():
+        raise ValueError("label must be nonzero")
+    states = [qoracle.build_graph_state(g), qoracle.graph_basis_state(g, h)]
+    verdict = qoracle.brute_force_qecc_check(states, args.d, deadline=deadline)
+    analytic = analysis.in_C(SetQuery(g, args.d), h, deadline)
+    results = {
+        "pass": verdict.ok,
+        "analytic_membership": analytic,
+        "agreement": verdict.ok == analytic,
+        "operators_checked": verdict.operators_checked,
+        "witness": None if verdict.witness is None else {
+            "i": verdict.witness[0], "j": verdict.witness[1],
+            "k": verdict.witness[2].to_text(),
+            "l": verdict.witness[3].to_text(),
+        },
+    }
+    return results, bool(verdict) and verdict.ok == analytic, False
 
 
-def cmd_code3d(args) -> int:
-    t0 = time.monotonic()
-    config = {"L": args.L, "distance_scan": args.distance_scan}
+def cmd_code3d(args, config: dict) -> Outcome:
+    config.update(L=args.L, distance_scan=args.distance_scan)
     rep = stabilizer.verify_3d_code(
         args.L, distance_scan=args.distance_scan, deadline=_deadline())
     results = {
@@ -288,13 +230,12 @@ def cmd_code3d(args) -> int:
         # a budget stop in the scan: the structural checks it had passed, and
         # the first weight class it did not finish
         results.update(error=rep.error, distance_lower_bound=rep.distance_lower_bound)
-    return _report(args, "code3d", config, results, rep.ok, rep.error is not None, t0)
+    return results, rep.ok, rep.error is not None
 
 
-def cmd_scan(args) -> int:
-    t0 = time.monotonic()
+def cmd_scan(args, config: dict) -> Outcome:
     params_list = [tuple(int(x) for x in chunk.split(",")) for chunk in args.params]
-    config = {"family": args.family, "params": args.params}
+    config.update(family=args.family, params=args.params)
     res = analysis.family_scan(args.family, params_list, _deadline())
     ok = all(e.d_max is not None for e in res.entries)
     results = {
@@ -304,7 +245,7 @@ def cmd_scan(args) -> int:
         ],
         "exponent": res.exponent,
     }
-    return _report(args, "scan", config, results, ok, not ok, t0)
+    return results, ok, not ok
 
 
 @functools.cache
@@ -323,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a family graph as an edge list")
     _add_graph(p)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("cset", help="enumerate the set C(G, n, d)")
     _add_graph(p)
@@ -379,11 +319,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
+    config: dict = {}
     try:
-        return args.func(args)
+        if args.cmd == "gen":
+            return cmd_gen(args)
+        results, ok, budget = args.func(args, config)
+    except BudgetExceededError as exc:
+        results, ok, budget = {"error": str(exc)}, False, True
+        if exc.weight is not None:
+            # a stop in the state-vector check: every operator of a lighter
+            # weight class was checked
+            results["operator_weight"] = exc.weight
     except (ValueError, OSError, qoracle.QubitCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit({
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": args.cmd,
+        "config": config,
+        "results": results,
+        "ok": ok,
+        "budget_exceeded": budget,
+        "elapsed_ms": round((time.monotonic() - t0) * 1000, 3),
+    }, args.format)
+    return 2 if budget else (0 if ok else 1)
 
 
 if __name__ == "__main__":

@@ -18,21 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .gf2 import Gf2Matrix
 
-FAMILIES = (
-    "star",
-    "complete",
-    "complete_bipartite",
-    "multi_star",
-    "lattice",
-    "toric",
-    "connected_multi_star",
-    "line_of_complete",
-    "line_of_bipartite",
-    "toric3d",
-    "custom",
-)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with a canonical vertex order.
@@ -336,59 +321,47 @@ def line_of_bipartite(m: int) -> Graph:
     return line_graph(complete_bipartite(m, m))[0]
 
 
+# family name -> (parameter count, builder); lattice also takes spec.periodic
+_BUILDERS = {
+    "star": (1, star),
+    "complete": (1, complete),
+    "complete_bipartite": (2, complete_bipartite),
+    "multi_star": (2, multi_star),
+    "lattice": (2, lattice),
+    "toric": (1, toric),
+    "connected_multi_star": (1, connected_multi_star),
+    "line_of_complete": (1, line_of_complete),
+    "line_of_bipartite": (1, line_of_bipartite),
+    "toric3d": (1, toric3d),
+}
+FAMILIES = (*_BUILDERS, "custom")
+
+
 def gen_family(spec: FamilySpec) -> Graph:
     """Build a graph from a family spec."""
     fam, p = spec.family, spec.params
-
-    def need(count):
-        if len(p) != count:
-            raise ValueError(f"{fam} takes {count} parameter(s), got {len(p)}")
-
-    if fam == "star":
-        need(1)
-        return star(p[0])
-    if fam == "complete":
-        need(1)
-        return complete(p[0])
-    if fam == "complete_bipartite":
-        need(2)
-        return complete_bipartite(p[0], p[1])
-    if fam == "multi_star":
-        need(2)
-        return multi_star(p[0], p[1])
-    if fam == "lattice":
-        need(2)
-        return lattice(p[0], p[1], periodic=spec.periodic)
-    if fam == "toric":
-        need(1)
-        return toric(p[0])
-    if fam == "connected_multi_star":
-        need(1)
-        return connected_multi_star(p[0])
-    if fam == "line_of_complete":
-        need(1)
-        return line_of_complete(p[0])
-    if fam == "line_of_bipartite":
-        need(1)
-        return line_of_bipartite(p[0])
-    if fam == "toric3d":
-        need(1)
-        return toric3d(p[0])
     if fam == "custom":
         if spec.path is None:
             raise ValueError("custom family requires a file path")
         return read_edge_list(spec.path)
-    raise ValueError(f"unknown family {fam!r}")
+    if fam not in _BUILDERS:
+        raise ValueError(f"unknown family {fam!r}")
+    count, build = _BUILDERS[fam]
+    if len(p) != count:
+        raise ValueError(f"{fam} takes {count} parameter(s), got {len(p)}")
+    return build(*p, periodic=spec.periodic) if fam == "lattice" else build(*p)
+
+
+def content_lines(path: str) -> List[str]:
+    """The lines of a text file with '#' comments cut off, stripped, and the
+    blank ones dropped."""
+    with open(path) as fh:
+        return [line for raw in fh if (line := raw.split("#", 1)[0].strip())]
 
 
 def read_edge_list(path: str) -> Graph:
     """Edge-list file: 'n m' header, then m lines 'u v' (0-indexed, u < v)."""
-    lines = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
+    lines = content_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
     try:

@@ -53,7 +53,9 @@ class StateVector:
         amps = np.array(amps, dtype=np.complex128 if np.iscomplexobj(amps) else np.float64)
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
-        norm = np.linalg.norm(amps)
+        # einsum, not BLAS: np.linalg.norm and np.vdot hand vectors above about
+        # 10,000 entries to threaded BLAS, whose start-up can stall for ms
+        norm = np.sqrt(np.einsum("i,i->", amps.conj(), amps).real)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi| = {norm}")
         amps.setflags(write=False)
@@ -134,8 +136,10 @@ def pauli_matrix_element(
     if k.n != phi.n or l.n != phi.n:
         raise ValueError("operator length mismatch")
     idx, _, sign = _tables(phi.n)
-    # vdot conjugates its first argument, and the signs are real
-    return complex(np.vdot(phi.amps[idx ^ k.bits] * sign[idx & l.bits], psi.amps))
+    # the bra is conjugated, and the signs are real; einsum, not BLAS (see
+    # StateVector)
+    bra = phi.amps[idx ^ k.bits].conj() * sign[idx & l.bits]
+    return complex(np.einsum("i,i->", bra, psi.amps))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, cluster_xors, dot,
-                  transpose, xor_columns)
+                  xor_columns)
 from .graphs import Graph, toric3d_rows
 
 
@@ -79,6 +79,16 @@ def pauli_mul(p: Pauli, q: Pauli) -> Pauli:
     return Pauli(p.x ^ q.x, p.z ^ q.z, sign)
 
 
+def _positions(bits: int) -> List[int]:
+    """The set bit positions of bits, highest first."""
+    out = []
+    while bits:
+        v = bits.bit_length() - 1
+        out.append(v)
+        bits ^= 1 << v
+    return out
+
+
 def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     """(x, z, s) of the ordered product of the +X^x Z^z rows, with sign
     (-1)^s: each factor adds z_acc . x_next to s, the rule of pauli_mul."""
@@ -116,14 +126,28 @@ class StabilizerGroup:
             raise ValueError("sign mask outside the generators")
         if any(x < 0 or z < 0 or (x | z) >> n for x, z in rows):
             raise ValueError("generator length mismatch")
-        xcols, zcols = transpose((x for x, _ in rows), n), transpose((z for _, z in rows), n)
+        # one walk of each row's set bits: the columns and the syndromes
+        # below both read its positions
+        xcols, zcols, supports = [0] * n, [0] * n, []
+        for i, (x, z) in enumerate(rows):
+            bit, xs, zs = 1 << i, _positions(x), _positions(z)
+            for v in xs:
+                xcols[v] |= bit
+            for v in zs:
+                zcols[v] |= bit
+            supports.append((xs, zs))
         for name, value in zip(self.__slots__, (n, rows, signs, tuple(map(tuple, symmetries)),
-                                                xcols, zcols, None)):
+                                                tuple(xcols), tuple(zcols), None)):
             object.__setattr__(self, name, value)
         # Anticommutation is symmetric: the first generator with a syndrome has
         # its lowest partner above it, the first bad pair in combinations order.
-        for i, row in enumerate(rows):
-            if syn := self._syndrome(*row):
+        for i, (xs, zs) in enumerate(supports):
+            syn = 0
+            for v in xs:
+                syn ^= zcols[v]
+            for v in zs:
+                syn ^= xcols[v]
+            if syn:
                 gens = self.generators
                 a, b = gens[i], gens[(syn & -syn).bit_length() - 1]
                 raise ValueError(f"generators do not commute: {a.to_text()} vs {b.to_text()}")

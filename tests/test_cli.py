@@ -475,6 +475,49 @@ def test_benchmark_reference_replay(capsys, key, entry):
         assert got == want, path
 
 
+ENVELOPE = {"schema", "version", "command", "config", "results", "ok",
+            "budget_exceeded", "elapsed_ms"}
+
+
+class TestReportPath:
+    """main writes every report: one envelope, one exit-code rule, and a
+    config that each command fills in before it enumerates anything."""
+
+    class StopAtOnce:
+        def check(self):
+            raise gf2.BudgetExceededError("time budget of 0.000s exhausted")
+
+    @staticmethod
+    def check_envelope(code, rep, cmd):
+        assert set(rep) == ENVELOPE
+        assert rep["command"] == cmd
+        assert code == (2 if rep["budget_exceeded"] else 0 if rep["ok"] else 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["cset", "star", "4", "--d", "2"],
+        ["dmax", "multi_star", "4", "4"],
+        ["verify", "star", "4", "--d", "2", "--codewords", "LABELS"],
+        ["oracle", "star", "4", "--h", "0110", "--d", "2"],
+        ["oracle", "complete", "4", "--matrix-elements", "--samples", "5"],
+        ["code3d", "--L", "3"],
+        ["scan", "multi_star", "2,2", "3,3"],
+    ], ids=["cset", "dmax", "verify", "oracle --h", "oracle --matrix-elements",
+            "code3d", "scan"])
+    def test_one_envelope_and_config_before_the_stop(self, capsys, monkeypatch,
+                                                     tmp_path, argv):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0110\n1001\n")
+        argv = [str(labels) if a == "LABELS" else a for a in argv]
+        code, plain = run_json(capsys, argv)
+        self.check_envelope(code, plain, argv[0])
+        assert not plain["budget_exceeded"]
+        monkeypatch.setattr(cli, "_deadline", self.StopAtOnce)
+        code, stopped = run_json(capsys, argv)
+        self.check_envelope(code, stopped, argv[0])
+        assert code == 2 and stopped["budget_exceeded"] and not stopped["ok"]
+        assert stopped["config"] == plain["config"]
+
+
 class TestBudget:
     """TQO_BUDGET_MS: one deadline path, with or without a budget."""
 

@@ -1,9 +1,12 @@
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
 from tqograph.gf2 import BitString
 from tqograph.graphs import (
+    FAMILIES,
     FamilySpec,
     Graph,
     complete,
@@ -400,6 +403,19 @@ class TestFamilySpecAndIO:
             gen_family(FamilySpec("nope", (1,)))
         with pytest.raises(ValueError):
             gen_family(FamilySpec("custom"))
+
+    def test_families_in_readme(self):
+        # the README's "Families:" paragraph names every family, in order
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        para = text.split("\nFamilies: ", 1)[1].split("\n\n", 1)[0]
+        assert tuple(re.findall(r"`([a-z0-9_]+)`", para)) == FAMILIES
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "custom"])
+    def test_parameter_count_message(self, family):
+        count = 2 if family in ("complete_bipartite", "multi_star", "lattice") else 1
+        with pytest.raises(ValueError) as err:
+            gen_family(FamilySpec(family, (3,) * (count + 1)))
+        assert str(err.value) == f"{family} takes {count} parameter(s), got {count + 1}"
 
     def test_label(self):
         assert FamilySpec("multi_star", (3, 2)).label() == "multi_star(3,2)"

@@ -80,6 +80,19 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_norm_tolerance_above_the_blas_threading_size(self, dtype):
+        # 2^14 entries, where np.linalg.norm would hand the sum to threaded
+        # BLAS; the 1e-12 tolerance is kept for real and complex amplitudes
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal(1 << 14).astype(dtype)
+        if dtype is np.complex128:
+            a = a + 1j * rng.standard_normal(1 << 14)
+        a /= np.linalg.norm(a)
+        assert StateVector(14, a * (1 + 2e-13)).amps.dtype == dtype
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(14, a * (1 + 5e-12))
+
     def test_immutable(self):
         psi = build_graph_state(complete(2))
         with pytest.raises(AttributeError):
@@ -157,6 +170,19 @@ class TestPauliMatrixElement:
         assert abs(val2 - (-1.0)) < TOL  # Z sees x0 = 1 before X flips it
         val3 = pauli_matrix_element(psi, psi, BitString.from_text("00"), BitString.from_text("11"))
         assert abs(val3 - 1.0) < TOL  # two Z signs cancel on |11>
+
+    def test_matches_vdot_on_complex_states(self):
+        # the einsum reduction against np.vdot, the BLAS form it replaced
+        rng = random.Random("matrix-element-vdot")
+        g = Graph.from_edges(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                                  if rng.random() < 0.3])
+        plain = [build_graph_state(g), graph_basis_state(g, BitString(14, 0x2A5))]
+        phi, psi = _phase_twist(plain, rng)
+        idx, _, sign = oracle._tables(14)
+        for _ in range(20):
+            k, l = BitString(14, rng.getrandbits(14)), BitString(14, rng.getrandbits(14))
+            want = np.vdot(phi.amps[idx ^ k.bits] * sign[idx & l.bits], psi.amps)
+            assert abs(pauli_matrix_element(phi, psi, k, l) - want) < 1e-12
 
     def test_stabilizer_expectations(self):
         # generator i (X on i, Z on neighbors) fixes the graph state
