@@ -17,44 +17,46 @@ The Z span runs the check-guided kernel gf2.cluster_xors on the graph-state
 generators: each stabilizer X^k Z^{A.k} of weight <= d-1 grows from its least
 qubit only onto generators it does not yet commute with (z_span_basis: why).
 
-W by meet in the middle, peeled down to the tables.  A.m ^ l is the
-syndrome of the Pauli with X part m and Z part l: at vertex v, X contributes
-column A_v, Z contributes e_v and Y contributes A_v ^ e_v, and the syndrome
-of a product is the xor of the syndromes.  Let T_w be the syndromes of the
-Paulis of weight <= w.  With k = ceil((d-1)/2) and b = floor((d-1)/2),
+W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
+of the Pauli with X part m and Z part l: at vertex v, X contributes column
+A_v, Z contributes e_v and Y contributes A_v ^ e_v, and the syndrome of a
+product is the xor of the syndromes.  Let T_w be the syndromes of the
+Paulis of weight <= w.  For every table height t <= d // 2,
 
-  W = T_k ^ T_b = {s ^ t : s in T_k, t in T_b}.
+  W = T_t ^ T_(d-1-t) = {s ^ u : s in T_t, u in T_(d-1-t)},
 
-Every Pauli of weight <= d-1 splits into two Paulis on disjoint supports,
-of weights <= k and <= b; and the weight of a product is at most the sum of
-the weights.  The tables T_0 .. T_k are kept for the last graph and grow
-one weight class at a time, so each class is enumerated once per graph.
+since every Pauli of weight <= d-1 splits into two on disjoint supports, of
+weights <= t and <= d-1-t, and a product weighs at most the sum of the
+weights.  The tables are kept for the last graph (_w_cache).
 
-A query h not in T_k is peeled (the cluster method's step, as in
+A query h not in T_t is peeled (the cluster method's step, as in
 gf2.cluster_xors): with c the lowest set bit of h, the flips of check c are
 the syndromes of Z_c, Y_c, and X_v, Y_v for v in N(c).  For h != 0,
 
-  h in T_k ^ T_j  iff  h ^ s in T_k ^ T_(j-1) for some flip s,
+  h in T_t ^ T_j  iff  h ^ s in T_t ^ T_(j-1) for some flip s,
 
-since a Pauli of weight <= k + j with syndrome h has a qubit whose choice
-flips c, and without it the Pauli has weight <= k + j - 1 (conversely, a
-flip is the syndrome of one qubit's choice).  The peel runs from j = b down
-to j = 1, which is one set scan of h ^ flips against T_k.  Where
-|flips| * |T_(j-1)| >= |T_j| it scans h ^ T_j against T_k instead, so by
-induction a level-j call does at most |T_j| lookups, and a query no more
-than the 1 + |T_b| of one scan of h ^ T_b.
+since a Pauli of weight <= t + j with syndrome h has a qubit whose choice
+flips c, and without it the Pauli has weight <= t + j - 1 (conversely, a
+flip is the syndrome of one qubit's choice), at any t.  The peel runs from
+j = d-1-t down to j = 1, which is one set scan of h ^ flips against T_t.
+At a level j <= t where |flips| * |T_(j-1)| >= |T_j| it scans h ^ T_j
+against T_t instead, so by induction a level-j call does at most |T_j|
+lookups; at t = d // 2 a query makes no more than the 1 + |T_b| of one
+scan of h ^ T_b, b = (d-1) // 2, and a level above T_t multiplies the calls
+by at most |flips| (_w_member weighs that against a taller table).
 
 Zp is walked by one int generator, _span_walk: at step c it xors in the
 step indexed by the lowest set bit of c.  With the kernel basis as the
 steps that is the Gray-code walk of Zp, which c_set lists; with the prefix
-xors of the sorted kernel basis it is Zp in increasing order, so the first
-member found outside W is the canonical-least member of C (_least_member).
+xors of the sorted kernel basis (gf2.Echelon.kernel_basis: why) it is Zp in
+increasing order, so the first member outside W is the least member of C.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -111,6 +113,23 @@ def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
                          for v, c in enumerate(a.columns())], n)
 
 
+def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
+    """Beside the singles e_v, the k of Z whose S_k has weight w, enough to
+    span them (z_span_basis), in canonical order: at w = 2 the twin pairs
+    u < v (A.k within {u, v}), with no kernel to build, and from w = 3 the
+    kernel's hits."""
+    n, cols = a.cols, a.columns()
+    if w == 2:
+        yield from ((1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
+                    if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v)))
+    elif w > 2:
+        # a hit's x bits k and z bits A.k
+        parts = (((x >> n) & ((1 << n) - 1), x >> (2 * n))
+                 for x in _z_kernel(a)(range(n), w, deadline))
+        for _, batch in itertools.groupby(parts, lambda p: (p[0] | p[1]) & -(p[0] | p[1])):
+            yield from sorted(k for k, _ in batch)
+
+
 def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     """Independent set spanning span(Z), in canonical order.
 
@@ -126,25 +145,11 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     commuting part lies in the span of the lighter classes.
     """
     deadline.check()
-    n, top = q.graph.n, q.d - 1
-    cols = q.graph.adjacency().columns()
-    singles = [1 << v for v, c in enumerate(cols) if c.bit_count() < top]
-
-    def classes() -> Iterator[List[int]]:
-        # beside the singles, weights 1 and 2 hold only the twin pairs u < v
-        # (A.k within {u, v}), by (u, v)
-        if top >= 2:
-            yield [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
-                   if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v))]
-        for w in range(3, min(top, n) + 1):
-            # a hit's x bits k and z bits A.k; grouped by the least qubit of k | A.k
-            hits = _z_kernel(q.graph.adjacency())(range(n), w, deadline)
-            parts = (((x >> n) & ((1 << n) - 1), x >> (2 * n)) for x in hits)
-            for _, batch in itertools.groupby(parts, lambda p: (p[0] | p[1]) & -(p[0] | p[1])):
-                yield sorted(k for k, _ in batch)
-
+    n, top, a = q.graph.n, q.d - 1, q.graph.adjacency()
+    singles = [1 << v for v, c in enumerate(a.columns()) if c.bit_count() < top]
+    classes = (_z_class(a, w, deadline) for w in range(2, min(top, n) + 1))
     ech, kept = Echelon(), []
-    for k in itertools.chain(singles, itertools.chain.from_iterable(classes())):
+    for k in itertools.chain(singles, itertools.chain.from_iterable(classes)):
         if ech.add(k):
             kept.append(k)
             if len(kept) == n:
@@ -178,14 +183,21 @@ def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozense
     return tables
 
 
-def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER) -> Callable[[int], bool]:
-    """The predicate h -> (h in W) on ints, for one (A, d): h in T_k, or the
-    peel of h down to T_k (module docstring), k = d // 2.  The flips of a
-    check are listed at its first peel and kept with the tables; the tables
-    are fetched at the first query, so a walk that yields nothing builds none."""
-    k, b = d // 2, (d - 1) // 2
-    cols = a.columns()
-    t_k = tables = sizes = flips = None
+def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
+              t: Optional[int] = None) -> Callable[[int], bool]:
+    """The predicate h -> (h in W) on ints, for one (A, d): h in T_t, or the
+    peel of h down to T_t (module docstring), at table height t <= d // 2.
+    A given t is kept.  A walk's predicate (no t: d_max stops at its first
+    member, so the query count is unknown) starts at min(d // 2, 2), or as
+    high as the built tables reach, and rises by one toward d // 2 once its
+    peel calls since the last rise reach a quarter of the Paulis of the next
+    weight class (a peel call costs 4 to 7 times one of them).  Tables are
+    fetched at the first query, so a walk that yields nothing builds none.
+    The deadline is checked at each peel above the tables."""
+    n, cols, top = a.cols, a.columns(), d // 2 if t is None else t
+    t = min(top, 2) if t is None else t
+    base = tables = sizes = flips = None
+    peels = rise_at = 0
 
     def flips_of(bit: int) -> Tuple[int, ...]:
         # Z_c, Y_c, then X_v, Y_v for v in N(c), c the index of bit; once each
@@ -200,25 +212,32 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER) -> Callable[[int
         return f
 
     def peel(h: int, j: int) -> bool:
-        # h in T_k ^ T_j, for j >= 1
+        # h in T_t ^ T_j, for j >= 1
+        nonlocal peels
+        peels += 1
         if not h:
             return True
         f = flips.get(h & -h) or flips_of(h & -h)
-        if len(f) * sizes[j - 1] >= sizes[j]:
-            return not t_k.isdisjoint(map(h.__xor__, tables[j]))
+        if j > t:
+            deadline.check()
+        elif len(f) * sizes[j - 1] >= sizes[j]:
+            return not base.isdisjoint(map(h.__xor__, tables[j]))
         if j == 1:
-            return not t_k.isdisjoint(map(h.__xor__, f))
+            return not base.isdisjoint(map(h.__xor__, f))
         for s in f:
             if peel(h ^ s, j - 1):
                 return True
         return False
 
     def member(h: int) -> bool:
-        nonlocal t_k, tables, sizes, flips
-        if t_k is None:
-            tables = _w_tables(a, k, deadline)[: k + 1]
-            t_k, sizes, flips = tables[k], [len(t) for t in tables], _w_cache[2]
-        return h in t_k or (b > 0 and peel(h, b))
+        nonlocal t, base, tables, sizes, flips, peels, rise_at
+        if peels >= rise_at:  # the first query, or a rise
+            t += base is not None
+            tables = _w_tables(a, t, deadline)
+            t = max(t, min(top, len(tables) - 1))
+            base, sizes, flips, peels = tables[t], [len(x) for x in tables[: t + 1]], _w_cache[2], 0
+            rise_at = math.inf if t == top else math.comb(n, t + 1) * 3 ** (t + 1) // 4
+        return h in base or (t < d - 1 and peel(h, d - 1 - t))
 
     return member
 
@@ -227,7 +246,7 @@ def in_W(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
     """True iff h = A.m ^ l for some weight(m | l) <= d - 1."""
     if h.n != q.graph.n:
         raise ValueError(f"label length {h.n} != {q.graph.n}")
-    return _w_member(q.graph.adjacency(), q.d, deadline)(h.bits)
+    return _w_member(q.graph.adjacency(), q.d, deadline, q.d // 2)(h.bits)
 
 
 def in_zperp(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
@@ -260,8 +279,7 @@ def _span_walk(steps: Sequence[int], deadline: Deadline = NEVER) -> Iterator[int
 
     With an independent basis as the steps this is its span in Gray-code
     order, zero left out (c_set); with prefix xors it can be the span in
-    increasing order (_least_member).  The deadline is checked at every
-    element.
+    increasing order (d_max).  The deadline is checked at every element.
     """
     h = 0
     for c in range(1, 1 << len(steps)):
@@ -293,21 +311,6 @@ def c_set(
     return CSetResult(q.d, tuple(zb), tuple(zp), members, len(found) < max_members)
 
 
-def _least_member(q: SetQuery, deadline: Deadline = NEVER) -> Optional[BitString]:
-    """The canonical-least member of C, or None when C is empty.
-
-    A kernel basis is fully reduced on its highest bits (see
-    Gf2Matrix.kernel_basis), so with the rows sorted, member c (the xor of
-    the rows picked by the bits of c) grows with c.  Stepping from c - 1 to
-    c xors in the rows up to the lowest set bit of c, a prefix xor.
-    """
-    rows = sorted(b.bits for b in zperp_basis(q, deadline))
-    in_w = _w_member(q.graph.adjacency(), q.d, deadline)
-    walk = _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
-    h = next((h for h in walk if not in_w(h)), None)
-    return None if h is None else BitString(q.graph.n, h)
-
-
 @dataclass(frozen=True)
 class DMaxResult:
     value: Optional[int]
@@ -329,21 +332,32 @@ def d_max(g: Graph, deadline: Deadline = NEVER) -> DMaxResult:
     C(G, n, 1) is all nonzero strings and C(G, n, n+1) is empty, so the
     answer lies in [1, n].  The search walks up from d = 1 and stops at the
     first empty C; the least member found at the last nonempty d is the
-    certificate.  On budget exhaustion the bracket found so far is returned
-    instead of a value.  The empty graph has no answer: ValueError.
+    certificate.  span(Z) grows with d, so one echelon holds it: probe d adds
+    the members whose S_k has weight d - 1 (_z_class), the singles e_v
+    first, since they alone may fill the rank to n, and walks its kernel
+    (module docstring).  On budget exhaustion the bracket found so far is
+    returned instead of a value.  The empty graph has no answer: ValueError.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    lo, cert = 1, None  # C(lo) nonempty, with least member cert
+    n, a = g.n, g.adjacency()
+    ech, lo, cert = Echelon(), 1, 0  # C(lo) nonempty, with least member cert
     try:
-        for d in range(1, g.n + 1):
-            member = _least_member(SetQuery(g, d), deadline)
-            if member is None:
+        for d in range(1, n + 1):
+            singles = (1 << v for v, c in enumerate(a.columns()) if c.bit_count() == d - 2)
+            for k in itertools.chain(singles, _z_class(a, d - 1, deadline)):
+                if ech.add(k) and len(ech.rows) == n:
+                    break
+            rows = sorted(ech.kernel_basis(n))
+            in_w = _w_member(a, d, deadline)
+            walk = _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
+            h = next((h for h in walk if not in_w(h)), None)
+            if h is None:
                 break
-            lo, cert = d, member
+            lo, cert = d, h
     except BudgetExceededError as exc:
         return DMaxResult(None, None, bracket=(lo, None), error=str(exc))
-    return DMaxResult(lo, cert)
+    return DMaxResult(lo, BitString(n, cert))
 
 
 @dataclass(frozen=True)
@@ -382,7 +396,7 @@ def verify_codewords(
             return VerifyVerdict(False, f"label {i} is the zero string")
         if any(dot(h, z) for z in zb):
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
-    full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline), set()
+    full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline, d // 2), set()
     pairs = itertools.combinations(range(len(full)), 2)
     if 1 << len(Echelon(full).rows) == len(full):
         pairs = ((0, j) for j in range(1, len(full)))

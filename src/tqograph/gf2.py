@@ -216,6 +216,26 @@ class Echelon:
             self.pivots |= 1 << p
         return bool(r)
 
+    def kernel_basis(self, width: int) -> List[int]:
+        """Basis of the width-bit x orthogonal to every row: for each free
+        (non-pivot) column j, e_j plus the pivots that clear every row.  A
+        row holds no pivot of the rows added before it, so one pass over the
+        rows, latest first, sets pivot p when row p meets x an odd number of
+        times.  x is unique, so it is also e_j plus the pivots p < j whose
+        fully reduced row holds bit j: its highest bit is j, which no other
+        vector has, and the span in sorted-row binary counting order is
+        increasing."""
+        rows = list(self.rows.items())[::-1]
+        basis = []
+        for j in range(width):
+            if not (self.pivots >> j) & 1:
+                x = 1 << j
+                for p, (r, _) in rows:
+                    if (r & x).bit_count() & 1:
+                        x |= 1 << p
+                basis.append(x)
+        return basis
+
 
 class Gf2Matrix:
     """Dense bit-packed GF(2) matrix, row-major (row bit j = column j)."""
@@ -281,28 +301,8 @@ class Gf2Matrix:
         return len(Echelon(self.row_bits).rows)
 
     def kernel_basis(self) -> List[BitString]:
-        """Basis of {x : A.x = 0}; size is cols - rank.
-
-        Vector j is e_j for a free (non-pivot) column j plus the pivots that
-        clear every row: a row holds no pivot of the rows added before it
-        (Echelon), so one pass over the rows, latest first, sets pivot p when
-        row p meets the vector an odd number of times.  The vector is unique,
-        so it is also e_j plus the pivots p < j whose fully reduced row holds
-        bit j.  Its highest bit is its free column, which no other vector
-        has; the basis is thus fully reduced on highest bits, and its span in
-        sorted-row binary counting order is increasing.
-        """
-        ech = Echelon(self.row_bits)
-        rows = list(ech.rows.items())[::-1]
-        basis = []
-        for j in range(self.cols):
-            if not (ech.pivots >> j) & 1:
-                x = 1 << j
-                for p, (r, _) in rows:
-                    if (r & x).bit_count() & 1:
-                        x |= 1 << p
-                basis.append(BitString(self.cols, x))
-        return basis
+        """Basis of {x : A.x = 0}; size is cols - rank (Echelon.kernel_basis)."""
+        return [BitString(self.cols, x) for x in Echelon(self.row_bits).kernel_basis(self.cols)]
 
     def __eq__(self, other) -> bool:
         return (

@@ -27,6 +27,10 @@ W membership before the check-guided peel: h in T_a, or one scan of h ^ T_b
 against T_a, a = d // 2 and b = (d - 1) // 2, T_w the syndromes of the
 Paulis of weight <= w.
 
+d_max as each probe once ran it: span(Z) rebuilt anew by
+z_span_basis at every d, and the least member of C found among the whole
+span of Z^perp.
+
 Helpers that only the tests call: graph_stabilizers, pauli_expectation, and
 the edge-space helpers s_vector and odd_degree_vertices.
 """
@@ -35,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from tqograph.analysis import SetQuery, VerifyVerdict, in_W, z_span_basis
+from tqograph.analysis import SetQuery, VerifyVerdict, in_W, z_span_basis, zperp_basis
 from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
 from tqograph.oracle import pauli_matrix_element
@@ -432,3 +436,19 @@ def reference_w_member(g: Graph, d: int):
                                                         for i in range(w + 1)))
                 for w in (d // 2, (d - 1) // 2))
     return lambda h: h in t_a or not t_a.isdisjoint(map(h.__xor__, t_b))
+
+
+def reference_d_max(g: Graph) -> Tuple[int, BitString]:
+    """(d_max, certificate) with a fresh zperp_basis at every d and the least
+    label of its span outside W, found by listing the span in sorted order."""
+    lo, cert = 1, None
+    for d in range(1, g.n + 1):
+        q, span = SetQuery(g, d), {0}
+        for b in zperp_basis(q):
+            span |= {x ^ b.bits for x in span}
+        h = next((BitString(g.n, x) for x in sorted(span)
+                  if x and not in_W(q, BitString(g.n, x))), None)
+        if h is None:
+            break
+        lo, cert = d, h
+    return lo, cert

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -45,6 +46,7 @@ from tqograph.oracle import graph_basis_state, pauli_matrix_element
 
 from references import (
     connected_z_span_basis,
+    reference_d_max,
     reference_w_member,
     reference_verify_codewords,
     s_vector,
@@ -359,6 +361,10 @@ class TestKernelMatchesReference:
         assert res.certificate == members[0]
         assert c_set(SetQuery(g, res.value + 1), max_members=1 << g.n).empty
 
+    def test_d_max_matches_the_per_probe_route(self, g):
+        res = d_max(g)
+        assert (res.value, res.certificate) == reference_d_max(g)
+
 
 def sparse_graph(rng, n):
     p = rng.uniform(0.1, 0.3)
@@ -403,8 +409,8 @@ class TestWTables:
     GRAPHS += [sparse_graph(random.Random(s), n) for s, n in ((24, 11), (25, 12))]
 
     @staticmethod
-    def assert_predicate(g, d, dist):
-        member = analysis._w_member(g.adjacency(), d)
+    def assert_predicate(g, d, dist, t=None):
+        member = analysis._w_member(g.adjacency(), d, t=d // 2 if t is None else t)
         got = [h for h in range(1 << g.n) if member(h)]
         assert got == [h for h in range(1 << g.n) if dist[h] <= d - 1], (g.edges, d)
 
@@ -422,6 +428,35 @@ class TestWTables:
             assert analysis._w_cache[0] == other.adjacency()
             self.assert_predicate(g, d, dist)
             assert analysis._w_cache[0] == g.adjacency()
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_every_forced_height(self, g, monkeypatch):
+        # W = T_t ^ T_(d-1-t) for every t <= d // 2, and a forced height
+        # builds no taller table than those of the heights before it
+        dist = w_distance(g)
+        monkeypatch.setattr(analysis, "_w_cache", None)
+        for d in range(1, g.n + 2):
+            for t in range(d // 2 + 1):
+                self.assert_predicate(g, d, dist, t)
+                assert len(analysis._w_cache[1]) == max(t, (d - 1) // 2) + 1
+
+    def test_walk_height_rises_with_the_peel_work(self, monkeypatch):
+        # n = 12, d = 7: a walk's predicate starts on T_2 and builds T_3 once
+        # its peel calls reach C(12, 3) * 27 // 4 = 1485; a predicate made
+        # after that starts on T_3
+        g, d = self.GRAPHS[2], 7
+        dist, a = w_distance(g), g.adjacency()
+        monkeypatch.setattr(analysis, "_w_cache", None)
+        member = analysis._w_member(a, d)
+        assert member(0) and len(analysis._w_cache[1]) == 3
+        assert [h for h in range(1 << g.n) if member(h)] == [
+            h for h in range(1 << g.n) if dist[h] <= d - 1]
+        assert len(analysis._w_cache[1]) == 4
+        tables = analysis._w_cache[1]
+        monkeypatch.setattr(analysis, "_w_cache", (a, [CountingSet(t) for t in tables], {}))
+        for h in sorted(tables[3] - tables[2])[:50]:
+            CountingSet.lookups = 0
+            assert analysis._w_member(a, d)(h) and CountingSet.lookups == 1
 
     def test_budget_stop_keeps_only_whole_tables(self, monkeypatch):
         g = self.GRAPHS[1]
@@ -453,6 +488,27 @@ class TestWTables:
         res = d_max(g)
         assert weights == list(range(1, len(weights) + 1)), weights
         assert len(weights) <= res.value // 2 + 1
+
+    @pytest.mark.parametrize("g", [toric(4), line_of_complete(5), GRAPHS[2]],
+                             ids=["toric4", "loc5", "n12"])
+    def test_d_max_runs_each_z_class_once(self, g, monkeypatch):
+        # span(Z) grows in one echelon: probe d runs only the class d - 1
+        weights = []
+
+        def recording(choices, m):
+            xors = cluster_xors(choices, m)
+
+            def spy(roots, w, deadline):
+                weights.append(w)
+                return xors(roots, w, deadline)
+            return spy
+
+        monkeypatch.setattr(analysis, "cluster_xors", recording)
+        analysis._z_kernel.cache_clear()
+        res = d_max(g)
+        analysis._z_kernel.cache_clear()
+        assert weights == list(range(3, len(weights) + 3)), weights
+        assert len(weights) <= max(res.value - 2, 0)
 
 
 class CountingSet(frozenset):
@@ -766,6 +822,46 @@ class TestDMax:
             z_span_basis(SetQuery(g, 5), dl)
         res = d_max(g, deadline=dl)
         assert not res.ok and res.bracket == (1, None) and "budget" in res.error
+
+    def test_budget_stop_inside_a_z_class_or_a_deep_peel(self, monkeypatch):
+        # toric 6: probe d >= 4 runs the Z class of weight d - 1 before its
+        # walk, and probe 6 peels 3 levels down to T_2, one above the table;
+        # a stop in either leaves the bracket at the last probe that finished
+        g, walked, where = toric(6), [0], []
+        w_member = analysis._w_member
+
+        def marking(a, d, deadline):
+            walked[0] = d
+            return w_member(a, d, deadline)
+
+        class Recording:
+            def check(self):
+                where.append((walked[0], sys._getframe(1).f_code.co_name))
+
+        def cold():
+            monkeypatch.setattr(analysis, "_w_cache", None)
+            analysis._z_kernel.cache_clear()
+
+        monkeypatch.setattr(analysis, "_w_member", marking)
+        cold()
+        want = d_max(g, Recording())
+        assert want.value == 6
+        # a kernel check after the walk of d - 1 is in the class of probe d
+        stops = {where.index((4, "grow")): 4, where.index((5, "grow")): 5,
+                 where.index((6, "peel")): 5}
+        for i, finished in stops.items():
+            cold()
+            res = d_max(g, RaiseAtCheck(i + 1))
+            assert not res.ok and res.bracket == (finished, None), where[i]
+        assert d_max(g) == want  # the caches a stop leaves still serve
+        analysis._z_kernel.cache_clear()
+
+    def test_matches_the_per_probe_route_on_random_graphs(self):
+        rng = random.Random("d-max-per-probe")
+        for _ in range(30):
+            g = (random_graph if rng.random() < 0.5 else sparse_graph)(rng, rng.randrange(1, 13))
+            res = d_max(g)
+            assert (res.value, res.certificate) == reference_d_max(g), g.edges
 
     @pytest.mark.parametrize("g,want", [
         (toric(5), 5),

@@ -119,6 +119,16 @@ class TestDmax:
         assert rep["budget_exceeded"]
         assert rep["results"]["bracket"] is not None
 
+    def test_budget_stop_on_toric_8(self, capsys, monkeypatch):
+        # d_max is 8, but the d = 8 probe's Z class alone takes seconds
+        monkeypatch.setenv("TQO_BUDGET_MS", "50")
+        code, rep = run_json(capsys, ["dmax", "toric", "8"])
+        assert code == 2 and rep["budget_exceeded"]
+        assert rep["results"]["d_max"] is None and rep["results"]["certificate"] is None
+        lo, hi = rep["results"]["bracket"]
+        assert 1 <= lo < 8 and hi is None
+        assert rep["elapsed_ms"] < 1000
+
     def test_toric_4_beyond_the_dimension_cap(self, capsys):
         # Z^perp has dimension 32 > 30 at d = 1, but each walk stops early
         code, rep = run_json(capsys, ["dmax", "toric", "4"])

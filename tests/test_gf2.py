@@ -194,6 +194,7 @@ class TestEchelon:
         pivots, reduced = reference_row_reduce(row_bits)
         assert m.rank() == len(pivots)
         assert [v.bits for v in m.kernel_basis()] == reference_kernel_basis(row_bits, cols)
+        assert Echelon(row_bits).kernel_basis(cols) == reference_kernel_basis(row_bits, cols)
         ech = Echelon()
         for i, r in enumerate(row_bits):
             before = len(ech.rows)
@@ -221,6 +222,23 @@ class TestEchelon:
         assert [p for p, _ in rows] == [0, 1, 2]
         for i, (_, (r, _)) in enumerate(rows):
             assert not any((r >> p) & 1 for p, _ in rows[:i])
+
+    def test_kernel_basis_on_ints(self):
+        # the Gf2Matrix cases above: identity, zero, two rows of width 4
+        assert Echelon([1 << i for i in range(4)]).kernel_basis(4) == []
+        assert Echelon([0, 0, 0]).kernel_basis(3) == [1, 2, 4]
+        assert Echelon().kernel_basis(0) == []
+        assert Echelon([0b0011, 0b0110]).kernel_basis(4) == [0b0111, 0b1000]
+
+    def test_kernel_basis_of_a_growing_echelon(self):
+        # rows added over several calls, as a search adds each weight class
+        rng = random.Random(5)
+        ech, rows = Echelon(), []
+        for _ in range(12):
+            r = rng.getrandbits(16) & rng.getrandbits(16)
+            ech.add(r)
+            rows.append(r)
+            assert ech.kernel_basis(16) == reference_kernel_basis(rows, 16)
 
     def test_add_reports_independence(self):
         ech = Echelon()
