@@ -20,14 +20,13 @@ qubit only onto generators it does not yet commute with (z_span_basis: why).
 W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
 A_v, Z contributes e_v and Y contributes A_v ^ e_v, and the syndrome of a
-product is the xor of the syndromes.  Let T_w be the syndromes of the
-Paulis of weight <= w.  For every table height t <= d // 2,
+product is the xor of the syndromes.  With T_w the syndromes of the Paulis
+of weight <= w (kept for the last graph, _w_cache), for any t <= d // 2
 
   W = T_t ^ T_(d-1-t) = {s ^ u : s in T_t, u in T_(d-1-t)},
 
-since every Pauli of weight <= d-1 splits into two on disjoint supports, of
-weights <= t and <= d-1-t, and a product weighs at most the sum of the
-weights.  The tables are kept for the last graph (_w_cache).
+since a Pauli of weight <= d-1 splits into two on disjoint supports, of
+weights <= t and <= d-1-t, and a product weighs at most the sum.
 
 A query h not in T_t is peeled (the cluster method's step, as in
 gf2.cluster_xors): with c the lowest set bit of h, the flips of check c are
@@ -41,9 +40,8 @@ flip is the syndrome of one qubit's choice), at any t.  The peel runs from
 j = d-1-t down to j = 1, which is one set scan of h ^ flips against T_t.
 At a level j <= t where |flips| * |T_(j-1)| >= |T_j| it scans h ^ T_j
 against T_t instead, so by induction a level-j call does at most |T_j|
-lookups; at t = d // 2 a query makes no more than the 1 + |T_b| of one
-scan of h ^ T_b, b = (d-1) // 2, and a level above T_t multiplies the calls
-by at most |flips| (_w_member weighs that against a taller table).
+lookups (at t = d // 2, no more than one scan of h ^ T_(d-1-t)); a level
+above T_t multiplies the calls by at most |flips|.
 
 Zp is walked by one int generator, _span_walk: at step c it xors in the
 step indexed by the lowest set bit of c.  With the kernel basis as the
@@ -114,10 +112,9 @@ def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
 
 
 def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
-    """Beside the singles e_v, the k of Z whose S_k has weight w, enough to
-    span them (z_span_basis), in canonical order: at w = 2 the twin pairs
-    u < v (A.k within {u, v}), with no kernel to build, and from w = 3 the
-    kernel's hits."""
+    """Beside the singles e_v, enough k of Z with S_k of weight w to span all
+    (z_span_basis), in canonical order: at w = 2 the twin pairs u < v (A.k
+    within {u, v}), with no kernel to build, from w = 3 the kernel's hits."""
     n, cols = a.cols, a.columns()
     if w == 2:
         yield from ((1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
@@ -157,15 +154,23 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     return [BitString(n, k) for k in kept]
 
 
-def zperp_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
-    """Kernel basis of the matrix whose rows span Z."""
-    rows = z_span_basis(q, deadline)
-    return Gf2Matrix.from_rows(rows, cols=q.graph.n).kernel_basis()
+def zperp_basis(q: SetQuery, deadline: Deadline = NEVER,
+                span: Optional[Echelon] = None) -> List[BitString]:
+    """Basis of Zp, the kernel of span(Z).  A span holding span(Z) at d - 1
+    (d_max keeps one per search) grows in place to d by the k whose S_k has
+    weight d - 1 (_z_class), singles e_v first, which alone may reach rank n."""
+    n, a = q.graph.n, q.graph.adjacency()
+    if span is None:
+        return Gf2Matrix.from_rows(z_span_basis(q, deadline), cols=n).kernel_basis()
+    singles = (1 << v for v, c in enumerate(a.columns()) if c.bit_count() == q.d - 2)
+    for k in itertools.chain(singles, _z_class(a, q.d - 1, deadline)):
+        if span.add(k) and len(span.rows) == n:
+            break
+    return [BitString(n, x) for x in span.kernel_basis(n)]
 
 
 # (A, [T_0, T_1, ...], {1 << c: flips of check c}) for the last graph queried:
-# one entry, so each weight class is enumerated once per graph, and memory
-# stays bounded by the tables of one graph.
+# each weight class is enumerated once per graph, and memory holds one graph's.
 _w_cache: Optional[Tuple[Gf2Matrix, List[frozenset], Dict[int, Tuple[int, ...]]]] = None
 
 
@@ -186,14 +191,12 @@ def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozense
 def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
               t: Optional[int] = None) -> Callable[[int], bool]:
     """The predicate h -> (h in W) on ints, for one (A, d): h in T_t, or the
-    peel of h down to T_t (module docstring), at table height t <= d // 2.
-    A given t is kept.  A walk's predicate (no t: d_max stops at its first
-    member, so the query count is unknown) starts at min(d // 2, 2), or as
-    high as the built tables reach, and rises by one toward d // 2 once its
-    peel calls since the last rise reach a quarter of the Paulis of the next
-    weight class (a peel call costs 4 to 7 times one of them).  Tables are
-    fetched at the first query, so a walk that yields nothing builds none.
-    The deadline is checked at each peel above the tables."""
+    peel of h down to T_t (module docstring).  A given t <= d // 2 is kept;
+    else, the query count being unknown, t starts at min(d // 2, 2) or the
+    tallest table built, and rises toward d // 2 once the peel calls since
+    the last rise reach a quarter of the next weight class's Paulis, at 4 to
+    7 times their cost each (cset lattice 4 3 --d 7 rises once: 2.2 s, not
+    12 s).  Tables come at the first query: an empty walk builds none."""
     n, cols, top = a.cols, a.columns(), d // 2 if t is None else t
     t = min(top, 2) if t is None else t
     base = tables = sizes = flips = None
@@ -202,12 +205,8 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
     def flips_of(bit: int) -> Tuple[int, ...]:
         # Z_c, Y_c, then X_v, Y_v for v in N(c), c the index of bit; once each
         col = cols[bit.bit_length() - 1]
-        out, rest = [bit, col ^ bit], col
-        while rest:
-            v = rest & -rest
-            x = cols[v.bit_length() - 1]
-            out += (x, x ^ v)
-            rest ^= v
+        out = [bit, col ^ bit] + [x for v in range(n) if col >> v & 1
+                                  for x in (cols[v], cols[v] ^ (1 << v))]
         flips[bit] = f = tuple(dict.fromkeys(out))
         return f
 
@@ -218,7 +217,7 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
         if not h:
             return True
         f = flips.get(h & -h) or flips_of(h & -h)
-        if j > t:
+        if j > t:  # above the tables
             deadline.check()
         elif len(f) * sizes[j - 1] >= sizes[j]:
             return not base.isdisjoint(map(h.__xor__, tables[j]))
@@ -232,10 +231,9 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
     def member(h: int) -> bool:
         nonlocal t, base, tables, sizes, flips, peels, rise_at
         if peels >= rise_at:  # the first query, or a rise
-            t += base is not None
-            tables = _w_tables(a, t, deadline)
-            t = max(t, min(top, len(tables) - 1))
-            base, sizes, flips, peels = tables[t], [len(x) for x in tables[: t + 1]], _w_cache[2], 0
+            tables = _w_tables(a, t + (base is not None), deadline)
+            t = min(top, len(tables) - 1)
+            base, flips, peels, sizes = tables[t], _w_cache[2], 0, [len(x) for x in tables]
             rise_at = math.inf if t == top else math.comb(n, t + 1) * 3 ** (t + 1) // 4
         return h in base or (t < d - 1 and peel(h, d - 1 - t))
 
@@ -246,7 +244,7 @@ def in_W(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
     """True iff h = A.m ^ l for some weight(m | l) <= d - 1."""
     if h.n != q.graph.n:
         raise ValueError(f"label length {h.n} != {q.graph.n}")
-    return _w_member(q.graph.adjacency(), q.d, deadline, q.d // 2)(h.bits)
+    return _w_member(q.graph.adjacency(), q.d, deadline)(h.bits)
 
 
 def in_zperp(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
@@ -315,9 +313,8 @@ def c_set(
 class DMaxResult:
     value: Optional[int]
     certificate: Optional[BitString]
-    # On a budget error (the only error): largest d with C known nonempty,
-    # and None, since the search stops at the first empty C and so never
-    # knows an upper end.
+    # On a budget error (the only error): the largest d with C known nonempty,
+    # and None, as the search stops at the first empty C: no upper end.
     bracket: Optional[Tuple[int, Optional[int]]] = None
     error: Optional[str] = None
 
@@ -332,24 +329,17 @@ def d_max(g: Graph, deadline: Deadline = NEVER) -> DMaxResult:
     C(G, n, 1) is all nonzero strings and C(G, n, n+1) is empty, so the
     answer lies in [1, n].  The search walks up from d = 1 and stops at the
     first empty C; the least member found at the last nonempty d is the
-    certificate.  span(Z) grows with d, so one echelon holds it: probe d adds
-    the members whose S_k has weight d - 1 (_z_class), the singles e_v
-    first, since they alone may fill the rank to n, and walks its kernel
-    (module docstring).  On budget exhaustion the bracket found so far is
+    certificate.  One echelon holds span(Z), grown a weight class per probe
+    (zperp_basis).  On budget exhaustion the bracket found so far is
     returned instead of a value.  The empty graph has no answer: ValueError.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    n, a = g.n, g.adjacency()
-    ech, lo, cert = Echelon(), 1, 0  # C(lo) nonempty, with least member cert
+    span, lo, cert = Echelon(), 1, 0  # C(lo) nonempty, with least member cert
     try:
-        for d in range(1, n + 1):
-            singles = (1 << v for v, c in enumerate(a.columns()) if c.bit_count() == d - 2)
-            for k in itertools.chain(singles, _z_class(a, d - 1, deadline)):
-                if ech.add(k) and len(ech.rows) == n:
-                    break
-            rows = sorted(ech.kernel_basis(n))
-            in_w = _w_member(a, d, deadline)
+        for d in range(1, g.n + 1):
+            rows = sorted(b.bits for b in zperp_basis(SetQuery(g, d), deadline, span))
+            in_w = _w_member(g.adjacency(), d, deadline)
             walk = _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
             h = next((h for h in walk if not in_w(h)), None)
             if h is None:
@@ -357,7 +347,7 @@ def d_max(g: Graph, deadline: Deadline = NEVER) -> DMaxResult:
             lo, cert = d, h
     except BudgetExceededError as exc:
         return DMaxResult(None, None, bracket=(lo, None), error=str(exc))
-    return DMaxResult(lo, BitString(n, cert))
+    return DMaxResult(lo, BitString(g.n, cert))
 
 
 @dataclass(frozen=True)
@@ -396,7 +386,7 @@ def verify_codewords(
             return VerifyVerdict(False, f"label {i} is the zero string")
         if any(dot(h, z) for z in zb):
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
-    full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline, d // 2), set()
+    full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline), set()
     pairs = itertools.combinations(range(len(full)), 2)
     if 1 << len(Echelon(full).rows) == len(full):
         pairs = ((0, j) for j in range(1, len(full)))

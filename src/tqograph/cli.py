@@ -34,15 +34,13 @@ SCHEMA = "tqograph-report/1"
 Outcome = Tuple[dict, bool, bool]  # (results, ok, budget_exceeded)
 
 COST_NOTE = (
-    "Cost notes: the state-vector check (real amplitudes, n capped at 14) "
-    "takes one transposed copy, one Gram product and one Sylvester-matrix "
-    "product per support of weight <= d-1.  W membership keeps the syndromes "
-    "of each Pauli weight up to a height t <= d//2 per graph (cset and dmax "
-    "start at min(d//2, 2) and raise t once their peels cost what the next "
-    "table would); a query branches on the Paulis that flip its lowest check.  "
-    "The Z span and the code3d scan grow each Pauli from its least qubit onto "
-    "the qubits of a check it still flips; dmax grows one span, a weight per d.  "
-    "cset and dmax walk the 2^r-element orthogonal span, capped by TQO_BUDGET_MS."
+    "Cost notes: the state-vector check (real amplitudes, n <= 14) takes one "
+    "transposed copy, one Gram and one Sylvester-matrix product per support of weight "
+    "<= d-1.  W membership keeps the syndromes of Paulis of weight <= min(d//2, 2) "
+    "per graph, one more once peels cost what it would; a query branches on the "
+    "Paulis flipping its lowest check.  The Z span and the code3d scan grow each "
+    "Pauli from its least qubit onto a check it still flips; dmax grows one span for "
+    "all d.  cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."
 )
 
 

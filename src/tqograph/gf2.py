@@ -217,16 +217,13 @@ class Echelon:
         return bool(r)
 
     def kernel_basis(self, width: int) -> List[int]:
-        """Basis of the width-bit x orthogonal to every row: for each free
-        (non-pivot) column j, e_j plus the pivots that clear every row.  A
-        row holds no pivot of the rows added before it, so one pass over the
-        rows, latest first, sets pivot p when row p meets x an odd number of
-        times.  x is unique, so it is also e_j plus the pivots p < j whose
-        fully reduced row holds bit j: its highest bit is j, which no other
-        vector has, and the span in sorted-row binary counting order is
-        increasing."""
-        rows = list(self.rows.items())[::-1]
-        basis = []
+        """Basis of the width-bit x orthogonal to every row: per free column
+        j, e_j plus the pivots that clear every row, set in one pass over the
+        rows, latest first (a row holds no earlier row's pivot).  x is unique,
+        so also e_j plus the pivots p < j whose fully reduced row holds bit j:
+        its highest bit is j, and the span in sorted-row binary counting
+        order is increasing."""
+        rows, basis = list(self.rows.items())[::-1], []
         for j in range(width):
             if not (self.pivots >> j) & 1:
                 x = 1 << j

@@ -1,7 +1,6 @@
 import collections
 import itertools
 import random
-import sys
 import time
 
 import numpy as np
@@ -458,6 +457,16 @@ class TestWTables:
             CountingSet.lookups = 0
             assert analysis._w_member(a, d)(h) and CountingSet.lookups == 1
 
+    def test_in_w_and_verify_take_the_walks_height(self, monkeypatch):
+        # one height rule for every predicate: at d = 6 on toric 6 a single
+        # query, in_W's or verify's, stays on T_2 where T_(d//2) = T_3
+        g = toric(6)
+        cert = d_max(g).certificate
+        for ask in (lambda: not in_W(SetQuery(g, 6), cert),
+                    lambda: verify_codewords(g, 6, [cert]).ok):
+            monkeypatch.setattr(analysis, "_w_cache", None)
+            assert ask() and len(analysis._w_cache[1]) == 3
+
     def test_budget_stop_keeps_only_whole_tables(self, monkeypatch):
         g = self.GRAPHS[1]
         a = g.adjacency()
@@ -825,30 +834,45 @@ class TestDMax:
 
     def test_budget_stop_inside_a_z_class_or_a_deep_peel(self, monkeypatch):
         # toric 6: probe d >= 4 runs the Z class of weight d - 1 before its
-        # walk, and probe 6 peels 3 levels down to T_2, one above the table;
-        # a stop in either leaves the bracket at the last probe that finished
-        g, walked, where = toric(6), [0], []
-        w_member = analysis._w_member
+        # walk, and probe 6 peels 3 levels down to T_2, one above the tables
+        # that probe 4 built; a stop in either leaves the bracket at the last
+        # probe that finished
+        g, now, where = toric(6), [0, ""], []
+        z_class, w_member = analysis._z_class, analysis._w_member
 
-        def marking(a, d, deadline):
-            walked[0] = d
-            return w_member(a, d, deadline)
+        def z_marking(a, w, deadline):
+            now[:] = w + 1, "z class"
+            try:
+                yield from z_class(a, w, deadline)
+            finally:
+                now[1] = "walk"
+
+        def w_marking(a, d, deadline):
+            member = w_member(a, d, deadline)
+
+            def marked(h):
+                now[:] = d, "member"
+                try:
+                    return member(h)
+                finally:
+                    now[1] = "walk"
+            return marked
 
         class Recording:
             def check(self):
-                where.append((walked[0], sys._getframe(1).f_code.co_name))
+                where.append(tuple(now))
 
         def cold():
             monkeypatch.setattr(analysis, "_w_cache", None)
             analysis._z_kernel.cache_clear()
 
-        monkeypatch.setattr(analysis, "_w_member", marking)
+        monkeypatch.setattr(analysis, "_z_class", z_marking)
+        monkeypatch.setattr(analysis, "_w_member", w_marking)
         cold()
         want = d_max(g, Recording())
-        assert want.value == 6
-        # a kernel check after the walk of d - 1 is in the class of probe d
-        stops = {where.index((4, "grow")): 4, where.index((5, "grow")): 5,
-                 where.index((6, "peel")): 5}
+        assert want.value == 6 and len(analysis._w_cache[1]) == 3
+        stops = {where.index((5, "z class")): 4, where.index((6, "z class")): 5,
+                 where.index((6, "member")): 5}
         for i, finished in stops.items():
             cold()
             res = d_max(g, RaiseAtCheck(i + 1))

@@ -127,7 +127,6 @@ class TestDmax:
         assert rep["results"]["d_max"] is None and rep["results"]["certificate"] is None
         lo, hi = rep["results"]["bracket"]
         assert 1 <= lo < 8 and hi is None
-        assert rep["elapsed_ms"] < 1000
 
     def test_toric_4_beyond_the_dimension_cap(self, capsys):
         # Z^perp has dimension 32 > 30 at d = 1, but each walk stops early
