@@ -1,7 +1,8 @@
 """Command-line front end: generate graphs, run set analyses, verify codes.
 
-gen writes an edge list.  Every other command fills in its config and
-returns (results, ok, budget_exceeded); main writes the one report, as
+gen writes an edge list.  For every other command main fills the report's
+config from the parsed arguments, the command adds the graph size and
+returns (results, ok, budget_exceeded), and main writes the one report, as
 deterministic JSON (sorted keys) or a table, with the keys schema, version,
 command, config, results, ok, budget_exceeded and elapsed_ms (the only
 run-dependent field).  A BudgetExceededError that reaches main becomes the
@@ -24,7 +25,8 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .gf2 import NEVER, BitString, BudgetExceededError, Deadline
-from .graphs import FAMILIES, FamilySpec, Graph, format_edge_list, gen_family
+from .graphs import (FAMILIES, FamilySpec, Graph, format_edge_list, gen_family,
+                     write_edge_list)
 from . import analysis
 from .analysis import SetQuery
 from . import oracle as qoracle
@@ -32,6 +34,8 @@ from . import stabilizer
 
 SCHEMA = "tqograph-report/1"
 Outcome = Tuple[dict, bool, bool]  # (results, ok, budget_exceeded)
+# parsed arguments that select the run or its output, kept out of the config
+_NOT_CONFIG = {"cmd", "func", "format", "graph_file", "open_boundary"}
 
 COST_NOTE = (
     "Cost notes: the state-vector check (real amplitudes, n <= 14) takes one "
@@ -58,10 +62,10 @@ def _add_graph(p: argparse.ArgumentParser) -> None:
 
 
 def _graph(args, config: dict) -> Graph:
-    """The family graph of args; its name, parameters and size go into config."""
+    """The family graph of args; its size goes into config."""
     g = gen_family(FamilySpec(args.family, tuple(args.params),
                               periodic=not args.open_boundary, path=args.graph_file))
-    config.update(family=args.family, params=list(args.params), n=g.n, edges=g.m)
+    config.update(n=g.n, edges=g.m)
     return g
 
 
@@ -98,22 +102,19 @@ def _emit(report: dict, fmt: str) -> None:
 
 def cmd_gen(args) -> int:
     g = _graph(args, {})
-    text = format_edge_list(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_edge_list(g, args.out)
         print(f"wrote {g.n} vertices, {g.m} edges to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_edge_list(g))
     return 0
 
 
-# Each reporting command fills in config before it starts enumerating, then
-# returns (results, ok, budget_exceeded) for main to report.
+# Each reporting command builds its graph (if any) before it starts
+# enumerating, then returns (results, ok, budget_exceeded) for main to report.
 
 def cmd_cset(args, config: dict) -> Outcome:
     g = _graph(args, config)
-    config.update(d=args.d, max_members=args.max_members)
     res = analysis.c_set(SetQuery(g, args.d), _deadline(), args.max_members)
     results = {
         "empty": res.empty,
@@ -139,7 +140,6 @@ def cmd_dmax(args, config: dict) -> Outcome:
 
 def cmd_verify(args, config: dict) -> Outcome:
     g = _graph(args, config)
-    config.update(d=args.d, codewords=args.codewords, ldpc=args.ldpc, m=args.m)
     if args.ldpc:
         if args.m is None:
             raise ValueError("--ldpc requires --m")
@@ -161,8 +161,6 @@ def cmd_verify(args, config: dict) -> Outcome:
 
 def cmd_oracle(args, config: dict) -> Outcome:
     g = _graph(args, config)
-    config.update(d=args.d, h=args.h, matrix_elements=args.matrix_elements,
-                  samples=args.samples, seed=args.seed)
     deadline = _deadline()
     if args.matrix_elements:
         if args.samples < 1:
@@ -207,7 +205,6 @@ def cmd_oracle(args, config: dict) -> Outcome:
 
 
 def cmd_code3d(args, config: dict) -> Outcome:
-    config.update(L=args.L, distance_scan=args.distance_scan)
     rep = stabilizer.verify_3d_code(
         args.L, distance_scan=args.distance_scan, deadline=_deadline())
     results = {
@@ -233,7 +230,6 @@ def cmd_code3d(args, config: dict) -> Outcome:
 
 def cmd_scan(args, config: dict) -> Outcome:
     params_list = [tuple(int(x) for x in chunk.split(",")) for chunk in args.params]
-    config.update(family=args.family, params=args.params)
     res = analysis.family_scan(args.family, params_list, _deadline())
     ok = all(e.d_max is not None for e in res.entries)
     results = {
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
-    config: dict = {}
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     try:
         if args.cmd == "gen":
             return cmd_gen(args)

@@ -3,8 +3,10 @@
 Vertex ordering conventions (normative, 0-indexed):
   * star / complete / complete bipartite: natural order, hub or X-part first;
   * multi_star(q, m): component c occupies [c*m, (c+1)*m), hub at c*m;
+  * lattice(L, D): coordinates (c_0, ..., c_{D-1}) -> sum_d c_d * L^d;
   * toric(L): (i, j, x) -> (j-1)*L + (i-1), (i, j, y) -> L^2 + (j-1)*L + (i-1)
-    with 1-based (i, j) as in the defining adjacency formula;
+    with 1-based (i, j) as in the defining adjacency formula (also for
+    connected_multi_star(L));
   * toric3d(L): (i, j, k) -> (k-1)*L^2 + (j-1)*L + (i-1);
   * line graphs: vertex i of L(G) is edge i of G in canonical edge order.
 """
@@ -20,18 +22,11 @@ from .gf2 import Gf2Matrix
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a canonical vertex order.
-
-    ``x_part`` marks the X side of a declared bipartition, set by the
-    complete bipartite family.  Its only reader is
-    tests/references.py::odd_degree_vertices, which splits odd-degree
-    counts by side.
-    """
+    """Simple undirected graph with a canonical vertex order."""
 
     n: int
     edges: Tuple[Tuple[int, int], ...]
     name: str = ""
-    x_part: Optional[Tuple[int, ...]] = None
     _adjacency: Optional[Gf2Matrix] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -53,15 +48,8 @@ class Graph:
             seen.add((u, v))
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Sequence[Tuple[int, int]],
-        name: str = "",
-        x_part: Optional[Sequence[int]] = None,
-    ) -> "Graph":
-        canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        return cls(n, canon, name, tuple(x_part) if x_part is not None else None)
+    def from_edges(cls, n: int, edges: Sequence[Tuple[int, int]], name: str = "") -> "Graph":
+        return cls(n, tuple(sorted((min(u, v), max(u, v)) for u, v in edges)), name)
 
     @property
     def m(self) -> int:
@@ -94,11 +82,6 @@ class FamilySpec:
     periodic: bool = True
     path: Optional[str] = None
 
-    def label(self) -> str:
-        if self.family == "custom":
-            return f"custom:{self.path}"
-        return self.family + "(" + ",".join(str(p) for p in self.params) + ")"
-
 
 def star(n: int) -> Graph:
     if n < 2:
@@ -118,9 +101,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("complete_bipartite needs both parts non-empty")
     edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return Graph.from_edges(
-        a + b, edges, name=f"complete_bipartite({a},{b})", x_part=range(a)
-    )
+    return Graph.from_edges(a + b, edges, name=f"complete_bipartite({a},{b})")
 
 
 def multi_star(q: int, m: int) -> Graph:
@@ -135,40 +116,24 @@ def multi_star(q: int, m: int) -> Graph:
 
 
 def lattice(L: int, D: int, periodic: bool = True) -> Graph:
-    """D-dimensional square lattice of linear size L (periodic by default)."""
+    """D-dimensional square lattice of linear size L (periodic by default).
+
+    Vertex v has coordinates c_d = (v // L^d) % L, 0 <= d < D, and joins
+    v + L^d when c_d < L - 1; on the periodic lattice, c_d = L - 1 also
+    wraps round to v - (L - 1) L^d, which at L = 2 is the edge already there.
+    """
     if L < 2 or D < 1:
         raise ValueError("lattice needs L >= 2 and D >= 1")
-    n = L**D
-
-    def index(coord):
-        idx = 0
-        for c in reversed(coord):
-            idx = idx * L + c
-        return idx
-
-    edges = set()
-    for coord in itertools.product(range(L), repeat=D):
-        for d in range(D):
-            c2 = list(coord)
-            c2[d] += 1
-            if c2[d] == L:
-                if not periodic:
-                    continue
-                c2[d] = 0
-            u, v = index(coord), index(tuple(c2))
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
+    n, edges = L**D, []
+    for stride in (L**d for d in range(D)):
+        for v in range(n):
+            if v // stride % L < L - 1:
+                edges.append((v, v + stride))
+            elif periodic and L > 2:
+                edges.append((v - (L - 1) * stride, v))
     return Graph.from_edges(
-        n, sorted(edges), name=f"lattice(L={L},D={D},{'pbc' if periodic else 'obc'})"
+        n, edges, name=f"lattice(L={L},D={D},{'pbc' if periodic else 'obc'})"
     )
-
-
-def _theta(i: int, j: int) -> int:
-    return 1 if i <= j else 0
-
-
-def _delta_cyclic(a: int, b: int, L: int) -> int:
-    return 1 if (a - b) % L == 0 else 0
 
 
 def toric_vertex(i: int, j: int, d: str, L: int) -> int:
@@ -177,76 +142,46 @@ def toric_vertex(i: int, j: int, d: str, L: int) -> int:
     return base + (j - 1) * L + (i - 1)
 
 
+def _linked_column_stars(L: int, family: str, reach) -> List[Tuple[int, int]]:
+    """The edges of the 2L^2-vertex toric labelling that toric and
+    connected_multi_star share, 0-based: x-column j is a star with hub
+    (L - 1, j, x), y-column j a star with hub (0, j, y), and each (i, j, y),
+    i >= 1, joins (l, m, x) for l in reach(i) and m in {j, j + 1 mod L}."""
+    if L < 2:
+        raise ValueError(f"{family} needs L >= 2")
+    edges = []
+    for j in range(L):
+        x, y = j * L, L * L + j * L  # (0, j, x) and (0, j, y)
+        edges += [(x + i, x + L - 1) for i in range(L - 1)]
+        edges += [(y, y + i) for i in range(1, L)]
+        for i in range(1, L):
+            edges += [(m * L + l, y + i) for m in (j, (j + 1) % L) for l in reach(i)]
+    return edges
+
+
 def toric(L: int) -> Graph:
     """2L^2-vertex toric graph: per-column stars linked by half graphs.
 
-    Entries follow the defining delta/theta adjacency formula, with the
-    column index j cyclic mod L.
+    x-column j is a star with hub (L, j, x), y-column j a star with hub
+    (1, j, y), and each (i, j, y) with i >= 2 joins every (l, m, x) with
+    l < i and m in {j, j + 1 mod L}.  This is the defining delta/theta
+    adjacency formula with the column index j cyclic mod L;
+    tests/test_graphs.py::TestToric::test_matches_delta_theta_formula
+    checks it pair by pair.
     """
-    if L < 2:
-        raise ValueError("toric needs L >= 2")
-    labels = [
-        (i, j, d) for d in ("x", "y") for j in range(1, L + 1) for i in range(1, L + 1)
-    ]
-    edges = []
-    for (i1, j1, d1), (i2, j2, d2) in itertools.combinations(labels, 2):
-        a = 0
-        if d1 == "x" and d2 == "x" and _delta_cyclic(j2, j1, L):
-            a ^= (1 if i2 == L else 0) * _theta(i1, L - 1)
-            a ^= (1 if i1 == L else 0) * _theta(i2, L - 1)
-        if d1 == "y" and d2 == "y" and _delta_cyclic(j2, j1, L):
-            a ^= (1 if i1 == 1 else 0) * _theta(2, i2)
-            a ^= (1 if i2 == 1 else 0) * _theta(2, i1)
-        if d1 == "y" and d2 == "x":
-            a ^= (
-                (_delta_cyclic(j2, j1, L) | _delta_cyclic(j2 - 1, j1, L))
-                * _theta(i2, i1 - 1)
-                * _theta(2, i1)
-            )
-        if d1 == "x" and d2 == "y":
-            a ^= (
-                (_delta_cyclic(j2, j1, L) | _delta_cyclic(j1 - 1, j2, L))
-                * _theta(i1 + 1, i2)
-                * _theta(i1, L - 1)
-            )
-        if a:
-            u = toric_vertex(i1, j1, d1, L)
-            v = toric_vertex(i2, j2, d2, L)
-            edges.append((min(u, v), max(u, v)))
-    return Graph.from_edges(2 * L * L, edges, name=f"toric({L})")
+    return Graph.from_edges(
+        2 * L * L, _linked_column_stars(L, "toric", range), name=f"toric({L})")
 
 
 def connected_multi_star(L: int) -> Graph:
     """Multi-star layers linked by a fixed constant-degree pattern.
 
-    Column stars as in the toric labelling: y-hub (1,j,y) with leaves
-    (i,j,y) for i >= 2, x-hub (L,j,x) with leaves (i,j,x) for i < L.
-    Each non-hub (i,j,y), i >= 2, additionally connects to (i-1,j,x) and
-    (i-1,j+1 mod L,x), so middle-layer vertices have degree 3 and the hub
-    neighborhoods stay disjoint ("cmstar-variant-1").
+    The column stars of toric(L), with each (i, j, y), i >= 2, joined only
+    to (i - 1, j, x) and (i - 1, j + 1 mod L, x): every non-hub vertex has
+    degree 3 and the hub neighborhoods stay disjoint ("cmstar-variant-1").
     """
-    if L < 2:
-        raise ValueError("connected_multi_star needs L >= 2")
-    edges = set()
-    for j in range(1, L + 1):
-        for i in range(2, L + 1):
-            edges.add(
-                tuple(
-                    sorted((toric_vertex(1, j, "y", L), toric_vertex(i, j, "y", L)))
-                )
-            )
-        for i in range(1, L):
-            edges.add(
-                tuple(
-                    sorted((toric_vertex(L, j, "x", L), toric_vertex(i, j, "x", L)))
-                )
-            )
-        for i in range(2, L + 1):
-            jn = j % L + 1
-            u = toric_vertex(i, j, "y", L)
-            edges.add(tuple(sorted((u, toric_vertex(i - 1, j, "x", L)))))
-            edges.add(tuple(sorted((u, toric_vertex(i - 1, jn, "x", L)))))
-    return Graph.from_edges(2 * L * L, sorted(edges), name=f"cmstar-variant-1({L})")
+    edges = _linked_column_stars(L, "connected_multi_star", lambda i: (i - 1,))
+    return Graph.from_edges(2 * L * L, edges, name=f"cmstar-variant-1({L})")
 
 
 def toric3d_vertex(i: int, j: int, k: int, L: int) -> int:

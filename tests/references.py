@@ -79,8 +79,11 @@ class OddDegreeInfo:
     l_y: Optional[int] = None
 
 
-def odd_degree_vertices(g: Graph, k: BitString) -> OddDegreeInfo:
-    """Vertices with odd degree in the edge subgraph selected by k."""
+def odd_degree_vertices(
+    g: Graph, k: BitString, x_part: Optional[Iterable[int]] = None
+) -> OddDegreeInfo:
+    """Vertices with odd degree in the edge subgraph selected by k; given the
+    X side x_part of a bipartition, also their count on each side."""
     if k.n != g.m:
         raise ValueError(f"expected {g.m} edge bits, got {k.n}")
     deg = [0] * g.n
@@ -89,8 +92,8 @@ def odd_degree_vertices(g: Graph, k: BitString) -> OddDegreeInfo:
         deg[u] += 1
         deg[v] += 1
     odd = tuple(v for v in range(g.n) if deg[v] & 1)
-    if g.x_part is not None:
-        xs = set(g.x_part)
+    if x_part is not None:
+        xs = set(x_part)
         l_x = sum(1 for v in odd if v in xs)
         return OddDegreeInfo(odd, len(odd), l_x, len(odd) - l_x)
     return OddDegreeInfo(odd, len(odd))

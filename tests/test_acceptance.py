@@ -338,7 +338,7 @@ def test_criterion_09_rook():
     law = True
     for _ in range(1000):
         k = BitString(lg.n, rng.getrandbits(lg.n))
-        info = odd_degree_vertices(base, k)
+        info = odd_degree_vertices(base, k, x_part=range(m))
         want = info.l_x * (m - info.l_y) + info.l_y * (m - info.l_x)
         if a.mat_vec(k).weight() != want:
             law = False

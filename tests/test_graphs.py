@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from tqograph.gf2 import BitString
 from tqograph.graphs import (
     FAMILIES,
@@ -93,7 +95,6 @@ class TestSmallFamilies:
         g = complete_bipartite(2, 3)
         assert (g.n, g.m) == (5, 6)
         assert g.degrees() == [3, 3, 2, 2, 2]
-        assert g.x_part == (0, 1)
 
     def test_multi_star(self):
         g = multi_star(3, 2)
@@ -114,35 +115,110 @@ class TestSmallFamilies:
         ring = lattice(4, 1)
         assert ring.degrees() == [2] * 4
 
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["pbc", "obc"])
+    def test_matches_definition(self, periodic, D):
+        for L in range(2, 11):
+            assert lattice(L, D, periodic).edges == definition_lattice_edges(L, D, periodic)
 
-def toric_reference(L):
-    """Constructive 2D build: column stars plus half graphs between columns.
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_periodic_translations(self, D):
+        # every one of the L^D translations of the torus is an automorphism
+        for L in (2, 3, 4):
+            g = lattice(L, D)
+            coords = [[v // L**d % L for d in range(D)] for v in range(g.n)]
+            for t in itertools.product(range(L), repeat=D):
+                perm = [sum((c + s) % L * L**d for d, (c, s) in enumerate(zip(cs, t)))
+                        for cs in coords]
+                assert maps_onto_itself(g, perm)
 
-    x-column j is a star with hub (L, j, x); y-column j a star with hub
-    (1, j, y); each (i, j, y) with i >= 2 also joins every (l, m, x) with
-    l <= i - 1 and m in {j, j + 1 cyclically}.
-    """
-    edges = set()
 
-    def add(u, v):
-        edges.add((min(u, v), max(u, v)))
+def formula_toric_edges(L):
+    """The paper's defining delta/theta adjacency formula, evaluated on every
+    pair of labels (i, j, x/y), j cyclic mod L: the transcription that
+    toric's column-star build replaced."""
+    def theta(i, j):
+        return 1 if i <= j else 0
 
-    for j in range(1, L + 1):
-        for i in range(1, L):
-            add(toric_vertex(L, j, "x", L), toric_vertex(i, j, "x", L))
-        for i in range(2, L + 1):
-            add(toric_vertex(1, j, "y", L), toric_vertex(i, j, "y", L))
-        for i in range(2, L + 1):
-            for l in range(1, i):
-                for m in (j, j % L + 1):
-                    add(toric_vertex(i, j, "y", L), toric_vertex(l, m, "x", L))
-    return Graph.from_edges(2 * L * L, sorted(edges))
+    def delta(a, b):
+        return 1 if (a - b) % L == 0 else 0
+
+    labels = [
+        (i, j, d) for d in ("x", "y") for j in range(1, L + 1) for i in range(1, L + 1)
+    ]
+    edges = []
+    for (i1, j1, d1), (i2, j2, d2) in itertools.combinations(labels, 2):
+        a = 0
+        if d1 == "x" and d2 == "x" and delta(j2, j1):
+            a ^= (1 if i2 == L else 0) * theta(i1, L - 1)
+            a ^= (1 if i1 == L else 0) * theta(i2, L - 1)
+        if d1 == "y" and d2 == "y" and delta(j2, j1):
+            a ^= (1 if i1 == 1 else 0) * theta(2, i2)
+            a ^= (1 if i2 == 1 else 0) * theta(2, i1)
+        if d1 == "y" and d2 == "x":
+            a ^= (delta(j2, j1) | delta(j2 - 1, j1)) * theta(i2, i1 - 1) * theta(2, i1)
+        if d1 == "x" and d2 == "y":
+            a ^= (delta(j2, j1) | delta(j1 - 1, j2)) * theta(i1 + 1, i2) * theta(i1, L - 1)
+        if a:
+            u = toric_vertex(i1, j1, d1, L)
+            v = toric_vertex(i2, j2, d2, L)
+            edges.append((min(u, v), max(u, v)))
+    return tuple(sorted(edges))
+
+
+def definition_cmstar_edges(L):
+    """connected_multi_star from its definition, tried on every label pair:
+    the toric column stars, and (i, j, y), i >= 2, linked to (i - 1, j, x)
+    and (i - 1, j + 1 mod L, x)."""
+    def linked(a, b):
+        (i1, j1, d1), (i2, j2, d2) = a, b
+        if d1 == d2 and j1 == j2:  # a column star: one end is its hub
+            hub = L if d1 == "x" else 1
+            return hub in (i1, i2)
+        return (d1, d2) == ("y", "x") and i1 >= 2 and i2 == i1 - 1 and (
+            j2 - j1) % L in (0, 1)
+
+    labels = [
+        (i, j, d) for d in ("x", "y") for j in range(1, L + 1) for i in range(1, L + 1)
+    ]
+    edges = []
+    for a, b in itertools.combinations(labels, 2):
+        if linked(a, b) or linked(b, a):
+            u, v = toric_vertex(*a, L), toric_vertex(*b, L)
+            edges.append((min(u, v), max(u, v)))
+    return tuple(sorted(edges))
+
+
+def definition_lattice_edges(L, D, periodic):
+    """lattice from its definition, tried on every vertex pair: vertex v has
+    coordinates (v // L^d) % L, and two vertices are adjacent when their
+    coordinates differ in one axis by 1, or by L - 1 on a periodic lattice."""
+    n = L**D
+    coords = (np.arange(n)[:, None] // L ** np.arange(D)) % L
+    gap = np.abs(coords[:, None, :] - coords[None, :, :])
+    if periodic:
+        gap = np.minimum(gap, L - gap)
+    u, v = np.nonzero(np.triu(gap.sum(axis=2) == 1))
+    return tuple(zip(u.tolist(), v.tolist()))
+
+
+def shift_toric_j(L):
+    """The vertex map (i, j, x/y) -> (i, j + 1 mod L, x/y)."""
+    return [v // (L * L) * L * L + (v // L + 1) % L * L + v % L for v in range(2 * L * L)]
+
+
+def maps_onto_itself(g, perm):
+    return {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges} == set(g.edges)
 
 
 class TestToric:
-    @pytest.mark.parametrize("L", [2, 3, 4, 5])
-    def test_matches_constructive_build(self, L):
-        assert toric(L).edges == toric_reference(L).edges
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_matches_delta_theta_formula(self, L):
+        assert toric(L).edges == formula_toric_edges(L)
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_j_shift_is_an_automorphism(self, L):
+        assert maps_onto_itself(toric(L), shift_toric_j(L))
 
     @pytest.mark.parametrize("L", [2, 3, 5])
     def test_counts(self, L):
@@ -201,6 +277,14 @@ class TestToric:
 
 
 class TestConnectedMultiStar:
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_matches_definition(self, L):
+        assert connected_multi_star(L).edges == definition_cmstar_edges(L)
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_j_shift_is_an_automorphism(self, L):
+        assert maps_onto_itself(connected_multi_star(L), shift_toric_j(L))
+
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_degrees(self, L):
         g = connected_multi_star(L)
@@ -329,6 +413,24 @@ class TestToric3D:
                     v = toric3d_vertex(i, j, k, L)
                     assert (min(hub, v), max(hub, v)) in es
 
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_shifts(self, L):
+        # the cyclic j and k shifts are automorphisms; the i shift, which
+        # moves the column-star hubs, is not once L >= 3
+        g, rng = toric3d(L), range(1, L + 1)
+        labels = list(itertools.product(rng, rng, rng))
+
+        def shift(axis):
+            perm = [0] * g.n
+            for ijk in labels:
+                moved = [c % L + 1 if a == axis else c for a, c in enumerate(ijk)]
+                perm[toric3d_vertex(*ijk, L)] = toric3d_vertex(*moved, L)
+            return perm
+
+        assert maps_onto_itself(g, shift(1))
+        assert maps_onto_itself(g, shift(2))
+        assert maps_onto_itself(g, shift(0)) == (L == 2)
+
     def test_vertex_count(self):
         assert toric3d(3).n == 27
         assert toric3d(4).n == 64
@@ -384,7 +486,7 @@ class TestEdgeSpace:
 
     def test_bipartite_split(self):
         g = complete_bipartite(2, 3)
-        info = odd_degree_vertices(g, BitString.basis(g.m, 0))
+        info = odd_degree_vertices(g, BitString.basis(g.m, 0), x_part=range(2))
         assert (info.l_x, info.l_y) == (1, 1)
 
     def test_length_check(self):
@@ -416,10 +518,6 @@ class TestFamilySpecAndIO:
         with pytest.raises(ValueError) as err:
             gen_family(FamilySpec(family, (3,) * (count + 1)))
         assert str(err.value) == f"{family} takes {count} parameter(s), got {count + 1}"
-
-    def test_label(self):
-        assert FamilySpec("multi_star", (3, 2)).label() == "multi_star(3,2)"
-        assert FamilySpec("custom", path="g.txt").label() == "custom:g.txt"
 
     def test_edge_list_round_trip(self, tmp_path):
         g = toric(2)
