@@ -113,12 +113,16 @@ def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
 
 def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
     """Beside the singles e_v, enough k of Z with S_k of weight w to span all
-    (z_span_basis), in canonical order: at w = 2 the twin pairs u < v (A.k
-    within {u, v}), with no kernel to build, from w = 3 the kernel's hits."""
+    (z_span_basis), in canonical order: at w = 2 the twin pairs u < v, whose keys
+    A_u or A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's hits."""
     n, cols = a.cols, a.columns()
     if w == 2:
-        yield from ((1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
-                    if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v)))
+        buckets: Dict[int, List[int]] = {}
+        for v, c in enumerate(cols):
+            buckets.setdefault(c, []).append(v)
+            buckets.setdefault(c | 1 << v, []).append(v)
+        yield from ((1 << u) | (1 << v) for u, v in sorted(
+            pair for b in buckets.values() for pair in itertools.combinations(b, 2)))
     elif w > 2:
         # a hit's x bits k and z bits A.k
         parts = (((x >> n) & ((1 << n) - 1), x >> (2 * n))

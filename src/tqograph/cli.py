@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-distance-scan", dest="distance_scan",
                    action="store_false",
                    help="structure checks only (the scan, grown from qubit 0, "
-                        "takes about 0.2 s at L = 7 and 1 s at L = 8)")
+                        "takes about 0.1 s at L = 7 and 0.5 s at L = 8)")
     _add_format(p)
     p.set_defaults(func=cmd_code3d)
 

@@ -363,19 +363,19 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
     syndrome; a zero-syndrome prefix ends the branch.  So the yield holds,
     once each, every zero-syndrome operator of weight w whose least position
     is a root and which has no zero-syndrome proper part, and maybe some
-    that have one.  The deadline is checked at the start and then every
-    CHECK_EVERY nodes.
+    that have one.  The search recurses with the syndrome split off; the
+    deadline is checked at the start and then every CHECK_EVERY nodes.
     """
     # Each choice has a bit in the "open" mask a growth passes down: a branch
     # closes its position's choices and those of the branches before it.
     low, single = (1 << m) - 1, {}  # single: nonzero syndrome -> [(bit, choice)]
     start = list(itertools.accumulate((len(options) for options in choices), initial=0))
-    # (bit, choice, bits of its position) for every choice, in position order
-    entries = [(1 << (start[v] + j), c, (1 << start[v + 1]) - (1 << start[v]))
+    # (bit, syndrome, ~bits of its position, choice) for each choice, in position order
+    entries = [(1 << (start[v] + j), c & low, ~((1 << start[v + 1]) - (1 << start[v])), c)
                for v, options in enumerate(choices) for j, c in enumerate(options)]
-    for e, c, _ in entries:
-        if c & low:
-            single.setdefault(c & low, []).append((e, c))
+    for e, s, _, c in entries:
+        if s:
+            single.setdefault(s, []).append((e, c))
     spread = max((s.bit_count() for s in single), default=0)
     # check -> the entries that flip it, and the checks grouped by how many
     # entries flip them, fewest first; built when a growth first needs them
@@ -383,7 +383,7 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
 
     def tables() -> None:
         for entry in entries:
-            s = entry[1] & low
+            s = entry[1]
             while s:
                 t = s & -s
                 flips[t.bit_length() - 1].append(entry)
@@ -397,30 +397,28 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
         if w > 2 and not tiers:
             tables()
 
-        def grow(acc: int, left: int, open_: int) -> Iterator[List[int]]:
-            # left >= 2 positions still to add to acc, whose syndrome is nonzero
+        def grow(acc: int, syn: int, left: int, open_: int) -> None:
+            # left >= 2 positions still to add to acc, whose syndrome syn is nonzero
             if not next(nodes) % CHECK_EVERY:
                 deadline.check()
-            syn = acc & low
             if syn.bit_count() > left * spread:
                 return
             for t in tiers:
                 if syn & t:
                     break
             t &= syn
-            out: List[int] = []
-            for e, c, used in flips[(t & -t).bit_length() - 1]:
-                if open_ & e:
-                    nxt, rest = acc ^ c, open_ & ~used
-                    s = nxt & low
-                    if left > 2:
-                        if s:
-                            yield from grow(nxt, left - 1, rest)
-                    elif s in single:
-                        out += [nxt ^ c2 for e2, c2 in single[s] if rest & e2]
-                    open_ &= ~e
-            if out:
-                yield out
+            if left > 2:
+                for e, s, keep, c in flips[(t & -t).bit_length() - 1]:
+                    if open_ & e:
+                        if s != syn:
+                            grow(acc ^ c, syn ^ s, left - 1, open_ & keep)
+                        open_ ^= e
+            else:
+                for e, s, keep, c in flips[(t & -t).bit_length() - 1]:
+                    if open_ & e:
+                        if last := single.get(syn ^ s):
+                            hits.extend([acc ^ c ^ c2 for e2, c2 in last if open_ & keep & e2])
+                        open_ ^= e
 
         for r in roots:
             open_ = (1 << start[-1]) - (1 << start[r + 1])  # the choices above r
@@ -430,6 +428,8 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
                 elif w == 2:
                     yield from [c ^ c2 for e2, c2 in single.get(c & low, ()) if open_ & e2]
                 elif w > 2 and c & low:
-                    yield from itertools.chain.from_iterable(grow(c, w - 1, open_))
+                    hits: List[int] = []
+                    grow(c, c & low, w - 1, open_)
+                    yield from hits
 
     return xors

@@ -474,15 +474,19 @@ def verify_3d_code(
     of the strings, and only the code's group is built (its constructor
     checks that the generators commute).  When the deadline runs out in the
     scan, the report keeps (a)-(d) and carries the budget message and the
-    distance's lower bound instead.
+    distance's lower bound instead; without the scan, a stop after any
+    structural phase raises BudgetExceededError.
     """
+    phase = NEVER if distance_scan else deadline
     s = gen_3d_code(L)
+    phase.check()
     n, rows = L**3, s.rows
     # generator (i, j, k) is row (i L + j) L + k, so layer k is rows[k::L]
     constraints_hold = all(_product(rows[k::L]) == (0, 0, 0) for k in range(L))
 
     rank = s.rank()
     code_dim = 1 << (n - rank)
+    phase.check()
 
     # Residues modulo the group have no pivot bit set, so they are
     # independent iff the strings are independent modulo the group; a string
@@ -490,8 +494,10 @@ def verify_3d_code(
     logicals = logical_strings(L)
     residues = Echelon(s._echelon().reduce(x | z << n)[0] for x, z in logicals)
     logicals_ok = all(map(s.in_normalizer, logicals)) and len(residues.rows) == L
+    phase.check()
 
     derivation_ok = tuple(_derived_rows_3d(L)) == rows
+    phase.check()
 
     distance = dist_op = error = lower = None
     if distance_scan:

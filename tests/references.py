@@ -4,7 +4,9 @@ Enumerators that gf2.cluster_xors replaced: connected_support_xors grew
 every support connected in a neighbour graph and tried every choice on it;
 z_span_basis ran it on G^2 (or the plain support loop when G has diameter
 <= 2), and normalizer_min_weight on the qubit-interaction graph.  Both
-searches filtered on the syndrome afterwards.
+searches filtered on the syndrome afterwards.  reference_cluster_xors is
+gf2.cluster_xors as a chain of generators, one per growth node, which the
+flat recursion must match hit for hit and in order.
 
 The 3D code's structural checks on Pauli objects, which verify_3d_code now
 runs on int rows: the coordinate formula of gen_3d_code, the derivation
@@ -31,15 +33,19 @@ d_max as each probe once ran it: span(Z) rebuilt anew by
 z_span_basis at every d, and the least member of C found among the whole
 span of Z^perp.
 
+The twin pairs of span(Z)'s weight-2 class as _z_class found them before
+it bucketed vertices by neighbourhood: every pair u < v tested in turn.
+
 Helpers that only the tests call: graph_stabilizers, pauli_expectation, and
 the edge-space helpers s_vector and odd_degree_vertices.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tqograph.analysis import SetQuery, VerifyVerdict, in_W, z_span_basis, zperp_basis
+from tqograph import gf2
 from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
 from tqograph.oracle import pauli_matrix_element
@@ -175,6 +181,80 @@ def connected_support_xors(
     for root in roots:
         for batch in batches(0, 1 << root, -2 << root, w, 0):
             yield from batch
+
+
+def reference_cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., Iterator[int]]:
+    """gf2.cluster_xors as it was first written, the order reference of
+    the flat kernel: the same branching, pruning and deadline rule, but each
+    growth node is a generator, chained with yield from, and every test
+    masks the whole packed int with the low m bits."""
+    # Each choice has a bit in the "open" mask a growth passes down: a branch
+    # closes its position's choices and those of the branches before it.
+    low, single = (1 << m) - 1, {}  # single: nonzero syndrome -> [(bit, choice)]
+    start = list(itertools.accumulate((len(options) for options in choices), initial=0))
+    # (bit, choice, bits of its position) for every choice, in position order
+    entries = [(1 << (start[v] + j), c, (1 << start[v + 1]) - (1 << start[v]))
+               for v, options in enumerate(choices) for j, c in enumerate(options)]
+    for e, c, _ in entries:
+        if c & low:
+            single.setdefault(c & low, []).append((e, c))
+    spread = max((s.bit_count() for s in single), default=0)
+    # check -> the entries that flip it, and the checks grouped by how many
+    # entries flip them, fewest first; built when a growth first needs them
+    flips, tiers = [[] for _ in range(m)], []
+
+    def tables() -> None:
+        for entry in entries:
+            s = entry[1] & low
+            while s:
+                t = s & -s
+                flips[t.bit_length() - 1].append(entry)
+                s ^= t
+        tiers.extend(sum(1 << i for i, f in enumerate(flips) if len(f) == k)
+                     for k in sorted({len(f) for f in flips}))
+
+    def xors(roots: Iterable[int], w: int, deadline=gf2.NEVER) -> Iterator[int]:
+        nodes = itertools.count(1)  # growth nodes, for the deadline
+        deadline.check()
+        if w > 2 and not tiers:
+            tables()
+
+        def grow(acc: int, left: int, open_: int) -> Iterator[List[int]]:
+            # left >= 2 positions still to add to acc, whose syndrome is nonzero
+            if not next(nodes) % gf2.CHECK_EVERY:
+                deadline.check()
+            syn = acc & low
+            if syn.bit_count() > left * spread:
+                return
+            for t in tiers:
+                if syn & t:
+                    break
+            t &= syn
+            out: List[int] = []
+            for e, c, used in flips[(t & -t).bit_length() - 1]:
+                if open_ & e:
+                    nxt, rest = acc ^ c, open_ & ~used
+                    s = nxt & low
+                    if left > 2:
+                        if s:
+                            yield from grow(nxt, left - 1, rest)
+                    elif s in single:
+                        out += [nxt ^ c2 for e2, c2 in single[s] if rest & e2]
+                    open_ &= ~e
+            if out:
+                yield out
+
+        for r in roots:
+            open_ = (1 << start[-1]) - (1 << start[r + 1])  # the choices above r
+            for c in choices[r]:
+                if w == 1 and not c & low:
+                    yield c
+                elif w == 2:
+                    yield from [c ^ c2 for e2, c2 in single.get(c & low, ()) if open_ & e2]
+                elif w > 2 and c & low:
+                    yield from itertools.chain.from_iterable(grow(c, w - 1, open_))
+
+    return xors
 
 
 def square_nbrs(a) -> List[int]:
@@ -455,3 +535,11 @@ def reference_d_max(g: Graph) -> Tuple[int, BitString]:
             break
         lo, cert = d, h
     return lo, cert
+
+
+def reference_twin_pairs(a: Gf2Matrix) -> List[int]:
+    """e_u + e_v for every pair u < v, in itertools.combinations order, whose
+    columns differ only in bits u and v (A.k within {u, v})."""
+    n, cols = a.cols, a.columns()
+    return [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
+            if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v))]

@@ -45,7 +45,9 @@ from tqograph.oracle import graph_basis_state, pauli_matrix_element
 
 from references import (
     connected_z_span_basis,
+    reference_cluster_xors,
     reference_d_max,
+    reference_twin_pairs,
     reference_w_member,
     reference_verify_codewords,
     s_vector,
@@ -720,6 +722,114 @@ class TestZSpanConnectedSupports:
         assert len(z_span_basis(q, Recording())) == 70
         analysis._z_kernel.cache_clear()
         assert max(seen.values()) >= 3
+
+
+class TestZClassSequence:
+    """span(Z)'s weight classes hit for hit and in order: the flat kernel on
+    the graph-state choices against the generator reference, and the
+    bucketed twin pairs against the pair loop."""
+
+    @staticmethod
+    def kernels(g, monkeypatch):
+        """(the kernel _z_kernel builds for g, the reference on its choices)"""
+        made = []
+
+        def recording(choices, m):
+            made.append((choices, m))
+            return cluster_xors(choices, m)
+
+        monkeypatch.setattr(analysis, "cluster_xors", recording)
+        analysis._z_kernel.cache_clear()
+        xors = analysis._z_kernel(g.adjacency())
+        analysis._z_kernel.cache_clear()
+        (choices, m), = made
+        return xors, reference_cluster_xors(choices, m)
+
+    def test_kernel_on_random_graphs(self, monkeypatch):
+        rng = random.Random("z-kernel-sequence")
+        for _ in range(60):
+            g = (random_graph if rng.random() < 0.5 else sparse_graph)(rng, rng.randrange(1, 13))
+            xors, ref = self.kernels(g, monkeypatch)
+            for w in range(min(g.n, 5) + 1):
+                assert list(xors(range(g.n), w)) == list(ref(range(g.n), w)), (g.edges, w)
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_kernel_on_toric(self, L, monkeypatch):
+        g = toric(L)
+        xors, ref = self.kernels(g, monkeypatch)
+        for w in range(6):
+            assert list(xors(range(g.n), w)) == list(ref(range(g.n), w)), w
+
+    def test_twin_pairs_on_random_graphs(self):
+        # densities from empty to complete, so that both kinds of twin and
+        # isolated vertices all occur
+        rng = random.Random("twin-pairs")
+        for _ in range(3000):
+            n, p = rng.randrange(1, 13), rng.random()
+            g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                     if rng.random() < p])
+            a = g.adjacency()
+            assert list(analysis._z_class(a, 2)) == reference_twin_pairs(a), g.edges
+
+    @pytest.mark.parametrize("g", [toric(5), lattice(4, 2), multi_star(4, 4),
+                                   line_of_complete(5), complete_bipartite(3, 4)],
+                             ids=["toric5", "lattice4", "ms44", "loc5", "k34"])
+    def test_twin_pairs_on_families(self, g):
+        a = g.adjacency()
+        assert list(analysis._z_class(a, 2)) == reference_twin_pairs(a)
+
+    def test_stop_inside_one_root(self, monkeypatch):
+        # toric 6 at w = 5 checks the deadline more than twice, and every check
+        # after the first is made inside a root's growth: a stop there leaves
+        # the kernel and _z_class, and d_max, which runs that class in probe
+        # 6, reports the bracket of the probes before it
+        class Expired(Exception):
+            pass
+
+        class StopAt:
+            def __init__(self, stop):
+                self.stop, self.checks = stop, 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == self.stop:
+                    raise Expired
+
+        g, where, now = toric(6), [], [None]
+        a, z_class = g.adjacency(), analysis._z_class
+        analysis._z_kernel.cache_clear()
+        counted = StopAt(None)
+        assert list(z_class(a, 5, counted)) == []
+        assert counted.checks > 2
+        for stop in (2, counted.checks):
+            with pytest.raises(Expired):
+                list(analysis._z_kernel(a)(range(g.n), 5, StopAt(stop)))
+            with pytest.raises(Expired):
+                list(z_class(a, 5, StopAt(stop)))
+
+        def marking(a, w, deadline):
+            now[0] = w
+            try:
+                yield from z_class(a, w, deadline)
+            finally:
+                now[0] = None
+
+        class Recording:
+            def check(self):
+                where.append(now[0])
+
+        def cold():
+            monkeypatch.setattr(analysis, "_w_cache", None)
+            analysis._z_kernel.cache_clear()
+
+        monkeypatch.setattr(analysis, "_z_class", marking)
+        cold()
+        assert d_max(g, Recording()).value == 6
+        second = [i for i, w in enumerate(where) if w == 5][1]
+        cold()
+        res = d_max(g, RaiseAtCheck(second + 1))
+        assert not res.ok and res.bracket == (5, None)
+        analysis._z_kernel.cache_clear()
 
 
 class TestCSet:

@@ -346,6 +346,15 @@ class TestCode3D:
         assert code == 2 and rep["budget_exceeded"]
         assert "time budget" in rep["results"]["error"]
 
+    def test_budget_stop_without_the_scan(self, capsys, monkeypatch):
+        # without the scan the deadline is checked between the structural
+        # phases, so an expired budget stops L = 16 after its build
+        monkeypatch.setenv("TQO_BUDGET_MS", "0")
+        code, rep = run_json(capsys, ["code3d", "--L", "16", "--no-distance-scan"])
+        assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
+        assert rep["config"] == {"L": 16, "distance_scan": False}
+        assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
+
     def test_budget_stops_the_L9_scan_soon(self, capsys, monkeypatch):
         # the scan grows from qubit 0 alone; the kernel checks the deadline
         # every few dozen nodes, so the stop comes well within a second of

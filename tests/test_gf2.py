@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from tqograph.gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, support_xors
 
-from references import connected_support_xors, reference_kernel_basis, reference_row_reduce
+from references import (connected_support_xors, reference_cluster_xors, reference_kernel_basis,
+                        reference_row_reduce)
 
 
 def bits(text):
@@ -363,7 +364,8 @@ class CountingDeadline:
 
 class TestClusterXors:
     """The check-guided kernel against the connected-support enumerator it
-    replaced, filtered to zero syndromes."""
+    replaced, filtered to zero syndromes, and hit for hit and in order
+    against the generator kernel it was first written as."""
 
     def test_matches_irreducible_reference(self):
         rng = random.Random(11)
@@ -377,9 +379,10 @@ class TestClusterXors:
                 for v in range(n):
                     if ((x | z) >> v) & 1:
                         nbrs[v] |= (x | z) & ~(1 << v)
-            xors = cluster_xors(choices, m)
+            xors, ref = cluster_xors(choices, m), reference_cluster_xors(choices, m)
             for w in range(1, min(n, 4) + 1):
                 got = list(xors(range(n), w))
+                assert got == list(ref(range(n), w)), (n, w)
                 assert len(set(got)) == len(got), (n, w)
                 want = {op for op in connected_support_xors(choices, nbrs, range(n), w)
                         if not op & ((1 << m) - 1)}

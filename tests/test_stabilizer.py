@@ -34,6 +34,7 @@ from references import (
     reference_code_pair_stabilizers,
     reference_commutation_error,
     reference_gen_3d_code,
+    reference_cluster_xors,
     reference_gen_3d_code_derived,
     reference_product,
 )
@@ -833,6 +834,29 @@ class TestKernelMatchesConnectedScan:
         assert hit_text(normalizer_min_weight(s, w_max)) == hit_text(
             connected_normalizer_min_weight(s, w_max))
 
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_3d_code_kernel_sequence(self, L, monkeypatch):
+        # the kernel on the scan's choices, from its orbit roots, yields the
+        # generator reference's hits in its order at every weight up to L
+        made = []
+
+        def recording(choices, m):
+            made.append((choices, m))
+            return cluster_xors(choices, m)
+
+        monkeypatch.setattr(stabilizer, "cluster_xors", recording)
+        s = gen_3d_code(L)
+        normalizer_min_weight(s, 1)
+        (choices, m), = made
+        roots = stabilizer._orbit_roots(s)
+        xors, ref = cluster_xors(choices, m), reference_cluster_xors(choices, m)
+        hits = 0
+        for w in range(1, L + 1):
+            got = list(xors(roots, w))
+            assert got == list(ref(roots, w)), w
+            hits += len(got)
+        assert hits
+
     def test_3d_code_L5_witness(self):
         # the connected scan's answer, from a run of about 10 s: Z along i
         # on qubits 0..4
@@ -1036,6 +1060,25 @@ class Test3DCode:
             assert (rep.error, rep.distance_lower_bound) == (StopAtCheck.MESSAGE, cls)
             assert not rep.ok and rep.params() == "[[64,8,?]]"
             assert dataclasses.replace(rep, error=None, distance_lower_bound=None) == plain
+
+    def test_budget_stop_between_structural_phases(self, monkeypatch):
+        # without the scan the deadline is checked after the build, the rank,
+        # the logicals and the derivation, and a stop raises; a deadline that
+        # never expires leaves the report as it was
+        derived = []
+        rows_3d = stabilizer._derived_rows_3d
+        monkeypatch.setattr(stabilizer, "_derived_rows_3d",
+                            lambda L: derived.append(L) or rows_3d(L))
+        plain = verify_3d_code(4, distance_scan=False)
+        counted = StopAtCheck(None)
+        assert verify_3d_code(4, distance_scan=False, deadline=counted) == plain
+        assert counted.checks == 4
+        for stop in (1, 2, 3, 4):
+            derived.clear()
+            with pytest.raises(BudgetExceededError) as info:
+                verify_3d_code(4, distance_scan=False, deadline=StopAtCheck(stop))
+            assert str(info.value) == StopAtCheck.MESSAGE and info.value.weight is None
+            assert derived == ([4] if stop == 4 else [])
 
     def test_deadline_checked_within_the_root(self):
         # gen_3d_code(6) grows from qubit 0 alone, yet the scan checks the
