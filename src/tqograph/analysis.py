@@ -1,6 +1,7 @@
 """Bitstring-set criteria for graph states and the searches built on them.
 
-For a graph G with adjacency matrix A and a target distance d, the sets are
+For a graph G with adjacency matrix A (symmetric, so row v is column A_v)
+and a target distance d, the sets are
 
   Z  = {k : weight(k | A.k) <= d - 1}
   Zp = {h : h.k = 0 for every k in Z}        (orthogonal complement)
@@ -108,14 +109,14 @@ def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
     n = a.cols
     return cluster_xors([(c | (1 << (n + v)), (1 << v) | (1 << (2 * n + v)),
                           (c ^ (1 << v)) | (1 << (n + v)) | (1 << (2 * n + v)))
-                         for v, c in enumerate(a.columns())], n)
+                         for v, c in enumerate(a.row_bits)], n)
 
 
 def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
     """Beside the singles e_v, enough k of Z with S_k of weight w to span all
     (z_span_basis), in canonical order: at w = 2 the twin pairs u < v, whose keys
     A_u or A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's hits."""
-    n, cols = a.cols, a.columns()
+    n, cols = a.cols, a.row_bits
     if w == 2:
         buckets: Dict[int, List[int]] = {}
         for v, c in enumerate(cols):
@@ -147,7 +148,7 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     """
     deadline.check()
     n, top, a = q.graph.n, q.d - 1, q.graph.adjacency()
-    singles = [1 << v for v, c in enumerate(a.columns()) if c.bit_count() < top]
+    singles = [1 << v for v, c in enumerate(a.row_bits) if c.bit_count() < top]
     classes = (_z_class(a, w, deadline) for w in range(2, min(top, n) + 1))
     ech, kept = Echelon(), []
     for k in itertools.chain(singles, itertools.chain.from_iterable(classes)):
@@ -160,13 +161,13 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
 
 def zperp_basis(q: SetQuery, deadline: Deadline = NEVER,
                 span: Optional[Echelon] = None) -> List[BitString]:
-    """Basis of Zp, the kernel of span(Z).  A span holding span(Z) at d - 1
-    (d_max keeps one per search) grows in place to d by the k whose S_k has
-    weight d - 1 (_z_class), singles e_v first, which alone may reach rank n."""
+    """Basis of Zp, the kernel of z_span_basis, or of a span holding span(Z)
+    at d - 1 (d_max keeps one per search) grown in place to d by the k whose
+    S_k has weight d - 1 (_z_class), singles e_v first (alone, maybe rank n)."""
     n, a = q.graph.n, q.graph.adjacency()
     if span is None:
         return Gf2Matrix.from_rows(z_span_basis(q, deadline), cols=n).kernel_basis()
-    singles = (1 << v for v, c in enumerate(a.columns()) if c.bit_count() == q.d - 2)
+    singles = (1 << v for v, c in enumerate(a.row_bits) if c.bit_count() == q.d - 2)
     for k in itertools.chain(singles, _z_class(a, q.d - 1, deadline)):
         if span.add(k) and len(span.rows) == n:
             break
@@ -187,7 +188,7 @@ def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozense
         _w_cache = (a, [frozenset((0,))], {})
     tables = _w_cache[1]
     while len(tables) <= w:
-        choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.columns())]
+        choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
         tables.append(tables[-1].union(support_xors(choices, len(tables), deadline)))
     return tables
 
@@ -201,7 +202,7 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
     the last rise reach a quarter of the next weight class's Paulis, at 4 to
     7 times their cost each (cset lattice 4 3 --d 7 rises once: 2.2 s, not
     12 s).  Tables come at the first query: an empty walk builds none."""
-    n, cols, top = a.cols, a.columns(), d // 2 if t is None else t
+    n, cols, top = a.cols, a.row_bits, d // 2 if t is None else t
     t = min(top, 2) if t is None else t
     base = tables = sizes = flips = None
     peels = rise_at = 0
@@ -265,8 +266,7 @@ def in_C(q: SetQuery, h: BitString, deadline: Deadline = NEVER) -> bool:
 @dataclass(frozen=True)
 class CSetResult:
     d: int
-    z_basis: Tuple[BitString, ...]
-    zperp_basis: Tuple[BitString, ...]
+    zperp_basis: Tuple[BitString, ...]  # span(Z) has dimension n minus its length
     members: Tuple[BitString, ...]
     exhaustive: bool
 
@@ -295,7 +295,7 @@ def c_set(
     deadline: Deadline = NEVER,
     max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> CSetResult:
-    """Enumerate C by filtering the span of the Z-orthogonal basis.
+    """Enumerate C by filtering the span of zperp_basis.
 
     Emits at most max_members members (exhaustive flag cleared once that
     many are found); emptiness is decided as soon as one member appears, so
@@ -304,13 +304,12 @@ def c_set(
     """
     if max_members < 1:
         raise ValueError(f"need max_members >= 1, got {max_members}")
-    zb = z_span_basis(q, deadline)
-    zp = Gf2Matrix.from_rows(zb, cols=q.graph.n).kernel_basis()
+    zp = zperp_basis(q, deadline)
     in_w = _w_member(q.graph.adjacency(), q.d, deadline)
     walk = _span_walk([b.bits for b in zp], deadline)
     found = sorted(itertools.islice((h for h in walk if not in_w(h)), max_members))
     members = tuple(BitString(q.graph.n, h) for h in found)
-    return CSetResult(q.d, tuple(zb), tuple(zp), members, len(found) < max_members)
+    return CSetResult(q.d, tuple(zp), members, len(found) < max_members)
 
 
 @dataclass(frozen=True)
@@ -375,9 +374,9 @@ def verify_codewords(
     including each h against the zero label, avoids W.  The pairs go in
     itertools.combinations order through one W predicate on ints, and a
     xor already tested is not tested again, so the first failing pair is
-    still the one reported.  In a subspace with zero (2^rank labels) every
-    xor is a label, so only the zero-label pairs, which come first, run.
-    The deadline is checked at every pair.
+    still the one reported.  Every xor lies in the labels' span, so the loop
+    stops once its 2^rank - 1 nonzero vectors are tested: a subspace with
+    zero stops after its zero-label pairs.  Deadline checked at every pair.
     """
     hs = list(hs)
     if len(set(hs)) != len(hs):
@@ -391,10 +390,8 @@ def verify_codewords(
         if any(dot(h, z) for z in zb):
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
     full, in_w, tested = [0] + [h.bits for h in hs], _w_member(g.adjacency(), d, deadline), set()
-    pairs = itertools.combinations(range(len(full)), 2)
-    if 1 << len(Echelon(full).rows) == len(full):
-        pairs = ((0, j) for j in range(1, len(full)))
-    for i, j in pairs:
+    span = (1 << len(Echelon(full).rows)) - 1  # nonzero vectors of the labels' span
+    for i, j in itertools.combinations(range(len(full)), 2):
         deadline.check()
         x = full[i] ^ full[j]
         if x not in tested:
@@ -402,6 +399,8 @@ def verify_codewords(
             if in_w(x):
                 return VerifyVerdict(
                     False, f"xor of labels {i},{j} lies in W: {BitString(g.n, x).to_text()}")
+            if len(tested) == span:
+                break
     return VerifyVerdict(True)
 
 
@@ -423,16 +422,17 @@ class ClassicalCode:
     def k_c(self) -> int:
         return self.generator.rows
 
-    def codewords(self) -> Iterator[BitString]:
+    def codewords(self, deadline: Deadline = NEVER) -> Iterator[BitString]:
         """All 2^k_c codewords, message order: from message c - 1 to c the
-        bits up to the lowest set bit of c flip, a prefix xor of the rows."""
+        bits up to the lowest set bit of c flip, a prefix xor of the rows;
+        the deadline is checked at each (_span_walk)."""
         yield BitString(self.q, 0)
         steps = itertools.accumulate(self.generator.row_bits, operator.xor)
-        for bits in _span_walk(list(steps)):
+        for bits in _span_walk(list(steps), deadline):
             yield BitString(self.q, bits)
 
 
-def classical_min_distance(code: ClassicalCode) -> int:
+def classical_min_distance(code: ClassicalCode, deadline: Deadline = NEVER) -> int:
     """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords.
 
     Codes with k_c > 24 are refused (ValueError): that is a size limit, not
@@ -442,7 +442,7 @@ def classical_min_distance(code: ClassicalCode) -> int:
         raise ValueError(f"k_c = {code.k_c} too large for exhaustion (cap 24)")
     if code.k_c == 0:
         raise ValueError("trivial code has no nonzero codewords")
-    return min(c.weight() for c in code.codewords() if not c.is_zero())
+    return min(c.weight() for c in code.codewords(deadline) if not c.is_zero())
 
 
 def read_bitstrings(path: str, n: Optional[int] = None) -> List[BitString]:
@@ -465,17 +465,17 @@ def read_classical_code(path: str) -> ClassicalCode:
     return ClassicalCode(Gf2Matrix.from_rows(rows))
 
 
-def ldpc_embed(code: ClassicalCode, m: int) -> List[BitString]:
+def ldpc_embed(code: ClassicalCode, m: int, deadline: Deadline = NEVER) -> List[BitString]:
     """Embed a [q, k_c, d_c] classical code into the q-component multi-star.
 
     Classical bit i maps to the hub of component i (bit m*i of a q*m-bit
     string); requires d_c >= m.  Returns all 2^k_c labels, zero first.
     """
-    d_c = classical_min_distance(code)
+    d_c = classical_min_distance(code, deadline)
     if d_c < m:
         raise ValueError(f"classical distance {d_c} below required {m}")
     out = []
-    for c in code.codewords():
+    for c in code.codewords(deadline):
         bits = 0
         for i in c.support():
             bits |= 1 << (m * i)

@@ -122,7 +122,7 @@ def cmd_cset(args, config: dict) -> Outcome:
         "member_count": len(res.members),
         "members": [b.to_text() for b in res.members],
         "zperp_dim": len(res.zperp_basis),
-        "z_span_dim": len(res.z_basis),
+        "z_span_dim": g.n - len(res.zperp_basis),  # rank-nullity
     }
     return results, True, False
 
@@ -144,12 +144,14 @@ def cmd_verify(args, config: dict) -> Outcome:
         if args.m is None:
             raise ValueError("--ldpc requires --m")
         code = analysis.read_classical_code(args.ldpc)
-        labels = [b for b in analysis.ldpc_embed(code, args.m) if not b.is_zero()]
     elif args.codewords:
         labels = analysis.read_bitstrings(args.codewords, g.n)
     else:
         raise ValueError("need --codewords or --ldpc")
-    verdict = analysis.verify_codewords(g, args.d, labels, _deadline())
+    deadline = _deadline()
+    if args.ldpc:
+        labels = [b for b in analysis.ldpc_embed(code, args.m, deadline) if not b.is_zero()]
+    verdict = analysis.verify_codewords(g, args.d, labels, deadline)
     results = {
         "pass": verdict.ok,
         "witness": verdict.witness,
@@ -168,9 +170,13 @@ def cmd_oracle(args, config: dict) -> Outcome:
         rng = random.Random(args.seed)
         a = g.adjacency()
         worst = 0.0
-        for _ in range(args.samples):
+        for i in range(args.samples):
             deadline.check()
             h, gg, k, l = (BitString(g.n, rng.getrandbits(g.n)) for _ in range(4))
+            if not i % 2:
+                # nonzero only when A.k ^ l = h ^ g, which a uniform l meets
+                # with odds 2^-n; every other sample meets it
+                l = a.mat_vec(k) ^ h ^ gg
             lhs = analysis.graph_basis_inner_analytic(a, h, gg, k, l)
             rhs = qoracle.pauli_matrix_element(
                 qoracle.graph_basis_state(g, h),

@@ -151,19 +151,6 @@ def dot(k: BitString, l: BitString) -> int:
     return (k.bits & l.bits).bit_count() & 1
 
 
-def transpose(rows: Iterable[int], width: int) -> Tuple[int, ...]:
-    """The width column bitsets of the int rows: bit i of column j is bit j
-    of row i."""
-    cols = [0] * width
-    for i, r in enumerate(rows):
-        bit = 1 << i
-        while r:
-            v = r.bit_length() - 1
-            cols[v] |= bit
-            r ^= 1 << v
-    return tuple(cols)
-
-
 def xor_columns(cols: Sequence[int], bits: int) -> int:
     """The xor of cols[v] over the set bits v of bits."""
     acc = 0
@@ -235,9 +222,10 @@ class Echelon:
 
 
 class Gf2Matrix:
-    """Dense bit-packed GF(2) matrix, row-major (row bit j = column j)."""
+    """Dense bit-packed GF(2) matrix, row-major (row bit j = column j): its
+    rows and nothing derived from them, immutable."""
 
-    __slots__ = ("rows", "cols", "row_bits", "_col_bits")
+    __slots__ = ("rows", "cols", "row_bits")
 
     def __init__(self, rows: int, cols: int, row_bits: Iterable[int]):
         row_bits = tuple(row_bits)
@@ -249,12 +237,8 @@ class Gf2Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_bits", row_bits)
-        object.__setattr__(self, "_col_bits", None)
 
     def __setattr__(self, name, value):
-        if name == "_col_bits" and getattr(self, name, None) is None:
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("Gf2Matrix is immutable")
 
     @classmethod
@@ -279,20 +263,17 @@ class Gf2Matrix:
     def row(self, i: int) -> BitString:
         return BitString(self.cols, self.row_bits[i])
 
-    def columns(self) -> tuple:
-        """Column bitsets (bit i = row i), computed once and cached."""
-        if self._col_bits is None:
-            self._col_bits = transpose(self.row_bits, self.cols)
-        return self._col_bits
-
     def column(self, j: int) -> BitString:
-        return BitString(self.rows, self.columns()[j])
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column index {j} out of range for {self.cols} columns")
+        return BitString(self.rows, sum((r >> j & 1) << i for i, r in enumerate(self.row_bits)))
 
     def mat_vec(self, k: BitString) -> BitString:
-        """GF(2) matrix-vector product A.k, as the XOR of selected columns."""
+        """GF(2) matrix-vector product A.k: bit i is the parity of row i & k."""
         if k.n != self.cols:
             raise ValueError(f"dimension mismatch: {self.cols} cols vs length {k.n}")
-        return BitString(self.rows, xor_columns(self.columns(), k.bits))
+        return BitString(self.rows, sum(((r & k.bits).bit_count() & 1) << i
+                                        for i, r in enumerate(self.row_bits)))
 
     def rank(self) -> int:
         return len(Echelon(self.row_bits).rows)

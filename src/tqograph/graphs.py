@@ -63,7 +63,9 @@ class Graph:
         return deg
 
     def adjacency(self) -> Gf2Matrix:
-        """The adjacency matrix, built once per graph (it is immutable)."""
+        """The adjacency matrix, built once per graph (it is immutable).  It is
+        symmetric, so its rows are its columns: each edge sets u -> v and
+        v -> u, and toric3d_rows toggles F(u, v) xor F(v, u)."""
         if self._adjacency is None:
             rows = [0] * self.n
             for u, v in self.edges:

@@ -463,30 +463,28 @@ def verify_3d_code(
     """Full check of the layered toric code at size L.
 
     (a) each per-layer product of all generators is +identity;
-    (b) symplectic rank is L^3 - L (deficiency exactly L);
-    (c) code dimension 2^L;
-    (d) each X string commutes with everything, sits outside the group, and
+    (b) symplectic rank is L^3 - L: deficiency L, code dimension 2^L;
+    (c) each X string commutes with everything, sits outside the group, and
         the L strings stay independent modulo the group;
-    (e) minimum normalizer weight is L (scan skipped when distance_scan is
+    (d) minimum normalizer weight is L (scan skipped when distance_scan is
         off);
     plus the derivation-chain equality against the graph-state construction.
-    (a)-(d) and the derivation run on the (x, z) int rows of gen_3d_code and
+    (a)-(c) and the derivation run on the (x, z) int rows of gen_3d_code and
     of the strings, and only the code's group is built (its constructor
-    checks that the generators commute).  When the deadline runs out in the
-    scan, the report keeps (a)-(d) and carries the budget message and the
-    distance's lower bound instead; without the scan, a stop after any
-    structural phase raises BudgetExceededError.
+    checks that the generators commute).  The deadline is checked after the
+    build, (b), (c) and the derivation, where a stop raises
+    BudgetExceededError; a stop in the scan leaves a report that keeps
+    (a)-(c), with the budget message and the distance's lower bound.
     """
-    phase = NEVER if distance_scan else deadline
     s = gen_3d_code(L)
-    phase.check()
+    deadline.check()
     n, rows = L**3, s.rows
     # generator (i, j, k) is row (i L + j) L + k, so layer k is rows[k::L]
     constraints_hold = all(_product(rows[k::L]) == (0, 0, 0) for k in range(L))
 
     rank = s.rank()
     code_dim = 1 << (n - rank)
-    phase.check()
+    deadline.check()
 
     # Residues modulo the group have no pivot bit set, so they are
     # independent iff the strings are independent modulo the group; a string
@@ -494,10 +492,10 @@ def verify_3d_code(
     logicals = logical_strings(L)
     residues = Echelon(s._echelon().reduce(x | z << n)[0] for x, z in logicals)
     logicals_ok = all(map(s.in_normalizer, logicals)) and len(residues.rows) == L
-    phase.check()
+    deadline.check()
 
     derivation_ok = tuple(_derived_rows_3d(L)) == rows
-    phase.check()
+    deadline.check()
 
     distance = dist_op = error = lower = None
     if distance_scan:

@@ -23,7 +23,9 @@ generators that paired each vertex of supp(h) with the lowest one.
 
 verify_codewords as it was before a label set that forms a subspace with
 zero was walked on its zero-label pairs only: every pair, in
-itertools.combinations order, each xor through in_W.
+itertools.combinations order, each xor through in_W.  And as it was
+before one pair loop served both cases: all pairs, or only the zero-label
+pairs when the labels and zero form a subspace.
 
 W membership before the check-guided peel: h in T_a, or one scan of h ^ T_b
 against T_a, a = d // 2 and b = (d - 1) // 2, T_w the syndromes of the
@@ -36,8 +38,9 @@ span of Z^perp.
 The twin pairs of span(Z)'s weight-2 class as _z_class found them before
 it bucketed vertices by neighbourhood: every pair u < v tested in turn.
 
-Helpers that only the tests call: graph_stabilizers, pauli_expectation, and
-the edge-space helpers s_vector and odd_degree_vertices.
+Helpers that only the tests call: graph_stabilizers, pauli_expectation,
+the edge-space helpers s_vector and odd_degree_vertices, and transpose,
+the column view Gf2Matrix no longer keeps.
 """
 
 import itertools
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from tqograph.analysis import SetQuery, VerifyVerdict, in_W, z_span_basis, zperp_basis
-from tqograph import gf2
+from tqograph import analysis, gf2
 from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
 from tqograph.oracle import pauli_matrix_element
@@ -63,6 +66,16 @@ from tqograph.stabilizer import (
 def graph_stabilizers(g: Graph) -> StabilizerGroup:
     """Generator i is X on vertex i and Z on each of its neighbors."""
     return StabilizerGroup(g.n, [(1 << i, r) for i, r in enumerate(g.adjacency().row_bits)])
+
+
+def transpose(rows: Iterable[int], width: int) -> Tuple[int, ...]:
+    """The width column bitsets of the int rows: bit i of column j is bit j
+    of row i."""
+    cols = [0] * width
+    for i, r in enumerate(rows):
+        for j in range(width):
+            cols[j] |= (r >> j & 1) << i
+    return tuple(cols)
 
 
 def pauli_expectation(psi, k: BitString, l: BitString) -> complex:
@@ -259,7 +272,7 @@ def reference_cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callab
 
 def square_nbrs(a) -> List[int]:
     """Neighbour bitmasks of G^2: u ~ v iff u != v and their distance in G is 1 or 2."""
-    cols = a.columns()
+    cols = a.row_bits
     out = []
     for v, c in enumerate(cols):
         m, rest = c, c
@@ -278,7 +291,7 @@ def connected_z_span_basis(q) -> List[BitString]:
     n, top = q.graph.n, q.d - 1
     low = (1 << n) - 1
     a = q.graph.adjacency()
-    choices = [((1 << v) | (c << n),) for v, c in enumerate(a.columns())]
+    choices = [((1 << v) | (c << n),) for v, c in enumerate(a.row_bits)]
     nbrs = square_nbrs(a)
     if all(m | (1 << v) == low for v, m in enumerate(nbrs)):
         def supports(w):
@@ -512,9 +525,43 @@ def reference_verify_codewords(g: Graph, d: int, hs: Sequence[BitString]) -> Ver
     return VerifyVerdict(True)
 
 
+def two_loop_verify_codewords(g: Graph, d: int, hs: Sequence[BitString],
+                              deadline=gf2.NEVER) -> VerifyVerdict:
+    """verify_codewords with two pair sequences: every pair in
+    itertools.combinations order, or only the zero-label pairs when the
+    labels and zero form a subspace (2^rank labels).  It looks up
+    z_span_basis and _w_member in the analysis module at each call, so a
+    spy set there sees its calls."""
+    hs = list(hs)
+    if len(set(hs)) != len(hs):
+        return VerifyVerdict(False, "duplicate labels")
+    zb = analysis.z_span_basis(SetQuery(g, d), deadline)
+    for i, h in enumerate(hs):
+        if h.n != g.n:
+            raise ValueError(f"label length {h.n} != {g.n}")
+        if h.is_zero():
+            return VerifyVerdict(False, f"label {i} is the zero string")
+        if any(dot(h, z) for z in zb):
+            return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
+    full, tested = [0] + [h.bits for h in hs], set()
+    in_w = analysis._w_member(g.adjacency(), d, deadline)
+    pairs = itertools.combinations(range(len(full)), 2)
+    if 1 << len(gf2.Echelon(full).rows) == len(full):
+        pairs = ((0, j) for j in range(1, len(full)))
+    for i, j in pairs:
+        deadline.check()
+        x = full[i] ^ full[j]
+        if x not in tested:
+            tested.add(x)
+            if in_w(x):
+                return VerifyVerdict(
+                    False, f"xor of labels {i},{j} lies in W: {BitString(g.n, x).to_text()}")
+    return VerifyVerdict(True)
+
+
 def reference_w_member(g: Graph, d: int):
     """The one-scan W predicate on ints, with its own tables T_a and T_b."""
-    choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(g.adjacency().columns())]
+    choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(g.adjacency().row_bits)]
     t_a, t_b = (frozenset(itertools.chain.from_iterable(support_xors(choices, i)
                                                         for i in range(w + 1)))
                 for w in (d // 2, (d - 1) // 2))
@@ -540,6 +587,6 @@ def reference_d_max(g: Graph) -> Tuple[int, BitString]:
 def reference_twin_pairs(a: Gf2Matrix) -> List[int]:
     """e_u + e_v for every pair u < v, in itertools.combinations order, whose
     columns differ only in bits u and v (A.k within {u, v})."""
-    n, cols = a.cols, a.columns()
+    n, cols = a.cols, a.row_bits
     return [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
             if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v))]

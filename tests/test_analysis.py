@@ -1,5 +1,7 @@
 import collections
+import functools
 import itertools
+import operator
 import random
 import time
 
@@ -52,6 +54,7 @@ from references import (
     reference_verify_codewords,
     s_vector,
     square_nbrs,
+    two_loop_verify_codewords,
 )
 
 
@@ -111,7 +114,7 @@ def all_supports_z_span_basis(q):
     """
     n, top = q.graph.n, q.d - 1
     low = (1 << n) - 1
-    choices = [((1 << v) | (c << n),) for v, c in enumerate(q.graph.adjacency().columns())]
+    choices = [((1 << v) | (c << n),) for v, c in enumerate(q.graph.adjacency().row_bits)]
     elim, kept = [], []
     for w in range(1, min(top, n) + 1):
         for x in support_xors(choices, w):
@@ -377,7 +380,7 @@ def w_distance(g):
     """dist[h], the least weight(m | l) over A.m ^ l = h, from the definition
     of W: l is forced to h ^ A.m, so every m is tried against every h at
     once.  h is in W at distance d iff dist[h] <= d - 1."""
-    n, cols = g.n, g.adjacency().columns()
+    n, cols = g.n, g.adjacency().row_bits
     hs = np.arange(1 << n)
     dist = np.full(1 << n, n + 1)
     for m in range(1 << n):
@@ -578,7 +581,7 @@ class TestWPeel:
         hs = sorted({rng.getrandbits(g.n) for _ in range(3000)}
                     | {sum(1 << v for v in s) for w in range(4)
                        for s in itertools.combinations(range(g.n), w)})
-        flips = max(2 * (col.bit_count() + 1) for col in g.adjacency().columns())
+        flips = max(2 * (col.bit_count() + 1) for col in g.adjacency().row_bits)
         for d in (5, 6):
             self.assert_matches(g, d, hs)
             most, scanned = self.counts(g, d, hs, monkeypatch)
@@ -1118,6 +1121,77 @@ class TestVerifyLinearSets:
         assert seen[True] and seen[False]
 
 
+class CountingDeadline:
+    """A deadline that counts its checks and never raises."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+class TestOnePairLoop:
+    """verify_codewords' one pair loop, which stops once every nonzero vector
+    of the labels' span was tested, against the two pair sequences it
+    replaced (tests/references.py): the same verdict, witness and W queries."""
+
+    @staticmethod
+    def spy_w_queries(monkeypatch):
+        log, real = [], analysis._w_member
+
+        def spied(*args, **kwargs):
+            member = real(*args, **kwargs)
+            return lambda h: log.append(h) or member(h)
+
+        monkeypatch.setattr(analysis, "_w_member", spied)
+        return log
+
+    def test_matches_the_two_loop_version(self, monkeypatch):
+        log = self.spy_w_queries(monkeypatch)
+        rng = random.Random("one-pair-loop")
+        kinds, fewer = collections.Counter(), 0
+        for case in range(400):
+            n = rng.randint(3, 9)
+            g, d = random_graph(rng, n), rng.randint(1, n)
+            basis = [b.bits for b in zperp_basis(SetQuery(g, d))]
+            if not basis:
+                continue
+            kind = case % 3
+            if kind == 2:  # distinct random members of Z^perp
+                pool = {functools.reduce(operator.xor, (b for b in basis if rng.random() < 0.5), 0)
+                        for _ in range(rng.randint(1, 12))}
+                labels = sorted(pool - {0})
+            else:  # a subspace, whole or missing one element
+                span = {0}
+                for _ in range(rng.randint(1, min(4, len(basis)))):
+                    v = functools.reduce(operator.xor, (b for b in basis if rng.random() < 0.5), 0)
+                    span |= {x ^ v for x in span}
+                labels = sorted(span - {0})
+                rng.shuffle(labels)
+                labels = labels[:-1] if kind == 1 else labels
+            if not labels:
+                continue
+            hs = [BitString(n, x) for x in labels]
+            runs = []
+            for verify in (verify_codewords, two_loop_verify_codewords):
+                # cold W tables each time, so their builds check alike
+                monkeypatch.setattr(analysis, "_w_cache", None)
+                log.clear()
+                dl = CountingDeadline()
+                verdict = verify(g, d, hs, dl)
+                runs.append(((verdict.ok, verdict.witness), list(log), dl.checks))
+            (got, got_w, got_checks), (want, want_w, want_checks) = runs
+            assert (got, got_w) == (want, want_w), (g.edges, d, labels)
+            assert got_checks <= want_checks
+            if kind == 0:
+                assert got_checks == want_checks
+            fewer += got_checks < want_checks
+            kinds[kind, got[0]] += 1
+        assert kinds[0, True] and kinds[1, True] and kinds[2, True] and kinds[2, False]
+        assert fewer  # some sets fill their span before the last pair
+
+
 class TestClassicalCodes:
     def test_repetition(self):
         code = ClassicalCode(Gf2Matrix.from_rows([BitString.from_text("111")]))
@@ -1157,6 +1231,19 @@ class TestClassicalCodes:
                     [BitString.from_text("110"), BitString.from_text("110")]
                 )
             )
+
+    def test_walks_check_the_deadline(self):
+        # one check per nonzero codeword in each walk, and a stop raises
+        code = ClassicalCode(Gf2Matrix(4, 8, [0x0F, 0x3C, 0xF0, 0x55]))
+        dl = CountingDeadline()
+        assert len(list(code.codewords(dl))) == 16 and dl.checks == 15
+        dl = CountingDeadline()
+        assert classical_min_distance(code, dl) == 4 and dl.checks == 15
+        dl = CountingDeadline()
+        assert len(ldpc_embed(code, 4, dl)) == 16 and dl.checks == 30
+        for stop in (1, 15, 16, 30):
+            with pytest.raises(BudgetExceededError, match="chosen check"):
+                ldpc_embed(code, 4, RaiseAtCheck(stop))
 
     def test_exhaustion_cap(self):
         # a size refusal, not a budget stop

@@ -97,6 +97,22 @@ class TestCset:
         assert "time budget" in rep["results"]["error"]
         assert rep["results"] == {"error": "time budget of 0.000s exhausted"}  # no progress
 
+    def test_z_span_dim_is_the_rank_of_z(self, capsys, tmp_path):
+        # reported as n - dim Zp: by rank-nullity, the size of z_span_basis
+        rng = random.Random("z-span-dim")
+        path = tmp_path / "g.txt"
+        for _ in range(25):
+            n = rng.randint(2, 9)
+            g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                     if rng.random() < 0.4])
+            path.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+            d = rng.randint(1, n + 1)
+            _, rep = run_json(capsys, ["cset", "custom", "--graph-file", str(path),
+                                       "--d", str(d), "--max-members", "1"])
+            want = len(analysis.z_span_basis(analysis.SetQuery(g, d)))
+            assert rep["results"]["z_span_dim"] == want
+            assert rep["results"]["zperp_dim"] == n - want
+
 
 class TestDmax:
     def test_complete(self, capsys):
@@ -217,6 +233,50 @@ class TestVerify:
         assert code == 0 and rep["results"]["pass"]
         assert rep["results"]["label_count"] == 2047
 
+    def test_ldpc_walks_check_the_deadline(self, capsys, monkeypatch, tmp_path):
+        # the [8,4,4] code's 15 nonzero codewords are walked twice, for the
+        # classical distance and for the embedding, one check each, before
+        # verify_codewords runs; a stop at any of those 30 checks exits 2
+        path = tmp_path / "hamming.txt"
+        path.write_text("11110000\n00111100\n00001111\n10101010\n")
+        argv = ["verify", "multi_star", "8", "4", "--d", "4", "--ldpc", str(path), "--m", "4"]
+
+        class StopAtCheck:
+            def __init__(self, stop):
+                self.stop, self.checks = stop, 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == self.stop:
+                    raise analysis.BudgetExceededError("time budget of 0.000s exhausted")
+
+        calls, verify = [], analysis.verify_codewords
+        monkeypatch.setattr(analysis, "verify_codewords",
+                            lambda *a: calls.append(a[3].checks) or verify(*a))
+        counted = StopAtCheck(None)
+        monkeypatch.setattr(cli, "_deadline", lambda: counted)
+        code, rep = run_json(capsys, argv)
+        assert code == 0 and rep["results"]["pass"] and calls == [30]
+        for stop in (1, 15, 16, 30, 31):
+            calls.clear()
+            monkeypatch.setattr(cli, "_deadline", lambda: StopAtCheck(stop))
+            code, rep = run_json(capsys, argv)
+            assert code == 2 and rep["budget_exceeded"]
+            assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
+            assert calls == ([30] if stop == 31 else [])
+
+    def test_ldpc_budget_env_stops_the_classical_walk(self, capsys, monkeypatch, tmp_path):
+        # a 20-row parity code has 2^20 codewords; uncapped, walking them
+        # takes seconds and over 150 MiB before any label pair is reached
+        path = tmp_path / "parity.txt"
+        path.write_text("".join("0" * i + "11" + "0" * (19 - i) + "\n" for i in range(20)))
+        monkeypatch.setenv("TQO_BUDGET_MS", "0")
+        code, rep = run_json(capsys, ["verify", "multi_star", "21", "2", "--d", "2",
+                                      "--ldpc", str(path), "--m", "2"])
+        assert code == 2 and rep["budget_exceeded"]
+        assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
+        assert rep["elapsed_ms"] < 500
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["verify", "star", "4", "--d", "2"])
         assert code == 1 and "codewords" in err
@@ -260,6 +320,24 @@ class TestOracle:
         assert code == 0
         assert rep["results"]["pass"]
         assert rep["results"]["max_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("argv", [["lattice", "3", "2"], ["toric", "2"],
+                                      ["line_of_complete", "5"]])
+    def test_matrix_elements_catch_a_wrong_sign(self, capsys, monkeypatch, argv):
+        # every other sample is a nonzero element (A.k ^ l = h ^ g), so a
+        # sigma replaced by 0 or flipped fails, where uniform samples of
+        # n >= 9 qubits almost always compare 0 with 0
+        argv = ["oracle", *argv, "--matrix-elements", "--samples", "40"]
+        calls, sigma = [], analysis.sigma
+        monkeypatch.setattr(analysis, "sigma", lambda a, k: calls.append(k) or sigma(a, k))
+        code, rep = run_json(capsys, argv)
+        assert code == 0 and rep["results"]["max_deviation"] <= 1e-9
+        assert len(calls) >= 20
+        for mutant in (lambda a, k: 0, lambda a, k: 1 - sigma(a, k)):
+            monkeypatch.setattr(analysis, "sigma", mutant)
+            code, rep = run_json(capsys, argv)
+            assert code == 1 and not rep["results"]["pass"]
+            assert rep["results"]["max_deviation"] == 2.0
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_matrix_elements_need_a_sample(self, capsys, samples):
@@ -355,6 +433,18 @@ class TestCode3D:
         assert rep["config"] == {"L": 16, "distance_scan": False}
         assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
 
+    def test_budget_stop_before_the_scan(self, capsys, monkeypatch):
+        # one budget rule with the scan on: an expired budget stops L = 16
+        # in its structural phases, before the scan starts
+        monkeypatch.setenv("TQO_BUDGET_MS", "0")
+        scans = []
+        monkeypatch.setattr(stabilizer, "normalizer_min_weight", lambda *a, **k: scans.append(a))
+        code, rep = run_json(capsys, ["code3d", "--L", "16"])
+        assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
+        assert rep["config"] == {"L": 16, "distance_scan": True}
+        assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
+        assert scans == []
+
     def test_budget_stops_the_L9_scan_soon(self, capsys, monkeypatch):
         # the scan grows from qubit 0 alone; the kernel checks the deadline
         # every few dozen nodes, so the stop comes well within a second of
@@ -368,7 +458,8 @@ class TestCode3D:
         assert rep["elapsed_ms"] < 1200
 
     def test_budget_stop_reports_structure_and_bound(self, capsys, monkeypatch):
-        # a deadline that expires at the first check of weight class 3
+        # a deadline that expires at the first check of weight class 3, after
+        # the four structural checks
         class StopAtCheck:
             def __init__(self, stop):
                 self.stop, self.checks = stop, 0
@@ -381,7 +472,7 @@ class TestCode3D:
         counter = StopAtCheck(None)
         stabilizer.normalizer_min_weight(stabilizer.gen_3d_code(4), 2, counter)
         _, plain = run_json(capsys, ["code3d", "--L", "4", "--no-distance-scan"])
-        monkeypatch.setattr(cli, "_deadline", lambda: StopAtCheck(counter.checks + 1))
+        monkeypatch.setattr(cli, "_deadline", lambda: StopAtCheck(4 + counter.checks + 1))
         code, rep = run_json(capsys, ["code3d", "--L", "4"])
         assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
         assert rep["config"] == {"L": 4, "distance_scan": True}

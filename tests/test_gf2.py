@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from tqograph.gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, support_xors
 
 from references import (connected_support_xors, reference_cluster_xors, reference_kernel_basis,
-                        reference_row_reduce)
+                        reference_row_reduce, transpose)
 
 
 def bits(text):
@@ -106,15 +106,24 @@ class TestGf2Matrix:
         m = Gf2Matrix(2, 3, [0b011, 0b110])
         assert m.row(0).to_text() == "110"
         assert m.column(0).to_text() == "10"
-        assert m.columns() == (0b01, 0b11, 0b10)
-        t = Gf2Matrix(3, 2, m.columns())
-        assert Gf2Matrix(2, 3, t.columns()) == m
+        assert [m.column(j).bits for j in range(3)] == list(transpose(m.row_bits, 3))
+        assert transpose(m.row_bits, 3) == (0b01, 0b11, 0b10)
+        assert transpose(transpose(m.row_bits, 3), 2) == m.row_bits
+        for j in (-1, 3):
+            with pytest.raises(IndexError):
+                m.column(j)
 
     def test_is_symmetric(self):
         # a matrix is symmetric iff its column bitsets equal its rows
-        assert Gf2Matrix.identity(3).columns() == Gf2Matrix.identity(3).row_bits
+        assert transpose(Gf2Matrix.identity(3).row_bits, 3) == Gf2Matrix.identity(3).row_bits
         m = Gf2Matrix(2, 2, [0b10, 0b00])
-        assert m.columns() != m.row_bits
+        assert transpose(m.row_bits, 2) != m.row_bits
+
+    def test_immutable(self):
+        m = Gf2Matrix.identity(2)
+        for name in ("rows", "row_bits", "_col_bits"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
 
     def test_mat_vec(self):
         star = Gf2Matrix(4, 4, [0b1110, 0b0001, 0b0001, 0b0001])
@@ -158,9 +167,10 @@ class TestGf2Matrix:
         st.integers(0, 2**6 - 1),
     )
     def test_transpose_adjoint(self, rows, kb, lb):
+        # the row-parity mat_vec against the test-side transpose
         m = Gf2Matrix(len(rows), 6, rows)
         k, l = BitString(len(rows), kb % (1 << len(rows))), BitString(6, lb)
-        mt = Gf2Matrix(6, len(rows), m.columns())
+        mt = Gf2Matrix(6, len(rows), transpose(rows, 6))
         assert dot(k, m.mat_vec(l)) == dot(mt.mat_vec(k), l)
 
 

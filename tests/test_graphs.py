@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from pathlib import Path
 
@@ -31,7 +32,22 @@ from tqograph.graphs import (
     write_edge_list,
 )
 
-from references import odd_degree_vertices, s_vector
+from references import odd_degree_vertices, s_vector, transpose
+
+
+# (family, params, periodic): every family builder, small and larger sizes
+SYMMETRY_CASES = [
+    ("star", (2,), True), ("star", (7,), True),
+    ("complete", (1,), True), ("complete", (6,), True),
+    ("complete_bipartite", (1, 1), True), ("complete_bipartite", (3, 5), True),
+    ("multi_star", (2, 2), True), ("multi_star", (4, 3), True),
+    ("lattice", (2, 3), True), ("lattice", (3, 2), True), ("lattice", (4, 2), False),
+    ("lattice", (3, 3), True),
+    ("toric", (2,), True), ("toric", (4,), True),
+    ("connected_multi_star", (2,), True), ("connected_multi_star", (4,), True),
+    ("line_of_complete", (3,), True), ("line_of_complete", (5,), True),
+    ("line_of_bipartite", (2,), True), ("line_of_bipartite", (4,), True),
+] + [("toric3d", (L,), True) for L in range(2, 7)]
 
 
 class TestGraphBasics:
@@ -69,8 +85,33 @@ class TestGraphBasics:
     def test_adjacency_symmetric_zero_diagonal(self):
         g = complete(4)
         a = g.adjacency()
-        assert a.row_bits == a.columns()
+        assert a.row_bits == transpose(a.row_bits, 4)
         assert all((a.row_bits[i] >> i) & 1 == 0 for i in range(4))
+
+    @pytest.mark.parametrize("family, params, periodic", SYMMETRY_CASES,
+                             ids=[f"{f}{p}{'' if per else '-obc'}" for f, p, per in SYMMETRY_CASES])
+    def test_every_family_adjacency_is_symmetric(self, family, params, periodic):
+        # the analysis reads the rows of A as its columns; toric3d fills its
+        # rows directly, the others from the edges
+        a = gen_family(FamilySpec(family, params, periodic=periodic)).adjacency()
+        assert a.row_bits == transpose(a.row_bits, a.cols)
+        assert all((r >> v) & 1 == 0 for v, r in enumerate(a.row_bits))
+
+    def test_cases_cover_every_family(self):
+        assert {f for f, _, _ in SYMMETRY_CASES} == set(FAMILIES) - {"custom"}
+
+    def test_random_custom_adjacency_is_symmetric(self, tmp_path):
+        rng = random.Random("symmetric-custom")
+        path = tmp_path / "g.txt"
+        for _ in range(40):
+            n = rng.randint(1, 24)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            write_edge_list(Graph.from_edges(n, [(v, u) for u, v in edges]), str(path))
+            a = gen_family(FamilySpec("custom", path=str(path))).adjacency()
+            assert a.row_bits == transpose(a.row_bits, n)
+            assert sorted(edges) == [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if a.row_bits[u] >> v & 1]
 
     def test_degrees_handshake(self):
         for g in (star(5), complete(5), toric(3), connected_multi_star(3)):

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, or re-exported through __all__;
-every private function or class of the package is used in the package; and
-every module-level constant of the package is read in the package."""
+every private function or class of the package, and every private name
+bound at its modules' top level, is used in the package; and every
+module-level constant of the package is read in the package."""
 
 import ast
 import pathlib
@@ -69,24 +70,37 @@ def test_accepts_all_and_string_annotations():
     assert unused_imports(source) == []
 
 
+def private_definitions(tree):
+    """(name, defining node) of each function or class named with a leading
+    underscore, and of each such name a module-level assignment binds;
+    dunders aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node
+
+
 def unreferenced_private(sources):
-    """(file, name, line) of each function or class named with a leading
-    underscore (dunders aside) that no name or attribute in the sources
-    refers to outside its own definition: a dead helper, or one only the
-    tests use."""
+    """(file, name, line) of each private definition (private_definitions)
+    that no name or attribute in the sources refers to outside its own
+    definition: a dead helper or setting, or one only the tests use."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
             for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
     out = []
     for file, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+        for name, node in private_definitions(tree):
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
                 inside = {id(n) for n in ast.walk(node)}
-                if not any(name == node.name and ref not in inside for name, ref in refs):
-                    out.append((file, node.name, node.lineno))
+                if not any(ref_name == name and ref not in inside for ref_name, ref in refs):
+                    out.append((file, name, node.lineno))
     return out
 
 
@@ -104,6 +118,20 @@ def test_detects_an_unreferenced_private_helper():
     }
     assert unreferenced_private(sources) == [
         ("a.py", "_dead", 2), ("a.py", "_recursive", 3), ("a.py", "_method", 5)]
+
+
+def test_detects_an_unreferenced_private_module_name():
+    # a module-level private name counts as used when read anywhere else in
+    # the sources, also as an attribute; a local, a dunder or a public name
+    # is not checked, and a store (a._stored) is not a read
+    sources = {
+        "a.py": ("_CACHE = {}\n_dead = 1\n_also_dead: int = 2\n_x, (_y, _z) = 1, (2, 3)\n"
+                 "__version__ = '1'\nPUBLIC = 3\n"
+                 "def f():\n    _local = 4\n    return _CACHE\n"),
+        "b.py": "import a\nprint(a._y)\na._stored = 5\n",
+    }
+    assert unreferenced_private(sources) == [
+        ("a.py", "_dead", 2), ("a.py", "_also_dead", 3), ("a.py", "_x", 4), ("a.py", "_z", 4)]
 
 
 def unread_constants(sources):

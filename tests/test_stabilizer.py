@@ -1046,15 +1046,16 @@ class Test3DCode:
     def test_budget_stop_keeps_structure_and_bound(self):
         # checks taken by the scan through each weight class of L = 4 (no
         # logical below weight 4), then a deadline that expires at a chosen
-        # check: the report keeps the structural checks and names the class
+        # check after the four structural ones: the report keeps the
+        # structural checks and names the class
         s = gen_3d_code(4)
         through = []
         for w in (1, 2, 3):
             dl = StopAtCheck(None)
             assert normalizer_min_weight(s, w, dl) is None
-            through.append(dl.checks)
+            through.append(dl.checks + 4)
         plain = verify_3d_code(4, distance_scan=False)
-        for stop, cls in ((1, 1), (through[0], 1), (through[0] + 1, 2),
+        for stop, cls in ((5, 1), (through[0], 1), (through[0] + 1, 2),
                           (through[1] + 1, 3), (through[2], 3), (through[2] + 1, 4)):
             rep = verify_3d_code(4, deadline=StopAtCheck(stop))
             assert (rep.error, rep.distance_lower_bound) == (StopAtCheck.MESSAGE, cls)
@@ -1062,23 +1063,27 @@ class Test3DCode:
             assert dataclasses.replace(rep, error=None, distance_lower_bound=None) == plain
 
     def test_budget_stop_between_structural_phases(self, monkeypatch):
-        # without the scan the deadline is checked after the build, the rank,
-        # the logicals and the derivation, and a stop raises; a deadline that
-        # never expires leaves the report as it was
-        derived = []
-        rows_3d = stabilizer._derived_rows_3d
+        # with or without the scan the deadline is checked after the build,
+        # the rank, the logicals and the derivation, and a stop raises before
+        # any scan; a deadline that never expires leaves the report as it was
+        derived, scans = [], []
+        rows_3d, scan_3d = stabilizer._derived_rows_3d, stabilizer.normalizer_min_weight
         monkeypatch.setattr(stabilizer, "_derived_rows_3d",
                             lambda L: derived.append(L) or rows_3d(L))
-        plain = verify_3d_code(4, distance_scan=False)
-        counted = StopAtCheck(None)
-        assert verify_3d_code(4, distance_scan=False, deadline=counted) == plain
-        assert counted.checks == 4
-        for stop in (1, 2, 3, 4):
-            derived.clear()
-            with pytest.raises(BudgetExceededError) as info:
-                verify_3d_code(4, distance_scan=False, deadline=StopAtCheck(stop))
-            assert str(info.value) == StopAtCheck.MESSAGE and info.value.weight is None
-            assert derived == ([4] if stop == 4 else [])
+        monkeypatch.setattr(stabilizer, "normalizer_min_weight",
+                            lambda *args, **kwargs: scans.append(1) or scan_3d(*args, **kwargs))
+        for scan in (False, True):
+            plain = verify_3d_code(4, distance_scan=scan)
+            counted = StopAtCheck(None)
+            assert verify_3d_code(4, distance_scan=scan, deadline=counted) == plain
+            assert (counted.checks > 4) if scan else (counted.checks == 4)
+            for stop in (1, 2, 3, 4):
+                derived.clear()
+                scans.clear()
+                with pytest.raises(BudgetExceededError) as info:
+                    verify_3d_code(4, distance_scan=scan, deadline=StopAtCheck(stop))
+                assert str(info.value) == StopAtCheck.MESSAGE and info.value.weight is None
+                assert derived == ([4] if stop == 4 else []) and scans == []
 
     def test_deadline_checked_within_the_root(self):
         # gen_3d_code(6) grows from qubit 0 alone, yet the scan checks the
