@@ -22,7 +22,7 @@ W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
 A_v, Z contributes e_v and Y contributes A_v ^ e_v, and the syndrome of a
 product is the xor of the syndromes.  With T_w the syndromes of the Paulis
-of weight <= w (kept for the last graph, _w_cache), for any t <= d // 2
+of weight <= w (kept for the last graph, _w_state), for any t <= d // 2
 
   W = T_t ^ T_(d-1-t) = {s ^ u : s in T_t, u in T_(d-1-t)},
 
@@ -174,19 +174,18 @@ def zperp_basis(q: SetQuery, deadline: Deadline = NEVER,
     return [BitString(n, x) for x in span.kernel_basis(n)]
 
 
-# (A, [T_0, T_1, ...], {1 << c: flips of check c}) for the last graph queried:
-# each weight class is enumerated once per graph, and memory holds one graph's.
-_w_cache: Optional[Tuple[Gf2Matrix, List[frozenset], Dict[int, Tuple[int, ...]]]] = None
+@functools.lru_cache(maxsize=1)
+def _w_state(a: Gf2Matrix) -> Tuple[List[frozenset], Dict[int, Tuple[int, ...]]]:
+    """([T_0, ...], {1 << c: flips of check c}) of the last graph, grown in place by
+    _w_tables and _w_member: each weight class is enumerated once per graph."""
+    return [frozenset((0,))], {}
 
 
 def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozenset]:
     """T_0 .. T_w at least, T_k being T_(k-1) joined with the syndromes of the
     weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  A budget stop
     in a build leaves the tables as they were."""
-    global _w_cache
-    if _w_cache is None or _w_cache[0] != a:
-        _w_cache = (a, [frozenset((0,))], {})
-    tables = _w_cache[1]
+    tables = _w_state(a)[0]
     while len(tables) <= w:
         choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
         tables.append(tables[-1].union(support_xors(choices, len(tables), deadline)))
@@ -238,7 +237,7 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
         if peels >= rise_at:  # the first query, or a rise
             tables = _w_tables(a, t + (base is not None), deadline)
             t = min(top, len(tables) - 1)
-            base, flips, peels, sizes = tables[t], _w_cache[2], 0, [len(x) for x in tables]
+            base, flips, peels, sizes = tables[t], _w_state(a)[1], 0, [len(x) for x in tables]
             rise_at = math.inf if t == top else math.comb(n, t + 1) * 3 ** (t + 1) // 4
         return h in base or (t < d - 1 and peel(h, d - 1 - t))
 
@@ -432,17 +431,23 @@ class ClassicalCode:
             yield BitString(self.q, bits)
 
 
-def classical_min_distance(code: ClassicalCode, deadline: Deadline = NEVER) -> int:
-    """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords.
-
-    Codes with k_c > 24 are refused (ValueError): that is a size limit, not
-    a time budget running out.
-    """
+def _spread_codewords(code: ClassicalCode, m: int, deadline: Deadline = NEVER) -> Iterator[int]:
+    """codewords' walk, as ints, on the rows spread by bit i -> bit m*i (linear, and
+    keeping weights).  k_c > 24 is refused: a size limit, not a budget stop."""
     if code.k_c > 24:
         raise ValueError(f"k_c = {code.k_c} too large for exhaustion (cap 24)")
     if code.k_c == 0:
         raise ValueError("trivial code has no nonzero codewords")
-    return min(c.weight() for c in code.codewords(deadline) if not c.is_zero())
+    rows = [sum(1 << (m * i) for i in range(code.q) if r >> i & 1)
+            for r in code.generator.row_bits]
+    yield 0
+    yield from _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
+
+
+def classical_min_distance(code: ClassicalCode, deadline: Deadline = NEVER) -> int:
+    """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords
+    (_spread_codewords at m = 1)."""
+    return min(c.bit_count() for c in _spread_codewords(code, 1, deadline) if c)
 
 
 def read_bitstrings(path: str, n: Optional[int] = None) -> List[BitString]:
@@ -450,9 +455,12 @@ def read_bitstrings(path: str, n: Optional[int] = None) -> List[BitString]:
     lines skipped); with n given, each row must have n bits."""
     out = []
     for line in content_lines(path):
-        b = BitString.from_text(line)
+        try:
+            b = BitString.from_text(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} in {line!r}") from exc
         if n is not None and b.n != n:
-            raise ValueError(f"label length {b.n} != {n}")
+            raise ValueError(f"{path}: label length {b.n} != {n} in {line!r}")
         out.append(b)
     return out
 
@@ -471,16 +479,11 @@ def ldpc_embed(code: ClassicalCode, m: int, deadline: Deadline = NEVER) -> List[
     Classical bit i maps to the hub of component i (bit m*i of a q*m-bit
     string); requires d_c >= m.  Returns all 2^k_c labels, zero first.
     """
-    d_c = classical_min_distance(code, deadline)
+    labels = list(_spread_codewords(code, m, deadline))
+    d_c = min(h.bit_count() for h in labels[1:])
     if d_c < m:
         raise ValueError(f"classical distance {d_c} below required {m}")
-    out = []
-    for c in code.codewords(deadline):
-        bits = 0
-        for i in c.support():
-            bits |= 1 << (m * i)
-        out.append(BitString(code.q * m, bits))
-    return out
+    return [BitString(code.q * m, h) for h in labels]
 
 
 @dataclass(frozen=True)

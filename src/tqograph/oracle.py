@@ -42,28 +42,27 @@ class QubitCapExceededError(RuntimeError):
     """Raised when a state-vector build would exceed the qubit cap."""
 
 
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized 2^n-dimensional state, float64 for real input and complex128
-    otherwise.  Immutable after construction."""
+    otherwise.  Immutable after construction; equality is identity."""
 
-    __slots__ = ("n", "amps")
+    n: int
+    amps: np.ndarray
 
-    def __init__(self, n: int, amps: np.ndarray):
+    def __post_init__(self):
         # a private copy, so that freezing it leaves the caller's array writable
-        amps = np.array(amps, dtype=np.complex128 if np.iscomplexobj(amps) else np.float64)
-        if amps.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
+        amps = np.array(self.amps, dtype=np.complex128 if np.iscomplexobj(self.amps)
+                        else np.float64)
+        if amps.shape != (1 << self.n,):
+            raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
         # einsum, not BLAS: np.linalg.norm and np.vdot hand vectors above about
         # 10,000 entries to threaded BLAS, whose start-up can stall for ms
         norm = np.sqrt(np.einsum("i,i->", amps.conj(), amps).real)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi| = {norm}")
         amps.setflags(write=False)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", amps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
 
     def __repr__(self):
         return f"StateVector(n={self.n})"
@@ -90,22 +89,15 @@ def _sylvester(c: int) -> np.ndarray:
     return h
 
 
-# (graph, |G>) of the last state built: one entry, so the graph basis states
-# of one graph share a single build.
-_last_graph_state: Optional[Tuple[Graph, StateVector]] = None
-
-
+# The last Graph's (n, edges, name) state: its graph basis states share one build.
+@functools.lru_cache(maxsize=1)
 def build_graph_state(g: Graph) -> StateVector:
     """CZ along every edge applied to the uniform superposition.
 
     Amplitude of |x> is 2^{-n/2} times (-1)^{#edges inside the support of x}.
     """
-    global _last_graph_state
     if g.n > QUBIT_CAP:
         raise QubitCapExceededError(f"{g.n} qubits exceeds cap {QUBIT_CAP}")
-    cached = _last_graph_state
-    if cached is not None and cached[0].n == g.n and cached[0].edges == g.edges:
-        return cached[1]
     idx, _, sign = _tables(g.n)
     amps = np.empty(1 << g.n)
     amps[0] = 2.0 ** (-g.n / 2)
@@ -113,9 +105,7 @@ def build_graph_state(g: Graph) -> StateVector:
         # x = 2^v + y with y < 2^v: the sign of y, flipped once per edge from v into y
         half = 1 << v
         np.multiply(amps[:half], sign[idx[:half] & nbrs], out=amps[half : 2 * half])
-    state = StateVector(g.n, amps)
-    _last_graph_state = (g, state)
-    return state
+    return StateVector(g.n, amps)
 
 
 def graph_basis_state(g: Graph, h: BitString) -> StateVector:

@@ -10,7 +10,7 @@ brute-force code distance via minimum-weight normalizer search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, cluster_xors, dot,
@@ -100,6 +100,7 @@ def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     return x, z, s
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class StabilizerGroup:
     """Pairwise-commuting Pauli generators (need not be independent), kept
     as (x, z) int rows: generator i is X^x Z^z, with sign -1 where bit i of
@@ -114,14 +115,20 @@ class StabilizerGroup:
 
     Row reduction is a gf2.Echelon of the symplectic rows x | z << n, in
     generator order, each carrying its generator-combination mask; its
-    residues and combinations are unique (Echelon gives why).
+    residues and combinations are unique (Echelon gives why); _echelon()
+    fills _ech at its first call.  Frozen, and equal only to itself.
     """
 
-    __slots__ = ("n", "rows", "signs", "symmetries", "_xcols", "_zcols", "_ech")
+    n: int
+    rows: Tuple[Tuple[int, int], ...]
+    signs: int = 0
+    symmetries: Tuple[Tuple[int, ...], ...] = ()
+    _xcols: Tuple[int, ...] = field(init=False)
+    _zcols: Tuple[int, ...] = field(init=False)
+    _ech: Optional[Echelon] = field(default=None, init=False)
 
-    def __init__(self, n: int, rows: Iterable[Tuple[int, int]], signs: int = 0,
-                 symmetries: Sequence[Sequence[int]] = ()):
-        rows = tuple(rows)
+    def __post_init__(self):
+        n, rows, signs = self.n, tuple(self.rows), self.signs
         if signs < 0 or signs >> len(rows):
             raise ValueError("sign mask outside the generators")
         if any(x < 0 or z < 0 or (x | z) >> n for x, z in rows):
@@ -136,9 +143,10 @@ class StabilizerGroup:
             for v in zs:
                 zcols[v] |= bit
             supports.append((xs, zs))
-        for name, value in zip(self.__slots__, (n, rows, signs, tuple(map(tuple, symmetries)),
-                                                tuple(xcols), tuple(zcols), None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "symmetries", tuple(map(tuple, self.symmetries)))
+        object.__setattr__(self, "_xcols", tuple(xcols))
+        object.__setattr__(self, "_zcols", tuple(zcols))
         # Anticommutation is symmetric: the first generator with a syndrome has
         # its lowest partner above it, the first bad pair in combinations order.
         for i, (xs, zs) in enumerate(supports):
@@ -162,12 +170,6 @@ class StabilizerGroup:
         signs = sum(1 << i for i, p in enumerate(paulis) if p.sign < 0)
         return cls(n, [(p.x.bits, p.z.bits) for p in paulis], signs, symmetries)
 
-    def __setattr__(self, name, value):
-        if name == "_ech" and getattr(self, name, None) is None:
-            object.__setattr__(self, name, value)
-            return
-        raise AttributeError("StabilizerGroup is immutable")
-
     @property
     def generators(self) -> Tuple[Pauli, ...]:
         """The generators as Paulis, built at each call."""
@@ -181,7 +183,7 @@ class StabilizerGroup:
             ech, n = Echelon(), self.n
             for i, (x, z) in enumerate(self.rows):
                 ech.add(x | z << n, 1 << i)
-            self._ech = ech
+            object.__setattr__(self, "_ech", ech)
         return self._ech
 
     def rank(self) -> int:

@@ -20,8 +20,10 @@ from tqograph.graphs import (
     line_of_bipartite,
     line_of_complete,
     multi_star,
+    read_edge_list,
     star,
     toric,
+    write_edge_list,
 )
 from tqograph.analysis import (
     BudgetExceededError,
@@ -404,6 +406,14 @@ class RaiseAtCheck:
             raise BudgetExceededError("stopped at a chosen check")
 
 
+def w_state_holds(a):
+    """Whether the one-entry W memo holds the tables of adjacency a: a lookup
+    that hits (a miss replaces the entry)."""
+    hits = analysis._w_state.cache_info().hits
+    analysis._w_state(a)
+    return analysis._w_state.cache_info().hits == hits + 1
+
+
 class TestWTables:
     """_w_member against W from its definition, n <= 12, every d, with the
     one-entry table cache cold, warmed by smaller d, and last filled by
@@ -419,70 +429,74 @@ class TestWTables:
         assert got == [h for h in range(1 << g.n) if dist[h] <= d - 1], (g.edges, d)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
-    def test_cold_warm_and_replaced_cache(self, g, monkeypatch):
+    def test_cold_warm_and_replaced_cache(self, g):
         dist, other = w_distance(g), star(5)
         for d in range(1, g.n + 2):
-            monkeypatch.setattr(analysis, "_w_cache", None)
+            analysis._w_state.cache_clear()
             self.assert_predicate(g, d, dist)
         for d in range(1, g.n + 2):  # warm: the tables of d - 1 are cached
             self.assert_predicate(g, d, dist)
-        assert len(analysis._w_cache[1]) == (g.n + 1) // 2 + 1
+        assert len(analysis._w_state(g.adjacency())[0]) == (g.n + 1) // 2 + 1
         for d in range(1, g.n + 2):
             assert in_W(SetQuery(other, 6), BitString.zeros(5))
-            assert analysis._w_cache[0] == other.adjacency()
+            assert w_state_holds(other.adjacency())
+            assert not w_state_holds(g.adjacency())  # one entry: other's replaced g's
             self.assert_predicate(g, d, dist)
-            assert analysis._w_cache[0] == g.adjacency()
+            assert w_state_holds(g.adjacency())
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
-    def test_every_forced_height(self, g, monkeypatch):
+    def test_every_forced_height(self, g):
         # W = T_t ^ T_(d-1-t) for every t <= d // 2, and a forced height
         # builds no taller table than those of the heights before it
         dist = w_distance(g)
-        monkeypatch.setattr(analysis, "_w_cache", None)
+        analysis._w_state.cache_clear()
         for d in range(1, g.n + 2):
             for t in range(d // 2 + 1):
                 self.assert_predicate(g, d, dist, t)
-                assert len(analysis._w_cache[1]) == max(t, (d - 1) // 2) + 1
+                assert len(analysis._w_state(g.adjacency())[0]) == max(t, (d - 1) // 2) + 1
 
-    def test_walk_height_rises_with_the_peel_work(self, monkeypatch):
+    def test_walk_height_rises_with_the_peel_work(self):
         # n = 12, d = 7: a walk's predicate starts on T_2 and builds T_3 once
         # its peel calls reach C(12, 3) * 27 // 4 = 1485; a predicate made
         # after that starts on T_3
         g, d = self.GRAPHS[2], 7
         dist, a = w_distance(g), g.adjacency()
-        monkeypatch.setattr(analysis, "_w_cache", None)
-        member = analysis._w_member(a, d)
-        assert member(0) and len(analysis._w_cache[1]) == 3
+        analysis._w_state.cache_clear()
+        member, tables = analysis._w_member(a, d), analysis._w_state(a)[0]
+        assert member(0) and len(tables) == 3
         assert [h for h in range(1 << g.n) if member(h)] == [
             h for h in range(1 << g.n) if dist[h] <= d - 1]
-        assert len(analysis._w_cache[1]) == 4
-        tables = analysis._w_cache[1]
-        monkeypatch.setattr(analysis, "_w_cache", (a, [CountingSet(t) for t in tables], {}))
-        for h in sorted(tables[3] - tables[2])[:50]:
-            CountingSet.lookups = 0
-            assert analysis._w_member(a, d)(h) and CountingSet.lookups == 1
+        assert len(tables) == 4
+        plain = list(tables)
+        tables[:] = [CountingSet(t) for t in plain]
+        try:
+            for h in sorted(plain[3] - plain[2])[:50]:
+                CountingSet.lookups = 0
+                assert analysis._w_member(a, d)(h) and CountingSet.lookups == 1
+        finally:
+            analysis._w_state.cache_clear()
 
-    def test_in_w_and_verify_take_the_walks_height(self, monkeypatch):
+    def test_in_w_and_verify_take_the_walks_height(self):
         # one height rule for every predicate: at d = 6 on toric 6 a single
         # query, in_W's or verify's, stays on T_2 where T_(d//2) = T_3
         g = toric(6)
         cert = d_max(g).certificate
         for ask in (lambda: not in_W(SetQuery(g, 6), cert),
                     lambda: verify_codewords(g, 6, [cert]).ok):
-            monkeypatch.setattr(analysis, "_w_cache", None)
-            assert ask() and len(analysis._w_cache[1]) == 3
+            analysis._w_state.cache_clear()
+            assert ask() and len(analysis._w_state(g.adjacency())[0]) == 3
 
-    def test_budget_stop_keeps_only_whole_tables(self, monkeypatch):
+    def test_budget_stop_keeps_only_whole_tables(self):
         g = self.GRAPHS[1]
         a = g.adjacency()
-        monkeypatch.setattr(analysis, "_w_cache", None)
+        analysis._w_state.cache_clear()
         whole = list(analysis._w_tables(a, 3))
         lengths = []
         for n in (1, 2, 20, 40):  # in the builds of weights 1, 2, 2 and 3
-            monkeypatch.setattr(analysis, "_w_cache", None)
+            analysis._w_state.cache_clear()
             with pytest.raises(BudgetExceededError):
                 analysis._w_tables(a, 3, RaiseAtCheck(n))
-            kept = analysis._w_cache[1]
+            kept = analysis._w_state(a)[0]
             assert kept == whole[:len(kept)]
             lengths.append(len(kept))
         assert lengths == [1, 2, 2, 3]
@@ -497,7 +511,7 @@ class TestWTables:
             weights.append(w)
             return support_xors(choices, w, deadline)
 
-        monkeypatch.setattr(analysis, "_w_cache", None)
+        analysis._w_state.cache_clear()
         monkeypatch.setattr(analysis, "support_xors", spy)
         res = d_max(g)
         assert weights == list(range(1, len(weights) + 1)), weights
@@ -523,6 +537,33 @@ class TestWTables:
         analysis._z_kernel.cache_clear()
         assert weights == list(range(3, len(weights) + 3)), weights
         assert len(weights) <= max(res.value - 2, 0)
+
+    def test_graphs_read_from_one_file_share_the_tables_and_kernel(self, tmp_path, monkeypatch):
+        # each read builds a new Graph and adjacency matrix; the memos key on the
+        # matrix's value, so the second C-set builds no table and no kernel
+        path = tmp_path / "g.txt"
+        write_edge_list(toric(3), str(path))
+        weights, kernels = [], []
+
+        def spy(choices, w, deadline):
+            weights.append(w)
+            return support_xors(choices, w, deadline)
+
+        def recording(choices, m):
+            kernels.append(m)
+            return cluster_xors(choices, m)
+
+        monkeypatch.setattr(analysis, "support_xors", spy)
+        monkeypatch.setattr(analysis, "cluster_xors", recording)
+        analysis._w_state.cache_clear()
+        analysis._z_kernel.cache_clear()
+        try:
+            first = c_set(SetQuery(read_edge_list(str(path)), 4))
+            assert weights == [1, 2] and kernels == [18]
+            assert c_set(SetQuery(read_edge_list(str(path)), 4)) == first
+            assert weights == [1, 2] and kernels == [18]
+        finally:
+            analysis._z_kernel.cache_clear()
 
 
 class CountingSet(frozenset):
@@ -553,17 +594,20 @@ class TestWPeel:
         assert [h for h in hs if member(h)] == [h for h in hs if want(h)], (g.edges, d)
 
     @staticmethod
-    def counts(g, d, hs, monkeypatch):
+    def counts(g, d, hs):
         """The most table lookups _w_member makes on one h of hs, and the
         number of h of hs whose query scanned a table."""
         a, k = g.adjacency(), d // 2
-        tables = [CountingSet(t) for t in analysis._w_tables(a, k)[: k + 1]]
-        monkeypatch.setattr(analysis, "_w_cache", (a, tables, {}))
+        tables = analysis._w_tables(a, k)
+        tables[:] = [CountingSet(t) for t in tables[: k + 1]]
         member, most, scanned = analysis._w_member(a, d), 0, 0
-        for h in hs:
-            CountingSet.lookups = CountingSet.scans = 0
-            member(h)
-            most, scanned = max(most, CountingSet.lookups), scanned + bool(CountingSet.scans)
+        try:
+            for h in hs:
+                CountingSet.lookups = CountingSet.scans = 0
+                member(h)
+                most, scanned = max(most, CountingSet.lookups), scanned + bool(CountingSet.scans)
+        finally:
+            analysis._w_state.cache_clear()
         return most, scanned
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
@@ -575,7 +619,7 @@ class TestWPeel:
                 self.assert_matches(g, d, range(1 << n))
 
     @pytest.mark.parametrize("g", [toric(3), lattice(4, 2)], ids=["toric3", "lattice42"])
-    def test_peel_two_levels(self, g, monkeypatch):
+    def test_peel_two_levels(self, g):
         # b = 2, and |flips| * |T_1| < |T_2| at every check: no query scans
         rng = random.Random(f"w-peel:{g.n}")
         hs = sorted({rng.getrandbits(g.n) for _ in range(3000)}
@@ -584,28 +628,28 @@ class TestWPeel:
         flips = max(2 * (col.bit_count() + 1) for col in g.adjacency().row_bits)
         for d in (5, 6):
             self.assert_matches(g, d, hs)
-            most, scanned = self.counts(g, d, hs, monkeypatch)
+            most, scanned = self.counts(g, d, hs)
             assert most <= 1 + flips**2 and not scanned
 
     @pytest.mark.parametrize("g", [complete(8), line_of_complete(5), lattice(3, 2)],
                              ids=["K8", "loc5", "lattice32"])
-    def test_scan_fallback(self, g, monkeypatch):
+    def test_scan_fallback(self, g):
         # |flips| * |T_(b-1)| >= |T_b| at every check: every h outside T_k scans
         for d in range(5, g.n + 2):
             hs = range(1 << g.n)
             self.assert_matches(g, d, hs)
             t_k = analysis._w_tables(g.adjacency(), d // 2)[d // 2]
-            assert self.counts(g, d, hs, monkeypatch)[1] == (1 << g.n) - len(t_k)
+            assert self.counts(g, d, hs)[1] == (1 << g.n) - len(t_k)
 
     @pytest.mark.parametrize("g", [toric(3), complete(8), complete_bipartite(6, 6),
                                    TestWTables.GRAPHS[1], TestWTables.GRAPHS[3]],
                              ids=["toric3", "K8", "K66", "n9", "sparse11"])
-    def test_no_query_looks_up_more_than_one_scan(self, g, monkeypatch):
+    def test_no_query_looks_up_more_than_one_scan(self, g):
         rng = random.Random(f"w-lookups:{g.n}")
         hs = range(1 << g.n) if g.n <= 12 else [rng.getrandbits(g.n) for _ in range(2000)]
         for d in range(1, min(g.n, 8) + 2):
             t_b = analysis._w_tables(g.adjacency(), (d - 1) // 2)[(d - 1) // 2]
-            assert self.counts(g, d, hs, monkeypatch)[0] <= 1 + len(t_b), d
+            assert self.counts(g, d, hs)[0] <= 1 + len(t_b), d
 
 
 def disjoint_union(g, h):
@@ -822,7 +866,7 @@ class TestZClassSequence:
                 where.append(now[0])
 
         def cold():
-            monkeypatch.setattr(analysis, "_w_cache", None)
+            analysis._w_state.cache_clear()
             analysis._z_kernel.cache_clear()
 
         monkeypatch.setattr(analysis, "_z_class", marking)
@@ -976,14 +1020,14 @@ class TestDMax:
                 where.append(tuple(now))
 
         def cold():
-            monkeypatch.setattr(analysis, "_w_cache", None)
+            analysis._w_state.cache_clear()
             analysis._z_kernel.cache_clear()
 
         monkeypatch.setattr(analysis, "_z_class", z_marking)
         monkeypatch.setattr(analysis, "_w_member", w_marking)
         cold()
         want = d_max(g, Recording())
-        assert want.value == 6 and len(analysis._w_cache[1]) == 3
+        assert want.value == 6 and len(analysis._w_state(g.adjacency())[0]) == 3
         stops = {where.index((5, "z class")): 4, where.index((6, "z class")): 5,
                  where.index((6, "member")): 5}
         for i, finished in stops.items():
@@ -1176,7 +1220,7 @@ class TestOnePairLoop:
             runs = []
             for verify in (verify_codewords, two_loop_verify_codewords):
                 # cold W tables each time, so their builds check alike
-                monkeypatch.setattr(analysis, "_w_cache", None)
+                analysis._w_state.cache_clear()
                 log.clear()
                 dl = CountingDeadline()
                 verdict = verify(g, d, hs, dl)
@@ -1233,15 +1277,16 @@ class TestClassicalCodes:
             )
 
     def test_walks_check_the_deadline(self):
-        # one check per nonzero codeword in each walk, and a stop raises
+        # one check per nonzero codeword in each walk (ldpc_embed makes one),
+        # and a stop raises
         code = ClassicalCode(Gf2Matrix(4, 8, [0x0F, 0x3C, 0xF0, 0x55]))
         dl = CountingDeadline()
         assert len(list(code.codewords(dl))) == 16 and dl.checks == 15
         dl = CountingDeadline()
         assert classical_min_distance(code, dl) == 4 and dl.checks == 15
         dl = CountingDeadline()
-        assert len(ldpc_embed(code, 4, dl)) == 16 and dl.checks == 30
-        for stop in (1, 15, 16, 30):
+        assert len(ldpc_embed(code, 4, dl)) == 16 and dl.checks == 15
+        for stop in (1, 8, 15):
             with pytest.raises(BudgetExceededError, match="chosen check"):
                 ldpc_embed(code, 4, RaiseAtCheck(stop))
 
@@ -1250,6 +1295,12 @@ class TestClassicalCodes:
         code = ClassicalCode(Gf2Matrix.identity(25))
         with pytest.raises(ValueError, match="k_c = 25 too large"):
             classical_min_distance(code)
+        with pytest.raises(ValueError, match="k_c = 25 too large"):
+            ldpc_embed(code, 1)
+        trivial = ClassicalCode(Gf2Matrix(0, 3, []))
+        for walk in (classical_min_distance, lambda c: ldpc_embed(c, 1)):
+            with pytest.raises(ValueError, match="trivial code"):
+                walk(trivial)
 
     def test_read_file(self, tmp_path):
         path = tmp_path / "code.txt"
@@ -1278,6 +1329,21 @@ class TestLdpcEmbed:
         for c, lab in zip(code.codewords(), ldpc_embed(code, 2)):
             assert lab.weight() == c.weight()
             assert all(b % 2 == 0 for b in lab.support())
+
+    def test_matches_the_bitwise_spread(self):
+        # every codeword, in codewords' order, with bit i moved to bit m*i
+        rng = random.Random("ldpc-spread")
+        for _ in range(100):
+            q, k_c, m = rng.randint(1, 10), rng.randint(1, 5), rng.randint(1, 3)
+            gen = Gf2Matrix(k_c, q, [rng.getrandbits(q) for _ in range(k_c)])
+            if gen.rank() < k_c:
+                continue
+            code = ClassicalCode(gen)
+            if classical_min_distance(code) < m:
+                continue
+            want = [sum(1 << (m * i) for i in c.support()) for c in code.codewords()]
+            assert [b.bits for b in ldpc_embed(code, m)] == want
+            assert {b.n for b in ldpc_embed(code, m)} == {q * m}
 
     def test_distance_requirement(self):
         code = ClassicalCode(

@@ -234,9 +234,9 @@ class TestVerify:
         assert rep["results"]["label_count"] == 2047
 
     def test_ldpc_walks_check_the_deadline(self, capsys, monkeypatch, tmp_path):
-        # the [8,4,4] code's 15 nonzero codewords are walked twice, for the
-        # classical distance and for the embedding, one check each, before
-        # verify_codewords runs; a stop at any of those 30 checks exits 2
+        # the [8,4,4] code's 15 nonzero codewords are walked once, for the
+        # embedding and the classical distance, one check each, before
+        # verify_codewords runs; a stop at any of those 15 checks exits 2
         path = tmp_path / "hamming.txt"
         path.write_text("11110000\n00111100\n00001111\n10101010\n")
         argv = ["verify", "multi_star", "8", "4", "--d", "4", "--ldpc", str(path), "--m", "4"]
@@ -256,14 +256,14 @@ class TestVerify:
         counted = StopAtCheck(None)
         monkeypatch.setattr(cli, "_deadline", lambda: counted)
         code, rep = run_json(capsys, argv)
-        assert code == 0 and rep["results"]["pass"] and calls == [30]
-        for stop in (1, 15, 16, 30, 31):
+        assert code == 0 and rep["results"]["pass"] and calls == [15]
+        for stop in (1, 8, 15, 16):
             calls.clear()
             monkeypatch.setattr(cli, "_deadline", lambda: StopAtCheck(stop))
             code, rep = run_json(capsys, argv)
             assert code == 2 and rep["budget_exceeded"]
             assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
-            assert calls == ([30] if stop == 31 else [])
+            assert calls == ([15] if stop == 16 else [])
 
     def test_ldpc_budget_env_stops_the_classical_walk(self, capsys, monkeypatch, tmp_path):
         # a 20-row parity code has 2^20 codewords; uncapped, walking them
@@ -291,6 +291,42 @@ class TestVerify:
         )
         assert code == 1 and out == ""
         assert err == "error: k_c = 25 too large for exhaustion (cap 24)\n"
+
+
+class TestInputFiles:
+    """A rejected input file is named in the error line, with the line it
+    rejects."""
+
+    @pytest.mark.parametrize("bad", ["0 1 2", "0 x", "1"])
+    def test_bad_edge_line(self, capsys, tmp_path, bad):
+        path = tmp_path / "g.txt"
+        path.write_text(f"3 2\n0 1\n{bad}\n")
+        code, out, err = run(capsys, ["dmax", "custom", "--graph-file", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: bad edge {bad!r}\n"
+
+    def test_bad_header(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3\n0 1\n")
+        code, _, err = run(capsys, ["dmax", "custom", "--graph-file", str(path)])
+        assert code == 1 and err == f"error: {path}: bad header '3'\n"
+
+    @pytest.mark.parametrize("line, why", [("01x0", "invalid bit character 'x'"),
+                                           ("01100", "label length 5 != 4")])
+    def test_bad_codeword_line(self, capsys, tmp_path, line, why):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0110\n{line}\n")
+        code, out, err = run(
+            capsys, ["verify", "star", "4", "--d", "2", "--codewords", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: {why} in {line!r}\n"
+
+    def test_bad_ldpc_line(self, capsys, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_text("1 1 1\n")
+        code, _, err = run(capsys, ["verify", "multi_star", "3", "3", "--d", "3",
+                                    "--ldpc", str(path), "--m", "3"])
+        assert code == 1 and err == f"error: {path}: invalid bit character ' ' in '1 1 1'\n"
 
 
 class TestOracle:

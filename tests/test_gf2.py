@@ -119,6 +119,13 @@ class TestGf2Matrix:
         m = Gf2Matrix(2, 2, [0b10, 0b00])
         assert transpose(m.row_bits, 2) != m.row_bits
 
+    def test_equality_and_hash_ignore_the_row_container(self):
+        a, b = Gf2Matrix(2, 3, [0b011, 0b110]), Gf2Matrix(2, 3, (0b011, 0b110))
+        assert a == b and hash(a) == hash(b) and a.row_bits == (0b011, 0b110)
+        assert a == Gf2Matrix(2, 3, iter([0b011, 0b110]))
+        assert a != Gf2Matrix(2, 3, [0b011, 0b111]) and a != Gf2Matrix(2, 4, [0b011, 0b110])
+        assert repr(a) == "Gf2Matrix(2x3)"
+
     def test_immutable(self):
         m = Gf2Matrix.identity(2)
         for name in ("rows", "row_bits", "_col_bits"):

@@ -168,6 +168,24 @@ def test_detects_an_unread_constant():
                                          ("b.py", "DEAD_TOO", 4)]
 
 
+def global_statements(source):
+    """Line of each global statement.  The package keeps what it derived from
+    the last graph in functools.lru_cache(maxsize=1) memos, not in module
+    variables rebound by hand."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []
+
+
+def test_detects_a_global_statement():
+    source = ("_memo = None\ndef f():\n    global _memo\n    _memo = 1\n"
+              "def g():\n    n = 0\n    def h():\n        nonlocal n\n")
+    assert global_statements(source) == [3]
+
+
 LOWER_LAYERS = ("gf2", "graphs", "oracle", "stabilizer")
 
 

@@ -93,6 +93,16 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(14, a * (1 + 5e-12))
 
+    def test_equal_graphs_share_one_state(self):
+        g = complete(3)
+        first = build_graph_state(g)
+        assert build_graph_state(Graph(g.n, g.edges, g.name)) is first
+        assert graph_basis_state(Graph(g.n, g.edges, g.name), BitString(3, 1)).n == 3
+        assert build_graph_state(g) is first
+        assert build_graph_state(star(3)) is not first
+        again = build_graph_state(g)  # star(3) evicted it: a new build
+        assert again is not first and np.array_equal(again.amps, first.amps)
+
     def test_immutable(self):
         psi = build_graph_state(complete(2))
         with pytest.raises(AttributeError):

@@ -305,6 +305,16 @@ class TestPauliAlgebra:
 
 
 class TestStabilizerGroup:
+    def test_frozen_with_identity_equality(self):
+        rows = [(0b01, 0b10), (0b10, 0b01)]  # X Z and Z X commute
+        s = StabilizerGroup(2, rows)
+        for name in ("n", "rows", "signs", "symmetries", "_xcols", "_zcols", "_ech", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        assert s == s and s != StabilizerGroup(2, rows)
+        assert s._echelon() is s._echelon() and s.rank() == 2
+        assert repr(s).startswith("<tqograph.stabilizer.StabilizerGroup object at ")
+
     def test_rejects_anticommuting(self):
         with pytest.raises(ValueError, match="do not commute"):
             StabilizerGroup.from_paulis(1, [Pauli.from_text("X"), Pauli.from_text("Z")])
