@@ -424,30 +424,14 @@ class ClassicalCode:
     def codewords(self, deadline: Deadline = NEVER) -> Iterator[BitString]:
         """All 2^k_c codewords, message order: from message c - 1 to c the
         bits up to the lowest set bit of c flip, a prefix xor of the rows;
-        the deadline is checked at each (_span_walk)."""
+        the deadline is checked at each (_span_walk).  k_c > 24 is refused:
+        a size limit, not a budget stop."""
+        if self.k_c > 24:
+            raise ValueError(f"k_c = {self.k_c} too large for exhaustion (cap 24)")
         yield BitString(self.q, 0)
         steps = itertools.accumulate(self.generator.row_bits, operator.xor)
         for bits in _span_walk(list(steps), deadline):
             yield BitString(self.q, bits)
-
-
-def _spread_codewords(code: ClassicalCode, m: int, deadline: Deadline = NEVER) -> Iterator[int]:
-    """codewords' walk, as ints, on the rows spread by bit i -> bit m*i (linear, and
-    keeping weights).  k_c > 24 is refused: a size limit, not a budget stop."""
-    if code.k_c > 24:
-        raise ValueError(f"k_c = {code.k_c} too large for exhaustion (cap 24)")
-    if code.k_c == 0:
-        raise ValueError("trivial code has no nonzero codewords")
-    rows = [sum(1 << (m * i) for i in range(code.q) if r >> i & 1)
-            for r in code.generator.row_bits]
-    yield 0
-    yield from _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
-
-
-def classical_min_distance(code: ClassicalCode, deadline: Deadline = NEVER) -> int:
-    """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords
-    (_spread_codewords at m = 1)."""
-    return min(c.bit_count() for c in _spread_codewords(code, 1, deadline) if c)
 
 
 def read_bitstrings(path: str, n: Optional[int] = None) -> List[BitString]:
@@ -477,13 +461,22 @@ def ldpc_embed(code: ClassicalCode, m: int, deadline: Deadline = NEVER) -> List[
     """Embed a [q, k_c, d_c] classical code into the q-component multi-star.
 
     Classical bit i maps to the hub of component i (bit m*i of a q*m-bit
-    string); requires d_c >= m.  Returns all 2^k_c labels, zero first.
+    string); requires d_c >= m.  Returns all 2^k_c labels, zero first: the
+    codewords of the generator rows spread once, which keeps weights.  Once a
+    label of weight < m turns up, the rest of the walk only finds d_c.
     """
-    labels = list(_spread_codewords(code, m, deadline))
-    d_c = min(h.bit_count() for h in labels[1:])
-    if d_c < m:
-        raise ValueError(f"classical distance {d_c} below required {m}")
-    return [BitString(code.q * m, h) for h in labels]
+    if code.k_c == 0:
+        raise ValueError("trivial code has no nonzero codewords")
+    spread = [sum(1 << (m * i) for i in range(code.q) if r >> i & 1)
+              for r in code.generator.row_bits]
+    walk = ClassicalCode(Gf2Matrix(code.k_c, code.q * m, spread)).codewords(deadline)
+    labels = [next(walk)]
+    for h in walk:
+        if h.weight() < m:
+            d_c = min(c.weight() for c in itertools.chain([h], walk))
+            raise ValueError(f"classical distance {d_c} below required {m}")
+        labels.append(h)
+    return labels
 
 
 @dataclass(frozen=True)

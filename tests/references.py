@@ -38,7 +38,8 @@ span of Z^perp.
 The twin pairs of span(Z)'s weight-2 class as _z_class found them before
 it bucketed vertices by neighbourhood: every pair u < v tested in turn.
 
-Helpers that only the tests call: graph_stabilizers, pauli_expectation,
+Helpers that only the tests call: classical_min_distance, which ldpc_embed
+folded into its one walk; graph_stabilizers, pauli_expectation,
 the edge-space helpers s_vector and odd_degree_vertices, and transpose,
 the column view Gf2Matrix no longer keeps.
 """
@@ -47,7 +48,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from tqograph.analysis import SetQuery, VerifyVerdict, in_W, z_span_basis, zperp_basis
+from tqograph.analysis import (
+    ClassicalCode, SetQuery, VerifyVerdict, in_W, z_span_basis, zperp_basis)
 from tqograph import analysis, gf2
 from tqograph.gf2 import BitString, Gf2Matrix, dot, support_xors
 from tqograph.graphs import Graph, toric3d, toric3d_vertex
@@ -590,3 +592,10 @@ def reference_twin_pairs(a: Gf2Matrix) -> List[int]:
     n, cols = a.cols, a.row_bits
     return [(1 << u) | (1 << v) for u, v in itertools.combinations(range(n), 2)
             if not (cols[u] ^ cols[v]) & ~((1 << u) | (1 << v))]
+
+
+def classical_min_distance(code: ClassicalCode, deadline=gf2.NEVER) -> int:
+    """Minimum nonzero codeword weight, by exhausting all 2^k_c codewords."""
+    if code.k_c == 0:
+        raise ValueError("trivial code has no nonzero codewords")
+    return min(c.weight() for c in code.codewords(deadline) if not c.is_zero())

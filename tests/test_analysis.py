@@ -4,6 +4,7 @@ import itertools
 import operator
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from tqograph.analysis import (
     Deadline,
     SetQuery,
     c_set,
-    classical_min_distance,
     d_max,
     family_scan,
     graph_basis_inner_analytic,
@@ -48,6 +48,7 @@ from tqograph.analysis import (
 from tqograph.oracle import graph_basis_state, pauli_matrix_element
 
 from references import (
+    classical_min_distance,
     connected_z_span_basis,
     reference_cluster_xors,
     reference_d_max,
@@ -440,8 +441,9 @@ class TestWTables:
         for d in range(1, g.n + 2):
             assert in_W(SetQuery(other, 6), BitString.zeros(5))
             assert w_state_holds(other.adjacency())
-            assert not w_state_holds(g.adjacency())  # one entry: other's replaced g's
-            self.assert_predicate(g, d, dist)
+            misses = analysis._w_state.cache_info().misses
+            self.assert_predicate(g, d, dist)  # one miss: g's tables replace other's
+            assert analysis._w_state.cache_info().misses == misses + 1
             assert w_state_holds(g.adjacency())
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
@@ -1349,8 +1351,25 @@ class TestLdpcEmbed:
         code = ClassicalCode(
             Gf2Matrix.from_rows([BitString.from_text("110"), BitString.from_text("011")])
         )
-        with pytest.raises(ValueError, match="classical distance"):
+        with pytest.raises(ValueError, match="classical distance 2 below required 3"):
             ldpc_embed(code, 3)
+        # the first light codeword (weight 4) is not the lightest: 00001110
+        code = ClassicalCode(Gf2Matrix(2, 8, [0b00001111, 0b01111111]))
+        with pytest.raises(ValueError, match="classical distance 3 below required 5"):
+            ldpc_embed(code, 5)
+
+    def test_rejected_code_keeps_no_labels(self):
+        # a 16-row parity code at m = 3: its first nonzero codeword has weight
+        # 2, so none of the 2^16 labels (about 6 MB as BitStrings) is kept
+        code = ClassicalCode(Gf2Matrix(16, 17, [1 << i | 1 << 16 for i in range(16)]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="classical distance 2 below required 3"):
+                ldpc_embed(code, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFamilyScan:
