@@ -39,8 +39,9 @@ _NOT_CONFIG = {"cmd", "func", "format", "graph_file", "open_boundary"}
 
 COST_NOTE = (
     "Cost notes: the state-vector check (real amplitudes, n <= 14) takes one "
-    "transposed copy, one Gram and one Sylvester-matrix product per support of weight "
-    "<= d-1.  W membership keeps the syndromes of Paulis of weight <= min(d//2, 2) "
+    "transposed copy, Gram and Sylvester product per window of weight class w <= d-1: "
+    "w blocks of two qubits for w <= 2 (7 and 21 copies at n = 14), the support itself "
+    "above.  W membership keeps the syndromes of Paulis of weight <= min(d//2, 2) "
     "per graph, one more once peels cost what it would; a query branches on the "
     "Paulis flipping its lowest check.  The Z span and the code3d scan grow each "
     "Pauli from its least qubit onto a check it still flips; dmax grows one span for "

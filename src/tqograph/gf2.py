@@ -243,14 +243,6 @@ class Gf2Matrix:
         object.__setattr__(self, "row_bits", row_bits)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_rows(cls, vectors: List[BitString], cols: int | None = None) -> "Gf2Matrix":
         if vectors:
             cols = vectors[0].n if cols is None else cols
@@ -260,14 +252,6 @@ class Gf2Matrix:
         elif cols is None:
             raise ValueError("cols required for an empty matrix")
         return cls(len(vectors), cols, [v.bits for v in vectors])
-
-    def row(self, i: int) -> BitString:
-        return BitString(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> BitString:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range for {self.cols} columns")
-        return BitString(self.rows, sum((r >> j & 1) << i for i, r in enumerate(self.row_bits)))
 
     def mat_vec(self, k: BitString) -> BitString:
         """GF(2) matrix-vector product A.k: bit i is the parity of row i & k."""

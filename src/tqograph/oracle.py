@@ -11,12 +11,18 @@ to a global phase, which the phase-insensitive conditions never see.
 
 The error-correction conditions are checked on reduced matrices (Knill and
 Laflamme, Phys. Rev. A 55, 900): split an index x into the bits y of a
-support S and the bits z of the rest.  Then R_ij(S)[y', y] = sum_z
-conj(c_i[y', z]) c_j[y, z] gives every operator supported inside S at once,
-<c_i| X^k Z^l |c_j> = sum_y (-1)^{l.y} R_ij(S)[y xor k, y].  One transposed
-copy of the stacked codewords with S's bits in front (runs of bits between
-them as single axes) turns all R_ij(S) into one Gram product, and the sum
-over y is one product with the Sylvester matrix of |S| bits.
+window S of qubits and the bits z of the rest.  Then R_ij(S)[y', y] =
+sum_z conj(c_i[y', z]) c_j[y, z] gives every operator supported inside S
+at once, <c_i| X^k Z^l |c_j> = sum_y (-1)^{l.y} R_ij(S)[y xor k, y].  One
+transposed copy of the stacked codewords with S's bits in front (runs of
+bits between them as single axes) turns all R_ij(S) into one Gram product,
+and the sum over y is one product with the Sylvester matrix of |S| bits.
+So weight class w takes one transposed copy, Gram and Sylvester product per
+window: w blocks of two qubits ({0, 1}, {2, 3}, ...) for w <= 2, the
+support itself above.  At n = 14 that is 7 copies for class 1 and 21 for
+class 2, against 14 and 91 supports; the Gram products cost the same.  The
+take and Sylvester stage of a u-bit window grow as 8^u, so 3 blocks for
+w = 3 made the d = 4 member checks at n = 10 and 11 twice as slow.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .graphs import Graph
 
 QUBIT_CAP = 14
 DEFAULT_TOL = 1e-9
-# Bytes of the transposed codeword copies of one chunk of supports.
+# Bytes of the transposed codeword copies of one chunk of windows.
 BLOCK_BYTES = 1 << 19
 
 
@@ -149,39 +155,64 @@ def _gram(m: np.ndarray, top: int) -> np.ndarray:
     return np.concatenate((m[:, :top].conj() @ mt, m[:, top:].conj() @ mt), axis=1)
 
 
+def _windows(n: int, w: int) -> List[Tuple[int, ...]]:
+    """The qubit sets read for weight class w, each ascending: for w <= 2 the
+    unions of w blocks {0, 1}, {2, 3}, ... (an odd last qubit is a block of
+    one), each padded with the lowest qubits outside it up to min(2w, n)
+    qubits; above, the supports themselves, in combinations order."""
+    if w > 2:
+        return list(combinations(range(n), w))
+    out = []
+    for union in combinations([range(q, min(q + 2, n)) for q in range(0, n, 2)], w):
+        s = [q for b in union for q in b]
+        s += [q for q in range(n) if q not in s][: min(2 * w, n) - len(s)]
+        out.append(tuple(sorted(s)))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _layouts(n: int, w: int) -> Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]:
-    """(support mask, shape, axis order) per support of weight w, in
-    combinations order: the codewords viewed with one axis per support bit and
-    per run of bits around them, support bits moved in front, top first.  The
-    copy's inner loop is the last axis: the contiguous run below the support
-    if it has 16 entries or more, else the longest run (faster at n = 14).
-    Every (n, w) stays cached: one oracle pass at n = 10 .. 14 asks for more
-    than 16, and QUBIT_CAP bounds them."""
+    """(window mask, shape, axis order) per window of weight class w
+    (_windows): the codewords viewed with one axis per window bit and per run
+    of bits around them, window bits moved in front, top first.  The copy's
+    inner loop is the last axis: the contiguous run below the window if it
+    has 16 entries or more, else the longest run (faster at n = 14).  Every
+    (n, w) stays cached: one oracle pass at n = 10 .. 14 asks for more than
+    16, and QUBIT_CAP bounds them."""
     out = []
-    for s in combinations(range(n), w):
+    for s in _windows(n, w):
+        u = len(s)
         cuts = (n,) + tuple(q for b in reversed(s) for q in (b + 1, b)) + (0,)
         shape = (-1,) + tuple(1 << (hi - lo) for hi, lo in zip(cuts, cuts[1:]))
-        runs = sorted(range(1, 2 * w + 2, 2), key=lambda a: shape[-1] < 16 and shape[a])
-        order = (0,) + tuple(range(2, 2 * w + 1, 2)) + tuple(runs)
+        runs = sorted(range(1, 2 * u + 2, 2), key=lambda a: shape[-1] < 16 and shape[a])
+        order = (0,) + tuple(range(2, 2 * u + 1, 2)) + tuple(runs)
         out.append((sum(1 << q for q in s), shape, order))
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_tables(nc: int, w: int) -> Tuple[np.ndarray, ...]:
+def _pair_tables(nc: int, u: int, w: int) -> Tuple[np.ndarray, ...]:
     """The pairs (pi, pj): (0, 0), the other diagonal ones, the rest.  Entry
-    (p, k, y) of flat indexes R_{pi pj}[y xor k, y] in a flat (nc 2^w)^2 Gram
-    matrix; limit(k, l) is DEFAULT_TOL where k | l covers the support, else
-    infinity, so an operator counts only on its own support."""
+    (p, k, y) of flat indexes R_{pi pj}[y xor k, y] in a flat (nc 2^u)^2 Gram
+    matrix of a u-bit window; limit(k, l) is DEFAULT_TOL where k | l has w
+    bits, else infinity, so a window tests only the operators of its class."""
     pairs = [(i, i) for i in range(nc)] + [(i, j) for i in range(nc) for j in range(i + 1, nc)]
     pi, pj = np.array(pairs).T
-    y = np.arange(1 << w)
-    flat = ((((pi[:, None, None] << w) + (y[:, None] ^ y)) * nc + pj[:, None, None]) << w) + y
-    limit = np.where((y[:, None] | y) == (1 << w) - 1, DEFAULT_TOL, np.inf)
+    y = np.arange(1 << u)
+    flat = ((((pi[:, None, None] << u) + (y[:, None] ^ y)) * nc + pj[:, None, None]) << u) + y
+    limit = np.where(_tables(u)[1][y[:, None] | y] == w, DEFAULT_TOL, np.inf)
     for t in (pi, pj, flat, limit):
         t.setflags(write=False)
     return pi, pj, flat, limit
+
+
+def _lowest(m: int, w: int) -> int:
+    """The lowest w set bits of m."""
+    low = 0
+    for _ in range(w):
+        low |= m & -m
+        m &= m - 1
+    return low
 
 
 def _operators_before(n: int, w: int, k: int, l: int) -> int:
@@ -208,13 +239,17 @@ def brute_force_qecc_check(
     operators_checked counts the operators up to and including the
     witness's, or all of them.
 
-    Supports of weight w = 0 .. d - 1 run class by class (module docstring),
-    in chunks of at most BLOCK_BYTES of copies, one support at least, that
-    never straddle a class.  The witness is the least (k, l, i, j) hit of
-    the first class with one, where the scan stops; a chunk is skipped when
-    Z^S, the least operator on each of its supports S, comes after a hit.
-    The deadline is checked once per chunk; a stop's BudgetExceededError
-    carries its class as weight.
+    Weight classes w = 0 .. d - 1 run one after the other, each with one
+    transposed copy, Gram and Sylvester product per window (module
+    docstring, _windows): w blocks of two qubits for w <= 2, the support
+    itself above.  A window tests the operators of weight exactly w inside
+    it; one that lies in several windows is tested in each.  Windows go in
+    chunks of at most BLOCK_BYTES of copies, one window at least, that never
+    straddle a class.  The witness is the least (k, l, i, j) hit of the
+    first class with one, where the scan stops; a chunk is skipped when Z on
+    the lowest w qubits, the least weight-w operator of each of its windows,
+    comes after a hit.  The deadline is checked once per chunk; a stop's
+    BudgetExceededError carries its class as weight.
     """
     if not codewords:
         raise ValueError("need at least one codeword")
@@ -234,11 +269,12 @@ def brute_force_qecc_check(
         return QeccVerdict(True, None, total)
 
     step = max(1, BLOCK_BYTES // kets.nbytes)
-    # the widest class to copy has C(n, min(d - 1, n // 2)) supports
-    scratch = np.empty(min(step, comb(n, min(d - 1, n // 2))) * kets.size, kets.dtype)
+    widest = max(len(_layouts(n, w)) for w in range(d))
+    scratch = np.empty(min(step, widest) * kets.size, kets.dtype)
     for w in range(d):
-        pi, pj, flat, limit = _pair_tables(nc, w)
         layouts = _layouts(n, w)
+        u = layouts[0][0].bit_count()
+        pi, pj, flat, limit = _pair_tables(nc, u, w)
         hits = []  # the least (k, l, i, j) violation of each chunk with one
         for start in range(0, len(layouts), step):
             try:
@@ -247,23 +283,24 @@ def brute_force_qecc_check(
                 exc.weight = w
                 raise
             chunk = layouts[start : start + step]
-            # w = 0 holds the overlaps checked above; Z^S is the least operator on S
-            if not w or hits and min(hits)[:2] <= (0, min(m for m, _, _ in chunk)):
+            # w = 0 holds the overlaps checked above; Z on a window's lowest w
+            # qubits is its least operator of weight w
+            if not w or hits and min(hits)[:2] <= (0, min(_lowest(m, w) for m, _, _ in chunk)):
                 continue
-            copies = scratch[: len(chunk) * kets.size].reshape(len(chunk), nc << w, -1)
+            copies = scratch[: len(chunk) * kets.size].reshape(len(chunk), nc << u, -1)
             for t, (_, shape, order) in enumerate(chunk):
                 src = kets.reshape(shape).transpose(order)
                 np.copyto(copies[t].reshape(src.shape), src)
-            gram = _gram(copies, 1 << w).reshape(len(chunk), -1)
-            vals = np.matmul(np.take(gram, flat, axis=1), _sylvester(w))
+            gram = _gram(copies, 1 << u).reshape(len(chunk), -1)
+            vals = np.matmul(np.take(gram, flat, axis=1), _sylvester(u))
             vals[:, 1:nc] -= vals[:, :1]
             bad = np.abs(vals[:, 1:]) > limit
             if not bad.any():
                 continue
             t, p, k, l = np.nonzero(bad)
-            # local bit b of a support stands for its b-th qubit
+            # local bit b of a window stands for its b-th qubit
             qubits = np.array([[q for q in range(n) if m >> q & 1] for m, _, _ in chunk])[t]
-            k, l = ((np.stack((k, l))[:, :, None] >> np.arange(w) & 1) << qubits).sum(axis=2)
+            k, l = ((np.stack((k, l))[:, :, None] >> np.arange(u) & 1) << qubits).sum(axis=2)
             h = np.lexsort((pj[p + 1], pi[p + 1], l, k))[0]
             hits.append((int(k[h]), int(l[h]), int(pi[p[h] + 1]), int(pj[p[h] + 1])))
         if hits:

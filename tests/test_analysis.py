@@ -1294,7 +1294,7 @@ class TestClassicalCodes:
 
     def test_exhaustion_cap(self):
         # a size refusal, not a budget stop
-        code = ClassicalCode(Gf2Matrix.identity(25))
+        code = ClassicalCode(Gf2Matrix(25, 25, [1 << i for i in range(25)]))
         with pytest.raises(ValueError, match="k_c = 25 too large"):
             classical_min_distance(code)
         with pytest.raises(ValueError, match="k_c = 25 too large"):

@@ -385,8 +385,9 @@ class TestOracle:
 
     @pytest.mark.parametrize("stop,weight", [(1, 0), (2, 1), (10, 2)])
     def test_budget_stop_reports_the_weight_class(self, capsys, monkeypatch, stop, weight):
-        # one support per chunk, so check t comes before support t - 1:
-        # 1 of weight 0, then 8 of weight 1, then weight 2
+        # one window per chunk, so check t comes before window t - 1: 1 of
+        # weight 0, then the 4 blocks of two qubits of weight 1, then the 6
+        # pairs of blocks of weight 2
         class StopAtCheck:
             checks = 0
 

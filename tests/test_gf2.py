@@ -104,18 +104,15 @@ class TestBitString:
 class TestGf2Matrix:
     def test_row_column_transpose(self):
         m = Gf2Matrix(2, 3, [0b011, 0b110])
-        assert m.row(0).to_text() == "110"
-        assert m.column(0).to_text() == "10"
-        assert [m.column(j).bits for j in range(3)] == list(transpose(m.row_bits, 3))
+        assert BitString(3, m.row_bits[0]).to_text() == "110"
+        assert BitString(2, transpose(m.row_bits, 3)[0]).to_text() == "10"
         assert transpose(m.row_bits, 3) == (0b01, 0b11, 0b10)
         assert transpose(transpose(m.row_bits, 3), 2) == m.row_bits
-        for j in (-1, 3):
-            with pytest.raises(IndexError):
-                m.column(j)
 
     def test_is_symmetric(self):
         # a matrix is symmetric iff its column bitsets equal its rows
-        assert transpose(Gf2Matrix.identity(3).row_bits, 3) == Gf2Matrix.identity(3).row_bits
+        eye = Gf2Matrix(3, 3, [1, 2, 4])
+        assert transpose(eye.row_bits, 3) == eye.row_bits
         m = Gf2Matrix(2, 2, [0b10, 0b00])
         assert transpose(m.row_bits, 2) != m.row_bits
 
@@ -127,7 +124,7 @@ class TestGf2Matrix:
         assert repr(a) == "Gf2Matrix(2x3)"
 
     def test_immutable(self):
-        m = Gf2Matrix.identity(2)
+        m = Gf2Matrix(2, 2, [1, 2])
         for name in ("rows", "row_bits", "_col_bits"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
@@ -143,9 +140,10 @@ class TestGf2Matrix:
             star.mat_vec(BitString.zeros(3))
 
     def test_rank_kernel_identity_and_zero(self):
-        assert Gf2Matrix.identity(4).rank() == 4
-        assert Gf2Matrix.identity(4).kernel_basis() == []
-        z = Gf2Matrix.zeros(3, 3)
+        eye = Gf2Matrix(4, 4, [1 << i for i in range(4)])
+        assert eye.rank() == 4
+        assert eye.kernel_basis() == []
+        z = Gf2Matrix(3, 3, [0] * 3)
         assert z.rank() == 0
         assert z.kernel_basis() == [BitString.basis(3, i) for i in range(3)]
 

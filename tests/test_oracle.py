@@ -290,11 +290,13 @@ class TestQeccCheck:
         (1, 1, 0), (1, 2, 1), (1, 9, 1), (1, 10, 2), (1, 37, 2),
         (4, 3, 1), (4, 4, 2)])
     def test_budget_stop_names_the_weight_class(self, monkeypatch, per_block, stop, weight):
-        # check t comes before chunk t - 1; on 8 qubits at d = 3 the weight
-        # classes hold 1 + 8 + 28 supports, in chunks of per_block supports
-        # that never straddle a class
+        # check t comes before chunk t - 1; on 16 qubits at d = 3 the weight
+        # classes hold 1 + 8 + 28 windows (the empty one, the 8 blocks of two
+        # qubits, the 28 pairs of blocks), in chunks of per_block windows that
+        # never straddle a class.  The code is two copies of the toric(2) one
         g = toric(2)
-        states = [build_graph_state(g), graph_basis_state(g, BitString.from_text("10100101"))]
+        pair = [build_graph_state(g), graph_basis_state(g, BitString.from_text("10100101"))]
+        states = [StateVector(16, np.kron(c.amps, c.amps)) for c in pair]
         monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, per_block))
         deadline = StopAtCheck(stop)
         with pytest.raises(BudgetExceededError) as info:
@@ -303,22 +305,42 @@ class TestQeccCheck:
         assert str(info.value) == "time budget of 0.000s exhausted"
         assert isinstance(info.value, BudgetExceededError)
         # one check more than there are chunks lets the scan finish
-        chunks = sum(-(-math.comb(8, w) // per_block) for w in range(3))
+        chunks = sum(-(-windows // per_block) for windows in (1, 8, 28))
         deadline = StopAtCheck(chunks + 1)
         assert brute_force_qecc_check(states, 3, deadline=deadline).ok
         assert deadline.checks == chunks
 
     def test_weight_one_witness_stops_after_its_class(self, monkeypatch):
         # Z on vertex 5 maps |G> onto the label state: the witness has weight
-        # 1, so the scan checks class 0 and the 10 supports of class 1, one
-        # chunk each, and stops
+        # 1, so the scan checks class 0 and the 5 windows of class 1 (the
+        # blocks of two qubits), one chunk each, and stops
         g = Graph.from_edges(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5)])
         states = [build_graph_state(g), graph_basis_state(g, BitString(10, 1 << 5))]
         monkeypatch.setattr(oracle, "BLOCK_BYTES", 1)
         deadline = StopAtCheck(0)
         verdict = brute_force_qecc_check(states, 4, deadline=deadline)
         assert _verdict_key(verdict) == (False, (0, 1, 0, 1 << 5), 1 + 6)  # after I, Z_0 .. Z_4
-        assert deadline.checks == 1 + 10
+        assert deadline.checks == 1 + 5
+
+    def test_weight_one_z_witness_within_half_the_qubits_of_chunks(self, monkeypatch):
+        # a non-member label e_v is the syndrome of Z_v: class 1 copies and
+        # multiplies the windows up to v's block of two qubits, at most
+        # ceil(n / 2) of them, and stops
+        n = 14
+        g = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)] + [(0, 7), (3, 10)])
+        base = build_graph_state(g)
+        grams = []
+        gram = oracle._gram
+        monkeypatch.setattr(oracle, "_gram", lambda m, top: grams.append(len(m)) or gram(m, top))
+        monkeypatch.setattr(oracle, "BLOCK_BYTES", 1)
+        for v in (0, 5, 8, 13):
+            states = [base, graph_basis_state(g, BitString(n, 1 << v))]
+            grams.clear()
+            verdict = _verdict_key(brute_force_qecc_check(states, 3))
+            assert verdict == _verdict_key(reference_qecc_check(states, 3))
+            assert verdict == (False, (0, 1, 0, 1 << v), 1 + v + 1)
+            # the first product is the orthonormality check
+            assert grams[1:] == [1] * (v // 2 + 1) and v // 2 + 1 <= -(-n // 2)
 
     @pytest.mark.parametrize("n,d,edges,label", [
         (14, 3, [(0, 1), (0, 2), (0, 4), (0, 12), (1, 8), (1, 11), (1, 13), (2, 4), (2, 5),
@@ -331,9 +353,9 @@ class TestQeccCheck:
          "01010110101"),
     ])
     def test_member_check_memory(self, n, d, edges, label):
-        # a member scans every support of weight <= d - 1: the peak is the
-        # stacked codewords and one chunk of copies (BLOCK_BYTES) plus the
-        # small per-chunk matrices
+        # a member scans every window of every class <= d - 1: the peak is
+        # the stacked codewords and one chunk of copies (BLOCK_BYTES) plus
+        # the small per-chunk matrices
         g = Graph.from_edges(n, edges)
         states = [build_graph_state(g), graph_basis_state(g, BitString.from_text(label))]
         tracemalloc.start()
@@ -346,11 +368,20 @@ class TestQeccCheck:
 
     @pytest.mark.parametrize("w", range(5))
     def test_each_operator_is_read_on_its_own_support_only(self, w):
-        # of the 4^w (k, l) a support's matrices give, only the 3^w whose
-        # k | l covers the support are tested; the rest have smaller supports
-        limit = oracle._pair_tables(2, w)[3]
-        k, l = np.nonzero(np.isfinite(limit))
-        assert len(k) == 3**w and np.all(k | l == (1 << w) - 1)
+        # a window of u qubits gives 4^u (k, l); class w tests only the
+        # C(u, w) 3^w whose k | l has w bits.  Every support of weight w lies
+        # in a window, so each operator is tested at least once, in its class
+        for n in range(w + 1, 15):  # d <= n, so w < n
+            masks = [m for m, _, _ in oracle._layouts(n, w)]
+            u = min(2 * w, n) if w <= 2 else w
+            assert {m.bit_count() for m in masks} == {u} and len(set(masks)) == len(masks)
+            for s in itertools.combinations(range(n), w):
+                support = sum(1 << q for q in s)
+                assert any(m & support == support for m in masks)
+            limit = oracle._pair_tables(2, u, w)[3]
+            k, l = np.nonzero(np.isfinite(limit))
+            assert len(k) == math.comb(u, w) * 3**w
+            assert all((int(a) | int(b)).bit_count() == w for a, b in zip(k, l))
 
     def test_single_codeword_trivially_consistent(self):
         verdict = brute_force_qecc_check([build_graph_state(star(3))], 2)
@@ -463,14 +494,14 @@ class TestQeccMatchesReference:
         assert _verdict_key(verdict) == (False, (1, 1, 3, 0), 55)
 
 
-def _block_bytes(states, supports):
-    """BLOCK_BYTES that holds `supports` transposed copies of these states."""
+def _block_bytes(states, windows):
+    """BLOCK_BYTES that holds `windows` transposed copies of these states."""
     itemsize = max(s.amps.itemsize for s in states)
-    return supports * len(states) * itemsize << states[0].n
+    return windows * len(states) * itemsize << states[0].n
 
 
 class TestQeccBlocks:
-    """Chunk boundaries: one support per chunk, a chunk as wide as the widest
+    """Chunk boundaries: one window per chunk, a chunk as wide as the widest
     weight class, and the default; the verdict is the per-operator
     reference's either way."""
 
@@ -478,24 +509,33 @@ class TestQeccBlocks:
     def _check_all_blocks(monkeypatch, states, d):
         want = _verdict_key(reference_qecc_check(states, d))
         n = states[0].n
-        widest = max(math.comb(n, w) for w in range(d))
+        widest = max(len(oracle._layouts(n, w)) for w in range(d))
         for size in (1, _block_bytes(states, widest), oracle.BLOCK_BYTES):
             monkeypatch.setattr(oracle, "BLOCK_BYTES", size)
             assert _verdict_key(brute_force_qecc_check(states, d)) == want, (d, size)
         return want
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_random_graphs(self, monkeypatch, n):
+        # every d up to n = 10 (odd and even n, and n < 2w at n = 3); at n =
+        # 11 and 12, d <= 3, also on the d_max certificate (d_max = 3 on both
+        # graphs), a member whose check reads every window
         rng = random.Random(f"qecc-blocks:{n}")
         density = rng.choice((0.2, 0.4, 0.6))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
         g = Graph.from_edges(n, edges)
-        labels = rng.sample(range(1, 1 << n), rng.randint(0, min(3, (1 << n) - 1)))
-        plain = [build_graph_state(g)] + [graph_basis_state(g, BitString(n, h)) for h in labels]
-        twisted = _phase_twist(plain, rng)
-        for d in range(1, n + 1):
-            ok = self._check_all_blocks(monkeypatch, plain, d)[0]
-            assert self._check_all_blocks(monkeypatch, twisted, d)[0] == ok
+        label_sets = [rng.sample(range(1, 1 << n), rng.randint(0, min(3, (1 << n) - 1)))]
+        if n > 10:
+            label_sets.append([d_max(g).certificate.bits])
+        for labels in label_sets:
+            plain = [build_graph_state(g)] + [graph_basis_state(g, BitString(n, h))
+                                              for h in labels]
+            twisted = _phase_twist(plain, rng)
+            for d in range(1, (n if n <= 10 else 3) + 1):
+                ok = self._check_all_blocks(monkeypatch, plain, d)[0]
+                assert self._check_all_blocks(monkeypatch, twisted, d)[0] == ok
+        if n > 10:
+            assert ok  # the last set, the certificate, at d = 3
 
     def test_earlier_pair_wins_a_tie(self, monkeypatch):
         # |+0>, |-+>, |-->: Z on qubit 0 maps the first onto a state that
@@ -520,16 +560,30 @@ class TestQeccBlocks:
                 assert self._check_all_blocks(monkeypatch, states, d) == want
 
     def test_later_chunk_can_hold_a_lighter_z_pattern(self, monkeypatch):
-        # On the 6-cycle, labels 9 (qubits 0, 3) and 6 (qubits 1, 2) violate
-        # at Z^9 and Z^6.  In chunks of 3 supports, (0, 3) ends the first
-        # chunk of weight 2, while (1, 2) sits in the second behind (0, 4)
-        # and (0, 5): that chunk must still run, and Z^6 is the witness
-        g = Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
-        states = [build_graph_state(g)] + [graph_basis_state(g, BitString(6, h)) for h in (9, 6)]
+        # On the 8-cycle, labels 66 (qubits 1, 6) and 36 (qubits 2, 5)
+        # violate at Z^66 and Z^36.  In chunks of 3 windows of weight 2, the
+        # blocks {0, 1} and {6, 7} end the first chunk, while {2, 3} and
+        # {4, 5}, the only window holding qubits 2 and 5, start the second:
+        # that chunk must still run, and Z^36 is the witness
+        g = Graph.from_edges(8, [(v, (v + 1) % 8) for v in range(8)])
+        states = [build_graph_state(g)] + [graph_basis_state(g, BitString(8, h)) for h in (66, 36)]
         monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, 3))
+        assert [m for m, _, _ in oracle._layouts(8, 2)][2:4] == [0b11000011, 0b00111100]
         verdict = _verdict_key(brute_force_qecc_check(states, 3))
         assert verdict == _verdict_key(reference_qecc_check(states, 3))
-        assert verdict[:2] == (False, (0, 2, 0, 6))
+        assert verdict[:2] == (False, (0, 2, 0, 36))
+        # Class 3 reads supports, in combinations order: with labels 19
+        # (qubits 0, 1, 4) and 13 (qubits 0, 2, 3) on this 8-vertex graph,
+        # Z^19 sits in the first chunk of 4 supports, and Z^13 in the second
+        # behind (0, 1, 6) and (0, 1, 7), which come after Z^19: the chunk
+        # must still run, and Z^13 is the witness
+        g = Graph.from_edges(8, [(0, 1), (0, 3), (0, 5), (0, 6), (0, 7), (1, 7), (2, 4),
+                                 (2, 5), (3, 5), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)])
+        states = [build_graph_state(g)] + [graph_basis_state(g, BitString(8, h)) for h in (19, 13)]
+        monkeypatch.setattr(oracle, "BLOCK_BYTES", _block_bytes(states, 4))
+        verdict = _verdict_key(brute_force_qecc_check(states, 4))
+        assert verdict == _verdict_key(reference_qecc_check(states, 4))
+        assert verdict[:2] == (False, (0, 2, 0, 13))
 
     def test_lighter_z_pattern_wins_over_earlier_pair(self, monkeypatch):
         # |0+> and (|0-> + |1+>)/sqrt 2: pair (1, 1) violates at Z on qubit 0
