@@ -17,6 +17,11 @@ only at the API boundary.
 The Z span runs the check-guided kernel gf2.cluster_xors on the graph-state
 generators: each stabilizer X^k Z^{A.k} of weight <= d-1 grows from its least
 qubit only onto generators it does not yet commute with (z_span_basis: why).
+Its syndromes are W's (below), so from weight 3, where W starts on T_2 anyway
+(d >= 4), the kernel reads the weight-2 count built in T_2's one enumeration
+(_WState.pairs): a node with two qubits left is grown only when some weight-2
+Pauli has its syndrome, two at weight 4, where its own prefix is one.  Every
+completion passes that test, so every hit, basis, C-set and certificate stays.
 
 W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
@@ -57,13 +62,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, Gf2Matrix,
-                  cluster_xors, dot, support_xors)
+                  cluster_xors, dot, pair_counts, support_xors)
 from .graphs import FamilySpec, Graph, content_lines, gen_family
 
 DEFAULT_MAX_MEMBERS = 1024
@@ -125,9 +130,10 @@ def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
         yield from ((1 << u) | (1 << v) for u, v in sorted(
             pair for b in buckets.values() for pair in itertools.combinations(b, 2)))
     elif w > 2:
+        _w_tables(a, 2, deadline)  # W's T_2, and the weight-2 count the kernel prunes by
         # a hit's x bits k and z bits A.k
         parts = (((x >> n) & ((1 << n) - 1), x >> (2 * n))
-                 for x in _z_kernel(a)(range(n), w, deadline))
+                 for x in _z_kernel(a)(range(n), w, deadline, _w_state(a).pairs))
         for _, batch in itertools.groupby(parts, lambda p: (p[0] | p[1]) & -(p[0] | p[1])):
             yield from sorted(k for k, _ in batch)
 
@@ -174,21 +180,36 @@ def zperp_basis(q: SetQuery, deadline: Deadline = NEVER,
     return [BitString(n, x) for x in span.kernel_basis(n)]
 
 
+@dataclass
+class _WState:
+    """The W tables of one graph, grown in place by _w_tables and _w_member:
+    each weight class is enumerated once per graph."""
+    tables: List[frozenset] = field(default_factory=lambda: [frozenset((0,))])  # T_0, ...
+    flips: Dict[int, Tuple[int, ...]] = field(default_factory=dict)  # 1 << c: flips of check c
+    pairs: Optional[Dict[int, int]] = None  # syndrome: weight-2 Paulis with it, made with T_2
+
+
 @functools.lru_cache(maxsize=1)
-def _w_state(a: Gf2Matrix) -> Tuple[List[frozenset], Dict[int, Tuple[int, ...]]]:
-    """([T_0, ...], {1 << c: flips of check c}) of the last graph, grown in place by
-    _w_tables and _w_member: each weight class is enumerated once per graph."""
-    return [frozenset((0,))], {}
+def _w_state(a: Gf2Matrix) -> _WState:
+    """The _WState of the last graph."""
+    return _WState()
 
 
 def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozenset]:
     """T_0 .. T_w at least, T_k being T_(k-1) joined with the syndromes of the
-    weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  A budget stop
-    in a build leaves the tables as they were."""
-    tables = _w_state(a)[0]
+    weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  Weight 2 is
+    enumerated as gf2.pair_counts, which _WState.pairs keeps for the Z span.
+    A budget stop in a build leaves the tables and the count as they were."""
+    state = _w_state(a)
+    tables = state.tables
     while len(tables) <= w:
         choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
-        tables.append(tables[-1].union(support_xors(choices, len(tables), deadline)))
+        if len(tables) == 2:
+            pairs = pair_counts(choices, deadline)
+            tables.append(tables[1].union(pairs))
+            state.pairs = pairs
+        else:
+            tables.append(tables[-1].union(support_xors(choices, len(tables), deadline)))
     return tables
 
 
@@ -237,7 +258,7 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
         if peels >= rise_at:  # the first query, or a rise
             tables = _w_tables(a, t + (base is not None), deadline)
             t = min(top, len(tables) - 1)
-            base, flips, peels, sizes = tables[t], _w_state(a)[1], 0, [len(x) for x in tables]
+            base, flips, peels, sizes = tables[t], _w_state(a).flips, 0, [len(x) for x in tables]
             rise_at = math.inf if t == top else math.comb(n, t + 1) * 3 ** (t + 1) // 4
         return h in base or (t < d - 1 and peel(h, d - 1 - t))
 

@@ -45,7 +45,10 @@ COST_NOTE = (
     "per graph, one more once peels cost what it would; a query branches on the "
     "Paulis flipping its lowest check.  The Z span and the code3d scan grow each "
     "Pauli from its least qubit onto a check it still flips; dmax grows one span for "
-    "all d.  cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."
+    "all d.  With two qubits left, a Z-span Pauli grows only if a weight-2 Pauli (two "
+    "at weight 4) has its syndrome, counted once per graph with W's weight-2 table; "
+    "the code3d scan keeps no such count (1.2e6 syndromes at L = 8).  "
+    "cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."
 )
 
 

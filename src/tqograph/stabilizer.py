@@ -382,6 +382,9 @@ def normalizer_min_weight(
     reduction.  Weight classes go in increasing order; within a class x >> m
     compares as the canonical (x, z) key, and the least operator outside
     the group wins.  Returns None when nothing of weight <= w_max exists.
+    The kernel gets no weight-2 count (pairs): no W table shares its build
+    here, and at gen_3d_code(8) it would hold C(512, 2) * 9, about 1.2e6,
+    syndromes: 2 s and 135 MiB to build, where all of code3d --L 8 takes 0.4 s.
 
     Operators grow only from the least qubit of each orbit of s.symmetries
     (every qubit when there are none), each checked to be a permutation

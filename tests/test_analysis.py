@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tqograph import analysis
-from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, support_xors
+from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, pair_counts, support_xors
 from tqograph.graphs import (
     Graph,
     complete,
@@ -437,7 +437,7 @@ class TestWTables:
             self.assert_predicate(g, d, dist)
         for d in range(1, g.n + 2):  # warm: the tables of d - 1 are cached
             self.assert_predicate(g, d, dist)
-        assert len(analysis._w_state(g.adjacency())[0]) == (g.n + 1) // 2 + 1
+        assert len(analysis._w_state(g.adjacency()).tables) == (g.n + 1) // 2 + 1
         for d in range(1, g.n + 2):
             assert in_W(SetQuery(other, 6), BitString.zeros(5))
             assert w_state_holds(other.adjacency())
@@ -455,7 +455,7 @@ class TestWTables:
         for d in range(1, g.n + 2):
             for t in range(d // 2 + 1):
                 self.assert_predicate(g, d, dist, t)
-                assert len(analysis._w_state(g.adjacency())[0]) == max(t, (d - 1) // 2) + 1
+                assert len(analysis._w_state(g.adjacency()).tables) == max(t, (d - 1) // 2) + 1
 
     def test_walk_height_rises_with_the_peel_work(self):
         # n = 12, d = 7: a walk's predicate starts on T_2 and builds T_3 once
@@ -464,7 +464,7 @@ class TestWTables:
         g, d = self.GRAPHS[2], 7
         dist, a = w_distance(g), g.adjacency()
         analysis._w_state.cache_clear()
-        member, tables = analysis._w_member(a, d), analysis._w_state(a)[0]
+        member, tables = analysis._w_member(a, d), analysis._w_state(a).tables
         assert member(0) and len(tables) == 3
         assert [h for h in range(1 << g.n) if member(h)] == [
             h for h in range(1 << g.n) if dist[h] <= d - 1]
@@ -486,23 +486,46 @@ class TestWTables:
         for ask in (lambda: not in_W(SetQuery(g, 6), cert),
                     lambda: verify_codewords(g, 6, [cert]).ok):
             analysis._w_state.cache_clear()
-            assert ask() and len(analysis._w_state(g.adjacency())[0]) == 3
+            assert ask() and len(analysis._w_state(g.adjacency()).tables) == 3
 
     def test_budget_stop_keeps_only_whole_tables(self):
+        # n = 9: the weight-2 build checks once per first position, the 2nd to
+        # the 10th check, and a stop in it leaves T_1 and no weight-2 count
         g = self.GRAPHS[1]
         a = g.adjacency()
         analysis._w_state.cache_clear()
         whole = list(analysis._w_tables(a, 3))
+        pairs = analysis._w_state(a).pairs
+        choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
+        assert pairs == collections.Counter(support_xors(choices, 2))
         lengths = []
-        for n in (1, 2, 20, 40):  # in the builds of weights 1, 2, 2 and 3
+        for n in (1, 2, 10, 11, 40):  # in the builds of weights 1, 2, 2, 3 and 3
             analysis._w_state.cache_clear()
             with pytest.raises(BudgetExceededError):
                 analysis._w_tables(a, 3, RaiseAtCheck(n))
-            kept = analysis._w_state(a)[0]
-            assert kept == whole[:len(kept)]
-            lengths.append(len(kept))
-        assert lengths == [1, 2, 2, 3]
+            state = analysis._w_state(a)
+            assert state.tables == whole[:len(state.tables)]
+            assert state.pairs == (pairs if len(state.tables) > 2 else None)
+            lengths.append(len(state.tables))
+        assert lengths == [1, 2, 2, 3, 3]
         self.assert_predicate(g, 7, w_distance(g))
+
+    def test_budget_stop_in_the_z_spans_weight_two_build(self):
+        # toric 5 at d = 5, cold: after z_span_basis's own check, its class 3
+        # builds T_1 (one check), then the weight-2 count (50, the 3rd to the
+        # 52nd); a stop in that build leaves T_1 and no count, and the kernel
+        # only starts once both T_2 and the count are kept
+        g = toric(5)
+        q, a = SetQuery(g, 5), g.adjacency()
+        analysis._w_state.cache_clear()
+        want = z_span_basis(q)
+        for stop, kept in ((3, 2), (52, 2), (53, 3)):
+            analysis._w_state.cache_clear()
+            with pytest.raises(BudgetExceededError):
+                z_span_basis(q, RaiseAtCheck(stop))
+            state = analysis._w_state(a)
+            assert len(state.tables) == kept and (state.pairs is None) == (kept == 2)
+        assert z_span_basis(q) == want
 
     @pytest.mark.parametrize("g", [toric(4), line_of_complete(5), GRAPHS[2]],
                              ids=["toric4", "loc5", "n12"])
@@ -513,8 +536,13 @@ class TestWTables:
             weights.append(w)
             return support_xors(choices, w, deadline)
 
+        def counting(choices, deadline=None):
+            weights.append(2)
+            return pair_counts(choices, deadline)
+
         analysis._w_state.cache_clear()
         monkeypatch.setattr(analysis, "support_xors", spy)
+        monkeypatch.setattr(analysis, "pair_counts", counting)
         res = d_max(g)
         assert weights == list(range(1, len(weights) + 1)), weights
         assert len(weights) <= res.value // 2 + 1
@@ -522,15 +550,17 @@ class TestWTables:
     @pytest.mark.parametrize("g", [toric(4), line_of_complete(5), GRAPHS[2]],
                              ids=["toric4", "loc5", "n12"])
     def test_d_max_runs_each_z_class_once(self, g, monkeypatch):
-        # span(Z) grows in one echelon: probe d runs only the class d - 1
-        weights = []
+        # span(Z) grows in one echelon: probe d runs only the class d - 1, each
+        # with the weight-2 count that W's T_2 was built with
+        weights, counts = [], []
 
         def recording(choices, m):
             xors = cluster_xors(choices, m)
 
-            def spy(roots, w, deadline):
+            def spy(roots, w, deadline, pairs=None):
                 weights.append(w)
-                return xors(roots, w, deadline)
+                counts.append(pairs is analysis._w_state(g.adjacency()).pairs is not None)
+                return xors(roots, w, deadline, pairs)
             return spy
 
         monkeypatch.setattr(analysis, "cluster_xors", recording)
@@ -539,6 +569,7 @@ class TestWTables:
         analysis._z_kernel.cache_clear()
         assert weights == list(range(3, len(weights) + 3)), weights
         assert len(weights) <= max(res.value - 2, 0)
+        assert all(counts)
 
     def test_graphs_read_from_one_file_share_the_tables_and_kernel(self, tmp_path, monkeypatch):
         # each read builds a new Graph and adjacency matrix; the memos key on the
@@ -551,11 +582,16 @@ class TestWTables:
             weights.append(w)
             return support_xors(choices, w, deadline)
 
+        def counting(choices, deadline):
+            weights.append(2)
+            return pair_counts(choices, deadline)
+
         def recording(choices, m):
             kernels.append(m)
             return cluster_xors(choices, m)
 
         monkeypatch.setattr(analysis, "support_xors", spy)
+        monkeypatch.setattr(analysis, "pair_counts", counting)
         monkeypatch.setattr(analysis, "cluster_xors", recording)
         analysis._w_state.cache_clear()
         analysis._z_kernel.cache_clear()
@@ -713,26 +749,30 @@ class TestZSpanConnectedSupports:
         # support loop; every graph now runs the kernel from every vertex, one
         # weight class at a time from weight 3 (weight 2 is the twin pairs),
         # until the span is full, and the single generators alone fill it
-        # once every deg(v) + 1 <= d-1
+        # once every deg(v) + 1 <= d-1; the kernel reads the weight-2 count of
+        # W's T_2, built here beforehand, so the Z span enumerates no support
         calls = []
 
         def recording(choices, m):
             xors = cluster_xors(choices, m)
 
-            def spy(roots, w, deadline=None):
+            def spy(roots, w, deadline=None, pairs=None):
                 calls.append((list(roots), w))
-                return xors(roots, w, deadline)
+                assert pairs is not None and pairs is analysis._w_state(g.adjacency()).pairs
+                return xors(roots, w, deadline, pairs)
             return spy
 
         def forbidden(*args):
             raise AssertionError("plain support loop")
 
         path = Graph.from_edges(6, [(v, v + 1) for v in range(5)])
-        with monkeypatch.context() as m:
-            m.setattr(analysis, "cluster_xors", recording)
-            m.setattr(analysis, "support_xors", forbidden)
-            analysis._z_kernel.cache_clear()
-            for g in (line_of_complete(5), path):
+        for g in (line_of_complete(5), path):
+            analysis._w_tables(g.adjacency(), 2)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "cluster_xors", recording)
+                m.setattr(analysis, "support_xors", forbidden)
+                m.setattr(analysis, "pair_counts", forbidden)
+                analysis._z_kernel.cache_clear()
                 for d in range(1, g.n + 2):
                     calls.clear()
                     q = SetQuery(g, d)
@@ -757,12 +797,12 @@ class TestZSpanConnectedSupports:
         def tracking(choices, m):
             xors = cluster_xors(choices, m)
 
-            def rooted(roots, w, deadline=None):
+            def rooted(roots, w, deadline=None, pairs=None):
                 def each():
                     for r in roots:
                         current[:] = [w, r]
                         yield r
-                return xors(each(), w, deadline)
+                return xors(each(), w, deadline, pairs)
             return rooted
 
         monkeypatch.setattr(analysis, "cluster_xors", tracking)
@@ -847,12 +887,14 @@ class TestZClassSequence:
         g, where, now = toric(6), [], [None]
         a, z_class = g.adjacency(), analysis._z_class
         analysis._z_kernel.cache_clear()
+        analysis._w_tables(a, 2)  # the weight-2 count, built before any check is counted
+        pairs = analysis._w_state(a).pairs
         counted = StopAt(None)
         assert list(z_class(a, 5, counted)) == []
         assert counted.checks > 2
         for stop in (2, counted.checks):
             with pytest.raises(Expired):
-                list(analysis._z_kernel(a)(range(g.n), 5, StopAt(stop)))
+                list(analysis._z_kernel(a)(range(g.n), 5, StopAt(stop), pairs))
             with pytest.raises(Expired):
                 list(z_class(a, 5, StopAt(stop)))
 
@@ -1029,7 +1071,7 @@ class TestDMax:
         monkeypatch.setattr(analysis, "_w_member", w_marking)
         cold()
         want = d_max(g, Recording())
-        assert want.value == 6 and len(analysis._w_state(g.adjacency())[0]) == 3
+        assert want.value == 6 and len(analysis._w_state(g.adjacency()).tables) == 3
         stops = {where.index((5, "z class")): 4, where.index((6, "z class")): 5,
                  where.index((6, "member")): 5}
         for i, finished in stops.items():

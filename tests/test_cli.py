@@ -135,8 +135,14 @@ class TestDmax:
         assert rep["budget_exceeded"]
         assert rep["results"]["bracket"] is not None
 
+    def test_budget_zero_stops_the_toric_5_cset(self, capsys, monkeypatch):
+        monkeypatch.setenv("TQO_BUDGET_MS", "0")
+        code, rep = run_json(capsys, ["cset", "toric", "5", "--d", "5"])
+        assert code == 2 and rep["budget_exceeded"] and not rep["ok"]
+        assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
+
     def test_budget_stop_on_toric_8(self, capsys, monkeypatch):
-        # d_max is 8, but the d = 8 probe's Z class alone takes seconds
+        # d_max is 8, but its probes take about a second, far past the budget
         monkeypatch.setenv("TQO_BUDGET_MS", "50")
         code, rep = run_json(capsys, ["dmax", "toric", "8"])
         assert code == 2 and rep["budget_exceeded"]

@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from tqograph.gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, support_xors
+from tqograph import gf2
+from tqograph.gf2 import BitString, Echelon, Gf2Matrix, cluster_xors, dot, pair_counts, support_xors
+from tqograph.graphs import Graph, toric
 
 from references import (connected_support_xors, reference_cluster_xors, reference_kernel_basis,
                         reference_row_reduce, transpose)
@@ -369,12 +371,61 @@ def irreducible(op, choices, m):
     return len(independent_subset([BitString(m, s) for s in syns])) == len(syns) - 1
 
 
+def graph_state_choices(rows):
+    """The Z span's kernel choices on the adjacency rows of a graph: X, Z and
+    Y at v as their syndrome against X_u Z^{A_u}, then x bit v, then z bit v."""
+    n = len(rows)
+    return [(c | 1 << (n + v), 1 << v | 1 << (2 * n + v),
+             (c ^ 1 << v) | 1 << (n + v) | 1 << (2 * n + v)) for v, c in enumerate(rows)]
+
+
+def weight_two_counts(choices, m):
+    """Syndrome -> how many products of two choices on distinct positions
+    have it, from the plain pair loop."""
+    return Counter(op & ((1 << m) - 1) for op in support_xors(choices, 2))
+
+
 class CountingDeadline:
     def __init__(self):
         self.checks = 0
 
     def check(self):
         self.checks += 1
+
+
+class Expired(Exception):
+    pass
+
+
+class StopAt:
+    """A deadline that expires at its stop-th check."""
+
+    def __init__(self, stop):
+        self.stop, self.checks = stop, 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.stop:
+            raise Expired
+
+
+class TestPairCounts:
+    def test_matches_support_xors(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            n = rng.randrange(0, 9)
+            choices = [tuple(rng.getrandbits(5) for _ in range(rng.randrange(1, 4)))
+                       for _ in range(n)]
+            assert pair_counts(choices) == Counter(support_xors(choices, 2)), choices
+
+    def test_deadline_checked_once_per_first_position(self):
+        choices = [(1, 2, 3)] * 7
+        dl = CountingDeadline()
+        pair_counts(choices, dl)
+        assert dl.checks == 7
+        for stop in (1, 7):
+            with pytest.raises(Expired):
+                pair_counts(choices, StopAt(stop))
 
 
 class TestClusterXors:
@@ -407,6 +458,47 @@ class TestClusterXors:
                 assert all(len(parts(op, choices, m)) == w for op in got)
             codes += 1
         assert codes >= 200
+
+    def test_pair_table_changes_no_hit(self):
+        # the count check drops only nodes with two positions left that no
+        # completion could pass: with the table, the same hits in the same
+        # order as without it and as the reference
+        rng = random.Random(16)
+        graphs = []
+        for _ in range(60):
+            n, p = rng.randrange(1, 13), rng.choice((0.2, 0.4, 0.7))
+            graphs.append(Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        hits = 0
+        for g in graphs + [toric(3), toric(4), toric(5)]:
+            n, choices = g.n, graph_state_choices(g.adjacency().row_bits)
+            xors, ref = cluster_xors(choices, n), reference_cluster_xors(choices, n)
+            pairs = weight_two_counts(choices, n)
+            for w in range(3, 7):
+                got = list(xors(range(n), w, pairs=pairs))
+                assert got == list(xors(range(n), w)) == list(ref(range(n), w)), (g.edges, w)
+                hits += len(got)
+        for _ in range(40):  # and on the X, Z, Y choices of random commuting codes
+            n = rng.randrange(1, 13)
+            gens = random_code(rng, n)
+            m, choices = len(gens), pauli_choices(gens, n)
+            xors, pairs = cluster_xors(choices, m), weight_two_counts(choices, m)
+            for w in range(3, 7):
+                assert list(xors(range(n), w, pairs=pairs)) == list(xors(range(n), w)), (n, w)
+        assert hits > 1000
+
+    def test_pair_table_cuts_growth_nodes(self, monkeypatch):
+        # toric 5 at w = 4 (50 hits), the deadline checked at every node: the
+        # table leaves 250 of the 768 growth nodes; with counts >= 1 in place
+        # of >= 2 it would leave more than a third
+        monkeypatch.setattr(gf2, "CHECK_EVERY", 1)
+        g = toric(5)
+        choices = graph_state_choices(g.adjacency().row_bits)
+        xors, pairs = cluster_xors(choices, g.n), weight_two_counts(choices, g.n)
+        plain, pruned = CountingDeadline(), CountingDeadline()
+        got = list(xors(range(g.n), 4, pruned, pairs))
+        assert len(got) == 50 and got == list(xors(range(g.n), 4, plain))
+        assert 3 * pruned.checks < plain.checks, (pruned.checks, plain.checks)
 
     def test_roots_pick_the_least_position(self):
         rng = random.Random(12)
@@ -447,19 +539,6 @@ class TestClusterXors:
         dl = CountingDeadline()
         list(cluster_xors(choices, n)([0], 8, dl))
         assert dl.checks > 3
-
-        class Expired(Exception):
-            pass
-
-        class StopAt:
-            def __init__(self, stop):
-                self.stop, self.checks = stop, 0
-
-            def check(self):
-                self.checks += 1
-                if self.checks == self.stop:
-                    raise Expired
-
         with pytest.raises(Expired):
             list(cluster_xors(choices, n)([0], 8, StopAt(3)))
         with pytest.raises(Expired):
