@@ -16,12 +16,12 @@ only at the API boundary.
 
 The Z span runs the check-guided kernel gf2.cluster_xors on the graph-state
 generators: each stabilizer X^k Z^{A.k} of weight <= d-1 grows from its least
-qubit only onto generators it does not yet commute with (z_span_basis: why).
-Its syndromes are W's (below), so from weight 3, where W starts on T_2 anyway
-(d >= 4), the kernel reads the weight-2 count built in T_2's one enumeration
-(_WState.pairs): a node with two qubits left is grown only when some weight-2
-Pauli has its syndrome, two at weight 4, where its own prefix is one.  Every
-completion passes that test, so every hit, basis, C-set and certificate stays.
+qubit only onto generators it does not yet commute with; a weight class is its
+hits' x bits k, sorted (z_span_basis: why).  From weight 3 (d >= 4, where W
+starts on T_2 anyway) the kernel reads the weight-2 count whose keys are W's
+T_2 (_WState.pairs): a node with two qubits left is grown only when some
+weight-2 Pauli has its syndrome, two at weight 4, where its own prefix is one.
+Every completion passes, so every hit, basis, C-set and certificate stays.
 
 W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
@@ -63,7 +63,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,11 +88,7 @@ def sigma(a: Gf2Matrix, k: BitString) -> int:
     """Parity of the number of edges with both endpoints in the support of k."""
     if a.rows != a.cols or a.cols != k.n:
         raise ValueError("dimension mismatch")
-    acc = 0
-    bits = k.bits
-    for j in k.support():
-        acc ^= (a.row_bits[j] & bits & ((1 << j) - 1)).bit_count()
-    return acc & 1
+    return sum((a.row_bits[j] & k.bits & ((1 << j) - 1)).bit_count() for j in k.support()) & 1
 
 
 def graph_basis_inner_analytic(
@@ -110,32 +106,26 @@ def graph_basis_inner_analytic(
 @functools.lru_cache(maxsize=1)
 def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
     """gf2.cluster_xors on the generators X_v Z^{A_v}, kept for the next query
-    on the same graph; X, Z, Y at v: the syndrome, then x bit v, z bit v."""
+    on the same graph; X, Z, Y at v: the syndrome, then x bit v."""
     n = a.cols
-    return cluster_xors([(c | (1 << (n + v)), (1 << v) | (1 << (2 * n + v)),
-                          (c ^ (1 << v)) | (1 << (n + v)) | (1 << (2 * n + v)))
+    return cluster_xors([(c | 1 << (n + v), 1 << v, (c ^ 1 << v) | 1 << (n + v))
                          for v, c in enumerate(a.row_bits)], n)
 
 
 def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
     """Beside the singles e_v, enough k of Z with S_k of weight w to span all
-    (z_span_basis), in canonical order: at w = 2 the twin pairs u < v, whose keys
-    A_u or A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's hits."""
+    (z_span_basis), sorted: at w = 2 the twin pairs u < v, whose keys A_u or
+    A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's hits."""
     n, cols = a.cols, a.row_bits
     if w == 2:
         buckets: Dict[int, List[int]] = {}
         for v, c in enumerate(cols):
-            buckets.setdefault(c, []).append(v)
-            buckets.setdefault(c | 1 << v, []).append(v)
-        yield from ((1 << u) | (1 << v) for u, v in sorted(
-            pair for b in buckets.values() for pair in itertools.combinations(b, 2)))
+            buckets.setdefault(c, []).append(1 << v)
+            buckets.setdefault(c | 1 << v, []).append(1 << v)
+        yield from sorted(x | y for b in buckets.values() for x, y in itertools.combinations(b, 2))
     elif w > 2:
         _w_tables(a, 2, deadline)  # W's T_2, and the weight-2 count the kernel prunes by
-        # a hit's x bits k and z bits A.k
-        parts = (((x >> n) & ((1 << n) - 1), x >> (2 * n))
-                 for x in _z_kernel(a)(range(n), w, deadline, _w_state(a).pairs))
-        for _, batch in itertools.groupby(parts, lambda p: (p[0] | p[1]) & -(p[0] | p[1])):
-            yield from sorted(k for k, _ in batch)
+        yield from sorted(x >> n for x in _z_kernel(a)(range(n), w, deadline, _w_state(a).pairs))
 
 
 def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
@@ -147,10 +137,10 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     the xor of the lighter members j and k ^ j.  So the members with no such
     part span span(Z), and gf2.cluster_xors reaches each from its least
     qubit.  Canonical order: the e_v with deg(v) + 1 <= d-1 by v, then every
-    member by (weight of S_k, least qubit of S_k, k), each kept when
-    independent of those before, up to the full space; the kernel's hits,
-    sorted root by root, keep the same vectors, since a member with a
-    commuting part lies in the span of the lighter classes.
+    member by (weight of S_k, k), each kept when independent of those
+    before, up to the full space; each class of the kernel's hits, sorted,
+    keeps the same vectors, since a member with a commuting part lies in
+    the span of the lighter classes.
     """
     deadline.check()
     n, top, a = q.graph.n, q.d - 1, q.graph.adjacency()
@@ -184,9 +174,9 @@ def zperp_basis(q: SetQuery, deadline: Deadline = NEVER,
 class _WState:
     """The W tables of one graph, grown in place by _w_tables and _w_member:
     each weight class is enumerated once per graph."""
-    tables: List[frozenset] = field(default_factory=lambda: [frozenset((0,))])  # T_0, ...
+    tables: List[AbstractSet[int]] = field(default_factory=lambda: [frozenset((0,))])  # T_0, ...
     flips: Dict[int, Tuple[int, ...]] = field(default_factory=dict)  # 1 << c: flips of check c
-    pairs: Optional[Dict[int, int]] = None  # syndrome: weight-2 Paulis with it, made with T_2
+    pairs: Optional[Dict[int, int]] = None  # syndrome: weight-2 Paulis with it; keys T_2
 
 
 @functools.lru_cache(maxsize=1)
@@ -195,21 +185,22 @@ def _w_state(a: Gf2Matrix) -> _WState:
     return _WState()
 
 
-def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[frozenset]:
+def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[AbstractSet[int]]:
     """T_0 .. T_w at least, T_k being T_(k-1) joined with the syndromes of the
-    weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  Weight 2 is
-    enumerated as gf2.pair_counts, which _WState.pairs keeps for the Z span.
-    A budget stop in a build leaves the tables and the count as they were."""
+    weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  T_2 is the
+    keys of _WState.pairs, kept for the Z span: gf2.pair_counts, T_1 added at
+    count 0.  A budget stop leaves the tables and the count as they were."""
     state = _w_state(a)
     tables = state.tables
-    while len(tables) <= w:
-        choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
-        if len(tables) == 2:
+    choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
+    while (k := len(tables)) <= w:
+        if k == 2:
             pairs = pair_counts(choices, deadline)
-            tables.append(tables[1].union(pairs))
+            pairs.update(dict.fromkeys(tables[1], 0))
+            tables.append(pairs.keys())
             state.pairs = pairs
         else:
-            tables.append(tables[-1].union(support_xors(choices, len(tables), deadline)))
+            tables.append(frozenset().union(tables[-1], support_xors(choices, k, deadline)))
     return tables
 
 

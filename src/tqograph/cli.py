@@ -38,17 +38,17 @@ Outcome = Tuple[dict, bool, bool]  # (results, ok, budget_exceeded)
 _NOT_CONFIG = {"cmd", "func", "format", "graph_file", "open_boundary"}
 
 COST_NOTE = (
-    "Cost notes: the state-vector check (real amplitudes, n <= 14) takes one "
-    "transposed copy, Gram and Sylvester product per window of weight class w <= d-1: "
-    "w blocks of two qubits for w <= 2 (7 and 21 copies at n = 14), the support itself "
-    "above.  W membership keeps the syndromes of Paulis of weight <= min(d//2, 2) "
-    "per graph, one more once peels cost what it would; a query branches on the "
-    "Paulis flipping its lowest check.  The Z span and the code3d scan grow each "
-    "Pauli from its least qubit onto a check it still flips; dmax grows one span for "
-    "all d.  With two qubits left, a Z-span Pauli grows only if a weight-2 Pauli (two "
-    "at weight 4) has its syndrome, counted once per graph with W's weight-2 table; "
-    "the code3d scan keeps no such count (1.2e6 syndromes at L = 8).  "
-    "cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."
+    "Cost notes: the state-vector check (real amplitudes, n <= 14) takes one transposed "
+    "copy, Gram and Sylvester product per window of weight class w <= d-1: w blocks of "
+    "two qubits for w <= 2 (7 and 21 copies at n = 14), the support itself above.  W "
+    "membership keeps the syndromes of Paulis of weight <= min(d//2, 2) per graph, one "
+    "more once peels cost what it would; a query branches on the Paulis flipping its "
+    "lowest check.  The Z span and the code3d scan grow each Pauli from its least qubit "
+    "onto a check it still flips; a Z class is its hits' x bits, sorted; dmax grows one "
+    "span for all d.  With two qubits left, a Z-span Pauli grows only if a weight-2 "
+    "Pauli (two at weight 4) has its syndrome, counted once per graph in a table keyed "
+    "by W's weight-2 table; the code3d scan keeps no such count (1.2e6 syndromes at "
+    "L = 8).  cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."
 )
 
 

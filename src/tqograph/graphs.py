@@ -31,6 +31,8 @@ class Graph:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         # all 0 <= u < v < n and no repeat, checked without a Python loop;
         # only a failure walks the edges, to name the first bad one
         us, vs = zip(*self.edges) if self.edges else ((), ())
@@ -311,7 +313,10 @@ def read_edge_list(path: str) -> Graph:
     (n, m), edges = pairs[0], pairs[1:]
     if len(edges) != m:
         raise ValueError(f"{path}: expected {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges, name=path)
+    try:
+        return Graph.from_edges(n, edges, name=path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_edge_list(g: Graph, path: str) -> None:

@@ -424,8 +424,6 @@ class Code3DReport:
     n: int
     constraints_hold: bool
     rank: int
-    rank_deficiency: int
-    code_dim: int
     logicals_ok: bool
     derivation_ok: bool
     distance: Optional[int]
@@ -437,15 +435,20 @@ class Code3DReport:
     distance_lower_bound: Optional[int] = None
 
     @property
-    def k(self) -> int:
+    def rank_deficiency(self) -> int:
         return self.n - self.rank
+
+    k = rank_deficiency  # logical qubits
+
+    @property
+    def code_dim(self) -> int:
+        return 1 << self.k
 
     @property
     def ok(self) -> bool:
         structural = (
             self.constraints_hold
             and self.rank_deficiency == self.L
-            and self.code_dim == 1 << self.L
             and self.logicals_ok
             and self.derivation_ok
         )
@@ -488,7 +491,6 @@ def verify_3d_code(
     constraints_hold = all(_product(rows[k::L]) == (0, 0, 0) for k in range(L))
 
     rank = s.rank()
-    code_dim = 1 << (n - rank)
     deadline.check()
 
     # Residues modulo the group have no pivot bit set, so they are
@@ -512,6 +514,5 @@ def verify_3d_code(
             distance, op = hit
             dist_op = op.to_text()
 
-    return Code3DReport(L, n, constraints_hold, rank, n - rank, code_dim, logicals_ok,
-                        derivation_ok, distance, dist_op, distance_scan and error is None,
-                        error, lower)
+    return Code3DReport(L, n, constraints_hold, rank, logicals_ok, derivation_ok, distance,
+                        dist_op, distance_scan and error is None, error, lower)

@@ -451,7 +451,7 @@ def reference_code3d_report(L) -> Code3DReport:
         not dot(p.x, g.z) ^ dot(p.z, g.x) for p in logicals for g in gens
     ) and rank(gens + logicals) == r + L
     return Code3DReport(
-        L, n, reference_layers_hold(gens, L), r, n - r, 1 << (n - r), logicals_ok,
+        L, n, reference_layers_hold(gens, L), r, logicals_ok,
         all(a.x == b.x and a.z == b.z for a, b in zip(gens, derived)),
         None, None, False)
 

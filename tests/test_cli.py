@@ -317,6 +317,16 @@ class TestInputFiles:
         code, _, err = run(capsys, ["dmax", "custom", "--graph-file", str(path)])
         assert code == 1 and err == f"error: {path}: bad header '3'\n"
 
+    @pytest.mark.parametrize("argv", [["gen", "custom"], ["dmax", "custom"],
+                                      ["cset", "custom", "--d", "1"],
+                                      ["oracle", "custom", "--matrix-elements"]])
+    def test_negative_vertex_count(self, capsys, tmp_path, argv):
+        path = tmp_path / "g.txt"
+        path.write_text("-2 0\n")
+        code, out, err = run(capsys, argv + ["--graph-file", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: negative vertex count -2\n"
+
     @pytest.mark.parametrize("line, why", [("01x0", "invalid bit character 'x'"),
                                            ("01100", "label length 5 != 4")])
     def test_bad_codeword_line(self, capsys, tmp_path, line, why):

@@ -74,6 +74,12 @@ class TestGraphBasics:
             Graph(n, edges)
         assert str(info.value) == message
 
+    def test_negative_vertex_count(self):
+        for edges in ((), ((0, 1),)):
+            with pytest.raises(ValueError) as info:
+                Graph(-2, edges)
+            assert str(info.value) == "negative vertex count -2"
+
     def test_valid_edges_pass(self):
         assert Graph(0, ()).m == 0
         assert Graph(4, ((2, 3), (0, 1), (0, 3))).m == 3  # any order
@@ -580,6 +586,14 @@ class TestFamilySpecAndIO:
         path.write_text("3 2\n0 1\n")
         with pytest.raises(ValueError, match="expected 2 edges"):
             read_edge_list(str(path))
+        path.write_text("-2 0\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(str(path))
+        assert str(info.value) == f"{path}: negative vertex count -2"
+        path.write_text("3 1\n0 3\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(str(path))
+        assert str(info.value) == f"{path}: edge (0,3) out of range for n=3"
 
     def test_format_edge_list(self):
         assert format_edge_list(star(3)) == "3 2\n0 1\n0 2\n"
