@@ -22,6 +22,8 @@ starts on T_2 anyway) the kernel reads the weight-2 count whose keys are W's
 T_2 (_WState.pairs): a node with two qubits left is grown only when some
 weight-2 Pauli has its syndrome, two at weight 4, where its own prefix is one.
 Every completion passes, so every hit, basis, C-set and certificate stays.
+Each class is kept beside W's tables (_WState), so it is enumerated once per
+graph; every basis of Zp is the kernel of one z_span_basis (zperp_basis).
 
 W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
@@ -52,8 +54,9 @@ above T_t multiplies the calls by at most |flips|.
 Zp is walked by one int generator, _span_walk: at step c it xors in the
 step indexed by the lowest set bit of c.  With the kernel basis as the
 steps that is the Gray-code walk of Zp, which c_set lists; with the prefix
-xors of the sorted kernel basis (gf2.Echelon.kernel_basis: why) it is Zp in
-increasing order, so the first member outside W is the least member of C.
+xors of the kernel basis, which comes in increasing order (gf2.Echelon.
+kernel_basis: why), it is Zp in increasing order, so the first member
+outside W is the least member of C (d_max).
 """
 
 from __future__ import annotations
@@ -112,20 +115,38 @@ def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
                          for v, c in enumerate(a.row_bits)], n)
 
 
-def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> Iterator[int]:
-    """Beside the singles e_v, enough k of Z with S_k of weight w to span all
-    (z_span_basis), sorted: at w = 2 the twin pairs u < v, whose keys A_u or
-    A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's hits."""
-    n, cols = a.cols, a.row_bits
-    if w == 2:
-        buckets: Dict[int, List[int]] = {}
+def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[int]:
+    """Beside the singles e_v, enough k of Z with S_k of weight w >= 2 to span
+    all (z_span_basis), sorted: at w = 2 the twin pairs u < v, whose keys A_u
+    or A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's
+    hits.  Kept in _WState once whole: a budget stop keeps nothing for w."""
+    n, cols, classes = a.cols, a.row_bits, _w_state(a).z_classes
+    if w not in classes and w == 2:
+        twins: Dict[int, List[int]] = {}  # key A_v or A_v + e_v: those v
         for v, c in enumerate(cols):
-            buckets.setdefault(c, []).append(1 << v)
-            buckets.setdefault(c | 1 << v, []).append(1 << v)
-        yield from sorted(x | y for b in buckets.values() for x, y in itertools.combinations(b, 2))
-    elif w > 2:
+            twins.setdefault(c, []).append(1 << v)
+            twins.setdefault(c | 1 << v, []).append(1 << v)
+        classes[w] = sorted(x | y for b in twins.values() for x, y in itertools.combinations(b, 2))
+    elif w not in classes:
         _w_tables(a, 2, deadline)  # W's T_2, and the weight-2 count the kernel prunes by
-        yield from sorted(x >> n for x in _z_kernel(a)(range(n), w, deadline, _w_state(a).pairs))
+        hits = _z_kernel(a)(range(n), w, deadline, _w_state(a).pairs)
+        classes[w] = sorted(x >> n for x in hits)
+    return classes[w]
+
+
+def _z_span_rows(q: SetQuery, deadline: Deadline) -> List[int]:
+    """z_span_basis on ints."""
+    deadline.check()
+    n, top, a = q.graph.n, q.d - 1, q.graph.adjacency()
+    singles = [1 << v for v, c in enumerate(a.row_bits) if c.bit_count() < top]
+    classes = (_z_class(a, w, deadline) for w in range(2, min(top, n) + 1))
+    ech, kept = Echelon(), []
+    for k in itertools.chain(singles, itertools.chain.from_iterable(classes)):
+        if ech.add(k):
+            kept.append(k)
+            if len(kept) == n:
+                break
+    return kept
 
 
 def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
@@ -140,43 +161,29 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     member by (weight of S_k, k), each kept when independent of those
     before, up to the full space; each class of the kernel's hits, sorted,
     keeps the same vectors, since a member with a commuting part lies in
-    the span of the lighter classes.
+    the span of the lighter classes.  Each class is enumerated once per
+    graph (_z_class), and none once the singles and lighter classes fill
+    the space.
     """
-    deadline.check()
-    n, top, a = q.graph.n, q.d - 1, q.graph.adjacency()
-    singles = [1 << v for v, c in enumerate(a.row_bits) if c.bit_count() < top]
-    classes = (_z_class(a, w, deadline) for w in range(2, min(top, n) + 1))
-    ech, kept = Echelon(), []
-    for k in itertools.chain(singles, itertools.chain.from_iterable(classes)):
-        if ech.add(k):
-            kept.append(k)
-            if len(kept) == n:
-                break
-    return [BitString(n, k) for k in kept]
+    return [BitString(q.graph.n, k) for k in _z_span_rows(q, deadline)]
 
 
-def zperp_basis(q: SetQuery, deadline: Deadline = NEVER,
-                span: Optional[Echelon] = None) -> List[BitString]:
-    """Basis of Zp, the kernel of z_span_basis, or of a span holding span(Z)
-    at d - 1 (d_max keeps one per search) grown in place to d by the k whose
-    S_k has weight d - 1 (_z_class), singles e_v first (alone, maybe rank n)."""
-    n, a = q.graph.n, q.graph.adjacency()
-    if span is None:
-        return Gf2Matrix.from_rows(z_span_basis(q, deadline), cols=n).kernel_basis()
-    singles = (1 << v for v, c in enumerate(a.row_bits) if c.bit_count() == q.d - 2)
-    for k in itertools.chain(singles, _z_class(a, q.d - 1, deadline)):
-        if span.add(k) and len(span.rows) == n:
-            break
-    return [BitString(n, x) for x in span.kernel_basis(n)]
+def zperp_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
+    """Basis of Zp, the kernel of z_span_basis, in increasing order
+    (gf2.Echelon.kernel_basis)."""
+    rows = _z_span_rows(q, deadline)
+    return Gf2Matrix(len(rows), q.graph.n, rows).kernel_basis()
 
 
 @dataclass
 class _WState:
-    """The W tables of one graph, grown in place by _w_tables and _w_member:
-    each weight class is enumerated once per graph."""
+    """The W tables and span(Z)'s classes of one graph, grown in place by
+    _w_tables, _w_member and _z_class: each weight class is enumerated once
+    per graph."""
     tables: List[AbstractSet[int]] = field(default_factory=lambda: [frozenset((0,))])  # T_0, ...
     flips: Dict[int, Tuple[int, ...]] = field(default_factory=dict)  # 1 << c: flips of check c
     pairs: Optional[Dict[int, int]] = None  # syndrome: weight-2 Paulis with it; keys T_2
+    z_classes: Dict[int, List[int]] = field(default_factory=dict)  # w: _z_class(a, w)
 
 
 @functools.lru_cache(maxsize=1)
@@ -343,16 +350,17 @@ def d_max(g: Graph, deadline: Deadline = NEVER) -> DMaxResult:
     C(G, n, 1) is all nonzero strings and C(G, n, n+1) is empty, so the
     answer lies in [1, n].  The search walks up from d = 1 and stops at the
     first empty C; the least member found at the last nonempty d is the
-    certificate.  One echelon holds span(Z), grown a weight class per probe
-    (zperp_basis).  On budget exhaustion the bracket found so far is
+    certificate, found by walking the prefix xors of the increasing
+    zperp_basis.  Each probe reduces span(Z) afresh from the classes kept per
+    graph (_z_class).  On budget exhaustion the bracket found so far is
     returned instead of a value.  The empty graph has no answer: ValueError.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    span, lo, cert = Echelon(), 1, 0  # C(lo) nonempty, with least member cert
+    lo, cert = 1, 0  # C(lo) nonempty, with least member cert
     try:
         for d in range(1, g.n + 1):
-            rows = sorted(b.bits for b in zperp_basis(SetQuery(g, d), deadline, span))
+            rows = [b.bits for b in zperp_basis(SetQuery(g, d), deadline)]
             in_w = _w_member(g.adjacency(), d, deadline)
             walk = _span_walk(list(itertools.accumulate(rows, operator.xor)), deadline)
             h = next((h for h in walk if not in_w(h)), None)
@@ -479,6 +487,8 @@ def ldpc_embed(code: ClassicalCode, m: int, deadline: Deadline = NEVER) -> List[
     """
     if code.k_c == 0:
         raise ValueError("trivial code has no nonzero codewords")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     spread = [sum(1 << (m * i) for i in range(code.q) if r >> i & 1)
               for r in code.generator.row_bits]
     walk = ClassicalCode(Gf2Matrix(code.k_c, code.q * m, spread)).codewords(deadline)

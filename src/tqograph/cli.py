@@ -44,8 +44,8 @@ COST_NOTE = (
     "membership keeps the syndromes of Paulis of weight <= min(d//2, 2) per graph, one "
     "more once peels cost what it would; a query branches on the Paulis flipping its "
     "lowest check.  The Z span and the code3d scan grow each Pauli from its least qubit "
-    "onto a check it still flips; a Z class is its hits' x bits, sorted; dmax grows one "
-    "span for all d.  With two qubits left, a Z-span Pauli grows only if a weight-2 "
+    "onto a check it still flips; a Z class is its hits' x bits, sorted; each Z class is "
+    "enumerated once per graph.  With two qubits left, a Z-span Pauli grows only if a weight-2 "
     "Pauli (two at weight 4) has its syndrome, counted once per graph in a table keyed "
     "by W's weight-2 table; the code3d scan keeps no such count (1.2e6 syndromes at "
     "L = 8).  cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."

@@ -277,14 +277,22 @@ FAMILIES = (*_BUILDERS, "custom")
 
 
 def gen_family(spec: FamilySpec) -> Graph:
-    """Build a graph from a family spec."""
+    """Build a graph from a family spec.  Only lattice reads periodic=False,
+    and only custom reads a path (and takes no parameters): a spec setting
+    what its family does not read is refused."""
     fam, p = spec.family, spec.params
-    if fam == "custom":
-        if spec.path is None:
-            raise ValueError("custom family requires a file path")
-        return read_edge_list(spec.path)
-    if fam not in _BUILDERS:
+    if fam != "custom" and fam not in _BUILDERS:
         raise ValueError(f"unknown family {fam!r}")
+    if not spec.periodic and fam != "lattice":
+        raise ValueError(f"periodic=False (--open-boundary) applies only to lattice, not {fam}")
+    if fam == "custom":
+        if p:
+            raise ValueError(f"custom takes 0 parameter(s), got {len(p)}")
+        if spec.path is None:
+            raise ValueError("custom family requires a file path (--graph-file)")
+        return read_edge_list(spec.path)
+    if spec.path is not None:
+        raise ValueError(f"path (--graph-file) applies only to custom, not {fam}")
     count, build = _BUILDERS[fam]
     if len(p) != count:
         raise ValueError(f"{fam} takes {count} parameter(s), got {len(p)}")

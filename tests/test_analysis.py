@@ -362,6 +362,12 @@ class TestKernelMatchesReference:
             q = SetQuery(g, d)
             assert z_span_basis(q) == canonical_z_span_basis(q), d
 
+    def test_zperp_basis_is_increasing(self, g):
+        # d_max walks its prefix xors as Z^perp in increasing order
+        for d in range(1, g.n + 2):
+            basis = [b.bits for b in zperp_basis(SetQuery(g, d))]
+            assert all(x < y for x, y in zip(basis, basis[1:])), d
+
     def test_d_max_certificate_is_least_member(self, g):
         res = d_max(g)
         members = c_set(SetQuery(g, res.value), max_members=1 << g.n).members
@@ -550,8 +556,8 @@ class TestWTables:
     @pytest.mark.parametrize("g", [toric(4), line_of_complete(5), GRAPHS[2]],
                              ids=["toric4", "loc5", "n12"])
     def test_d_max_runs_each_z_class_once(self, g, monkeypatch):
-        # span(Z) grows in one echelon: probe d runs only the class d - 1, each
-        # with the weight-2 count that W's T_2 was built with
+        # span(Z)'s classes are kept per graph: probe d runs only the class
+        # d - 1, each with the weight-2 count that W's T_2 was built with
         weights, counts = [], []
 
         def recording(choices, m):
@@ -564,6 +570,7 @@ class TestWTables:
             return spy
 
         monkeypatch.setattr(analysis, "cluster_xors", recording)
+        analysis._w_state.cache_clear()
         analysis._z_kernel.cache_clear()
         res = d_max(g)
         analysis._z_kernel.cache_clear()
@@ -750,7 +757,8 @@ class TestZSpanConnectedSupports:
         # weight class at a time from weight 3 (weight 2 is the twin pairs),
         # until the span is full, and the single generators alone fill it
         # once every deg(v) + 1 <= d-1; the kernel reads the weight-2 count of
-        # W's T_2, built here beforehand, so the Z span enumerates no support
+        # W's T_2, built here beforehand, so the Z span enumerates no support;
+        # the kept classes are dropped before each d, so each d runs them cold
         calls = []
 
         def recording(choices, m):
@@ -774,6 +782,7 @@ class TestZSpanConnectedSupports:
                 m.setattr(analysis, "pair_counts", forbidden)
                 analysis._z_kernel.cache_clear()
                 for d in range(1, g.n + 2):
+                    analysis._w_state(g.adjacency()).z_classes.clear()
                     calls.clear()
                     q = SetQuery(g, d)
                     assert_same_z_span(q, z_span_basis(q), reference_z_span_basis(q))
@@ -897,6 +906,7 @@ class TestZClassSequence:
         g, where, now = toric(6), [], [None]
         a, z_class = g.adjacency(), analysis._z_class
         analysis._z_kernel.cache_clear()
+        analysis._w_state.cache_clear()  # a cold class 5: _z_class keeps each class
         analysis._w_tables(a, 2)  # the weight-2 count, built before any check is counted
         pairs = analysis._w_state(a).pairs
         counted = StopAt(None)
@@ -905,6 +915,8 @@ class TestZClassSequence:
         for stop in (2, counted.checks):
             with pytest.raises(Expired):
                 list(analysis._z_kernel(a)(range(g.n), 5, StopAt(stop), pairs))
+            analysis._w_state.cache_clear()
+            analysis._w_tables(a, 2)
             with pytest.raises(Expired):
                 list(z_class(a, 5, StopAt(stop)))
 
@@ -931,6 +943,77 @@ class TestZClassSequence:
         res = d_max(g, RaiseAtCheck(second + 1))
         assert not res.ok and res.bracket == (5, None)
         analysis._z_kernel.cache_clear()
+
+
+class TestZClassMemo:
+    """span(Z)'s weight classes are kept per graph beside W's tables
+    (_WState.z_classes), and every Z^perp comes from one z_span_basis."""
+
+    def test_each_class_runs_once_per_graph(self, monkeypatch):
+        # toric 3 (d_max 4): the kernel runs w = 3 for d = 4 and w = 4 for
+        # d = 5, once each over two rounds of every query; at d = 6 class 4
+        # fills the span, so no class 5 runs
+        g, weights = toric(3), []
+
+        def recording(choices, m):
+            xors = cluster_xors(choices, m)
+
+            def spy(roots, w, deadline, pairs=None):
+                weights.append(w)
+                return xors(roots, w, deadline, pairs)
+            return spy
+
+        monkeypatch.setattr(analysis, "cluster_xors", recording)
+        analysis._w_state.cache_clear()
+        analysis._z_kernel.cache_clear()
+        try:
+            members = c_set(SetQuery(g, 4)).members
+            for _ in range(2):
+                assert verify_codewords(g, 4, members[:1])
+                assert in_C(SetQuery(g, 5), members[0]) is False
+                assert d_max(g).value == 4
+                assert c_set(SetQuery(g, 6)).zperp_basis == ()
+            assert weights == [3, 4]
+            assert sorted(analysis._w_state(g.adjacency()).z_classes) == [2, 3, 4]
+        finally:
+            analysis._z_kernel.cache_clear()
+
+    def test_budget_stop_inside_a_class_keeps_nothing(self):
+        # toric 3: class 6 checks the deadline 18 times, and z_span_basis at
+        # d = 6 once at its start, once in class 3 and twice in class 4, which
+        # fills the span; a stop inside a class keeps nothing for it, and the
+        # next call lists what a cold one does
+        g = toric(3)
+        a, q = g.adjacency(), SetQuery(g, 6)
+        analysis._w_state.cache_clear()
+        want_class, want_span = analysis._z_class(a, 6), z_span_basis(q)
+        assert len(want_class) == 132 and len(want_span) == 18
+        analysis._w_state.cache_clear()
+        analysis._w_tables(a, 2)
+        with pytest.raises(BudgetExceededError, match="chosen check"):
+            analysis._z_class(a, 6, RaiseAtCheck(5))
+        with pytest.raises(BudgetExceededError, match="chosen check"):
+            z_span_basis(q, RaiseAtCheck(4))
+        assert sorted(analysis._w_state(a).z_classes) == [2, 3]
+        assert analysis._z_class(a, 6) == want_class
+        assert z_span_basis(q) == want_span
+
+    def test_zero_budget_stops_warm_queries(self):
+        # every class the queries read is kept, so only the check at the
+        # start of z_span_basis and zperp_basis can stop them
+        g = toric(3)
+        q = SetQuery(g, 4)
+        members = c_set(q).members
+        assert d_max(g).value == 4 and in_C(q, members[0])
+        assert {2, 3, 4} <= set(analysis._w_state(g.adjacency()).z_classes)
+        dl = Deadline(0.0)
+        time.sleep(0.01)
+        for ask in (lambda: c_set(q, dl), lambda: verify_codewords(g, 4, members[:1], dl),
+                    lambda: in_C(q, members[0], dl)):
+            with pytest.raises(BudgetExceededError):
+                ask()
+        res = d_max(g, dl)
+        assert not res.ok and res.bracket == (1, None) and "budget" in res.error
 
 
 class TestCSet:
@@ -1409,6 +1492,14 @@ class TestLdpcEmbed:
         code = ClassicalCode(Gf2Matrix(2, 8, [0b00001111, 0b01111111]))
         with pytest.raises(ValueError, match="classical distance 3 below required 5"):
             ldpc_embed(code, 5)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one(self, m):
+        # refused before the rows are spread (a shift by m * i)
+        code = ClassicalCode(Gf2Matrix.from_rows([BitString.from_text("11")]))
+        with pytest.raises(ValueError) as err:
+            ldpc_embed(code, m)
+        assert str(err.value) == f"need m >= 1, got {m}"
 
     def test_rejected_code_keeps_no_labels(self):
         # a 16-row parity code at m = 3: its first nonzero codeword has weight

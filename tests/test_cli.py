@@ -38,6 +38,20 @@ class TestGen:
         assert path.read_text().splitlines()[0] == "18 30"
         assert "wrote 18 vertices, 30 edges" in out
 
+    @pytest.mark.parametrize("argv, why", [
+        (["toric", "2", "--open-boundary"],
+         "periodic=False (--open-boundary) applies only to lattice, not toric"),
+        (["star", "3", "--graph-file", "/nonexistent"],
+         "path (--graph-file) applies only to custom, not star"),
+        (["lattice", "3", "1", "--graph-file", "/nonexistent"],
+         "path (--graph-file) applies only to custom, not lattice"),
+        (["custom", "3", "--graph-file", "g.txt"], "custom takes 0 parameter(s), got 1"),
+    ])
+    def test_options_the_family_does_not_read(self, capsys, argv, why):
+        code, out, err = run(capsys, ["gen"] + argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {why}\n"
+
     def test_custom_round_trip(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         run(capsys, ["gen", "complete", "3", "--out", str(path)])
@@ -282,6 +296,15 @@ class TestVerify:
         assert code == 2 and rep["budget_exceeded"]
         assert rep["results"] == {"error": "time budget of 0.000s exhausted"}
         assert rep["elapsed_ms"] < 500
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_ldpc_m_below_one(self, capsys, tmp_path, m):
+        path = tmp_path / "code.txt"
+        path.write_text("111\n")
+        code, out, err = run(capsys, ["verify", "multi_star", "3", "3", "--d", "3",
+                                      "--ldpc", str(path), "--m", m])
+        assert code == 1 and out == ""
+        assert err == f"error: need m >= 1, got {m}\n"
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["verify", "star", "4", "--d", "2"])

@@ -558,6 +558,33 @@ class TestFamilySpecAndIO:
         with pytest.raises(ValueError):
             gen_family(FamilySpec("custom"))
 
+    def test_options_the_family_does_not_read(self, tmp_path):
+        # only lattice reads periodic=False, and only custom reads a path,
+        # which stands for its parameters
+        path = tmp_path / "g.txt"
+        write_edge_list(star(3), str(path))
+        for family, params in (("toric", (2,)), ("star", (3,)), ("toric3d", (2,))):
+            with pytest.raises(ValueError) as err:
+                gen_family(FamilySpec(family, params, periodic=False))
+            assert str(err.value) == (
+                f"periodic=False (--open-boundary) applies only to lattice, not {family}")
+            with pytest.raises(ValueError) as err:
+                gen_family(FamilySpec(family, params, path=str(path)))
+            assert str(err.value) == f"path (--graph-file) applies only to custom, not {family}"
+        with pytest.raises(ValueError) as err:
+            gen_family(FamilySpec("lattice", (3, 1), path=str(path)))
+        assert str(err.value) == "path (--graph-file) applies only to custom, not lattice"
+        with pytest.raises(ValueError) as err:
+            gen_family(FamilySpec("custom", (3,), path=str(path)))
+        assert str(err.value) == "custom takes 0 parameter(s), got 1"
+        with pytest.raises(ValueError) as err:
+            gen_family(FamilySpec("custom", path=str(path), periodic=False))
+        assert "--open-boundary" in str(err.value)
+        with pytest.raises(ValueError) as err:
+            gen_family(FamilySpec("custom"))
+        assert str(err.value) == "custom family requires a file path (--graph-file)"
+        assert gen_family(FamilySpec("custom", path=str(path))).edges == star(3).edges
+
     def test_families_in_readme(self):
         # the README's "Families:" paragraph names every family, in order
         text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
