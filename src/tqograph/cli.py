@@ -143,13 +143,19 @@ def cmd_dmax(args, config: dict) -> Outcome:
 
 
 def cmd_verify(args, config: dict) -> Outcome:
+    if args.codewords and args.ldpc:
+        raise ValueError("--codewords cannot be combined with --ldpc")
+    if args.ldpc and args.m is None:
+        raise ValueError("--ldpc requires --m")
+    if args.m is not None and not args.ldpc:
+        raise ValueError("--m applies only to --ldpc")
     g = _graph(args, config)
     if args.ldpc:
-        if args.m is None:
-            raise ValueError("--ldpc requires --m")
         code = analysis.read_classical_code(args.ldpc)
     elif args.codewords:
         labels = analysis.read_bitstrings(args.codewords, g.n)
+        if not labels:
+            raise ValueError(f"{args.codewords}: no labels")
     else:
         raise ValueError("need --codewords or --ldpc")
     deadline = _deadline()
@@ -166,6 +172,9 @@ def cmd_verify(args, config: dict) -> Outcome:
 
 
 def cmd_oracle(args, config: dict) -> Outcome:
+    extra = [opt for opt, v in (("--h", args.h), ("--d", args.d)) if v is not None]
+    if args.matrix_elements and extra:
+        raise ValueError(f"{' and '.join(extra)} cannot be combined with --matrix-elements")
     g = _graph(args, config)
     deadline = _deadline()
     if args.matrix_elements:
@@ -239,7 +248,12 @@ def cmd_code3d(args, config: dict) -> Outcome:
 
 
 def cmd_scan(args, config: dict) -> Outcome:
-    params_list = [tuple(int(x) for x in chunk.split(",")) for chunk in args.params]
+    params_list = []
+    for chunk in args.params:
+        try:
+            params_list.append(tuple(int(x) for x in chunk.split(",")))
+        except ValueError:
+            raise ValueError(f"scan parameters {chunk!r} are not comma-joined integers") from None
     res = analysis.family_scan(args.family, params_list, _deadline())
     ok = all(e.d_max is not None for e in res.entries)
     results = {

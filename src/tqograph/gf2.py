@@ -67,29 +67,6 @@ class BitString:
         raise AttributeError("BitString is immutable")
 
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> "BitString":
-        if not 0 <= i < n:
-            raise ValueError(f"basis index {i} out of range for length {n}")
-        return cls(n, 1 << i)
-
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "BitString":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            bits ^= 1 << i
-        return cls(n, bits)
-
-    @classmethod
     def from_text(cls, text: str) -> "BitString":
         bits = 0
         for i, c in enumerate(text):
@@ -167,18 +144,17 @@ def xor_columns(cols: Sequence[int], bits: int) -> int:
 
 class Echelon:
     """Independent int rows kept by pivot, each row's lowest set bit, with a
-    mask of all pivots; rows[p] is (row, comb) in insertion order, comb the
-    combination mask the caller passed along with the row.
+    mask of all pivots; rows[p] is the row of pivot p, in insertion order.
 
     reduce(r) xors into r the row of the lowest pivot r hits until it hits
     none.  That clears the bit and changes only higher bits, so the loop
-    ends.  The residue and its combination are unique: exactly one subset of
-    rows clears every pivot bit of r (in the xor of two such subsets, the
-    least pivot of their difference would stay set).  So they equal those of
-    any other order of elimination, and the pivot set, the lowest set bits
-    of the row space's nonzero vectors, is fixed by the space.  add(r) keeps
-    a nonzero residue as a new row, not cleared from the rows before it; so
-    no row holds the pivot of a row added before it.
+    ends.  The residue is unique: exactly one subset of rows clears every
+    pivot bit of r (in the xor of two such subsets, the least pivot of their
+    difference would stay set).  So it equals that of any other order of
+    elimination, and the pivot set, the lowest set bits of the row space's
+    nonzero vectors, is fixed by the space.  add(r) keeps a nonzero residue
+    as a new row, not cleared from the rows before it; so no row holds the
+    pivot of a row added before it.
     """
 
     __slots__ = ("rows", "pivots")
@@ -189,21 +165,19 @@ class Echelon:
         for r in rows:
             self.add(r)
 
-    def reduce(self, r: int, comb: int = 0) -> Tuple[int, int]:
-        """The residue of r, and comb xored with the combinations it took."""
+    def reduce(self, r: int) -> int:
+        """The residue of r modulo the rows."""
         rows, pivots = self.rows, self.pivots
         while t := r & pivots:
-            row, c = rows[(t & -t).bit_length() - 1]
-            r ^= row
-            comb ^= c
-        return r, comb
+            r ^= rows[(t & -t).bit_length() - 1]
+        return r
 
-    def add(self, r: int, comb: int = 0) -> bool:
+    def add(self, r: int) -> bool:
         """Keep r's nonzero residue as a row; False when r is dependent."""
-        r, comb = self.reduce(r, comb)
+        r = self.reduce(r)
         if r:
             p = (r & -r).bit_length() - 1
-            self.rows[p] = (r, comb)
+            self.rows[p] = r
             self.pivots |= 1 << p
         return bool(r)
 
@@ -218,7 +192,7 @@ class Echelon:
         for j in range(width):
             if not (self.pivots >> j) & 1:
                 x = 1 << j
-                for p, (r, _) in rows:
+                for p, r in rows:
                     if (r & x).bit_count() & 1:
                         x |= 1 << p
                 basis.append(x)

@@ -57,13 +57,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> List[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def adjacency(self) -> Gf2Matrix:
         """The adjacency matrix, built once per graph (it is immutable).  It is
         symmetric, so its rows are its columns: each edge sets u -> v and

@@ -3,7 +3,8 @@
 A Pauli is sign * X^x Z^z with the Z factors on the right; signs are tracked
 mod +-1 only (the +-i prefactors never arise in products of the Hermitian
 generators used here).  Stabilizer groups work on (x, z) int rows, and a
-Pauli object appears only where a caller hands one in or asks for one.
+Pauli object appears only where a caller asks for one: the generators, and
+the normalizer scan's witness.
 Includes the stabilized code-pair generators, the 3D toric-layer code, and
 brute-force code distance via minimum-weight normalizer search.
 """
@@ -11,10 +12,9 @@ brute-force code distance via minimum-weight normalizer search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2 import (NEVER, BitString, BudgetExceededError, Deadline, Echelon, cluster_xors, dot,
-                  xor_columns)
+from .gf2 import NEVER, BitString, BudgetExceededError, Deadline, Echelon, cluster_xors, xor_columns
 from .graphs import Graph, toric3d_rows
 
 
@@ -36,9 +36,6 @@ class Pauli:
 
     def weight(self) -> int:
         return (self.x | self.z).weight()
-
-    def is_identity(self) -> bool:
-        return self.x.is_zero() and self.z.is_zero()
 
     def to_text(self) -> str:
         chars = []
@@ -63,20 +60,8 @@ class Pauli:
         n = len(text)
         return cls(BitString(n, xb), BitString(n, zb), sign)
 
-    @classmethod
-    def identity(cls, n: int) -> "Pauli":
-        return cls(BitString.zeros(n), BitString.zeros(n))
-
     def __repr__(self):
         return f"Pauli({self.to_text()!r})"
-
-
-def pauli_mul(p: Pauli, q: Pauli) -> Pauli:
-    """(X^x1 Z^z1)(X^x2 Z^z2) picks up (-1)^{z1.x2} when reordering."""
-    if p.n != q.n:
-        raise ValueError("length mismatch")
-    sign = p.sign * q.sign * (-1 if dot(p.z, q.x) else 1)
-    return Pauli(p.x ^ q.x, p.z ^ q.z, sign)
 
 
 def _positions(bits: int) -> List[int]:
@@ -91,7 +76,8 @@ def _positions(bits: int) -> List[int]:
 
 def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
     """(x, z, s) of the ordered product of the +X^x Z^z rows, with sign
-    (-1)^s: each factor adds z_acc . x_next to s, the rule of pauli_mul."""
+    (-1)^s: each factor adds z_acc . x_next to s, since moving Z^z_acc past
+    X^x_next to reorder the product picks up (-1)^{z_acc . x_next}."""
     x = z = s = 0
     for rx, rz in rows:
         s ^= (z & rx).bit_count() & 1
@@ -104,8 +90,7 @@ def _product(rows: Iterable[Tuple[int, int]]) -> Tuple[int, int, int]:
 class StabilizerGroup:
     """Pairwise-commuting Pauli generators (need not be independent), kept
     as (x, z) int rows: generator i is X^x Z^z, with sign -1 where bit i of
-    signs is set.  generators builds Paulis when asked for; from_paulis
-    converts Paulis for the same constructor.
+    signs is set.  generators builds Paulis when asked for.
 
     Bit i of the per-qubit column _xcols[v] (_zcols[v]) is set iff generator
     i has X (Z) on qubit v.  A Pauli's syndrome (the generators it
@@ -114,8 +99,8 @@ class StabilizerGroup:
     v) mapping the generator set onto itself; normalizer_min_weight checks.
 
     Row reduction is a gf2.Echelon of the symplectic rows x | z << n, in
-    generator order, each carrying its generator-combination mask; its
-    residues and combinations are unique (Echelon gives why); _echelon()
+    generator order; a residue modulo the group is unique (Echelon gives
+    why), and 0 exactly on the group's elements up to sign.  _echelon()
     fills _ech at its first call.  Frozen, and equal only to itself.
     """
 
@@ -160,16 +145,6 @@ class StabilizerGroup:
                 a, b = gens[i], gens[(syn & -syn).bit_length() - 1]
                 raise ValueError(f"generators do not commute: {a.to_text()} vs {b.to_text()}")
 
-    @classmethod
-    def from_paulis(cls, n: int, paulis: Iterable[Pauli],
-                    symmetries: Sequence[Sequence[int]] = ()) -> "StabilizerGroup":
-        """The group generated by the Paulis, in their order."""
-        paulis = tuple(paulis)
-        if any(p.n != n for p in paulis):
-            raise ValueError("generator length mismatch")
-        signs = sum(1 << i for i, p in enumerate(paulis) if p.sign < 0)
-        return cls(n, [(p.x.bits, p.z.bits) for p in paulis], signs, symmetries)
-
     @property
     def generators(self) -> Tuple[Pauli, ...]:
         """The generators as Paulis, built at each call."""
@@ -180,42 +155,19 @@ class StabilizerGroup:
     def _echelon(self) -> Echelon:
         """The Echelon of the generators' symplectic rows, built once."""
         if self._ech is None:
-            ech, n = Echelon(), self.n
-            for i, (x, z) in enumerate(self.rows):
-                ech.add(x | z << n, 1 << i)
-            object.__setattr__(self, "_ech", ech)
+            n = self.n
+            object.__setattr__(self, "_ech", Echelon(x | z << n for x, z in self.rows))
         return self._ech
 
     def rank(self) -> int:
         return len(self._echelon().rows)
 
-    def in_group(self, p: Pauli, sign_sensitive: bool = False) -> bool:
-        """Row-space membership of p's symplectic vector.
-
-        The sign-sensitive variant recomputes the matching generator
-        product's sign (well-defined: the generators commute) and compares.
-        """
-        if p.n != self.n:
-            raise ValueError("length mismatch")
-        r, comb = self._echelon().reduce(p.x.bits | p.z.bits << self.n)
-        if r:
-            return False
-        if not sign_sensitive:
-            return True
-        used = [row for i, row in enumerate(self.rows) if comb >> i & 1]
-        s = _product(used)[2] + (comb & self.signs).bit_count()
-        return (-1) ** s == p.sign
-
     def _syndrome(self, x: int, z: int) -> int:
         """Bit i set iff X^x Z^z anticommutes with generator i."""
         return xor_columns(self._zcols, x) ^ xor_columns(self._xcols, z)
 
-    def in_normalizer(self, p: Union[Pauli, Tuple[int, int]]) -> bool:
-        """Whether p, a Pauli or an (x, z) row, commutes with every generator."""
-        if isinstance(p, Pauli):
-            if p.n != self.n:
-                raise ValueError("length mismatch")
-            p = p.x.bits, p.z.bits
+    def in_normalizer(self, p: Tuple[int, int]) -> bool:
+        """Whether the (x, z) row p commutes with every generator."""
         return not self._syndrome(*p)
 
 
@@ -408,7 +360,7 @@ def normalizer_min_weight(
         for w in range(1, min(w_max, n) + 1):
             keys = [  # of the hits outside the group
                 min(_orbit(op >> m, perms)) for op in xors(roots, w, deadline)
-                if reduce((op >> (m + n)) | ((op >> m) & low) << n)[0]]
+                if reduce((op >> (m + n)) | ((op >> m) & low) << n)]
             if keys:
                 best = min(keys)
                 return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
@@ -497,7 +449,7 @@ def verify_3d_code(
     # independent iff the strings are independent modulo the group; a string
     # inside the group leaves residue 0.
     logicals = logical_strings(L)
-    residues = Echelon(s._echelon().reduce(x | z << n)[0] for x, z in logicals)
+    residues = Echelon(s._echelon().reduce(x | z << n) for x, z in logicals)
     logicals_ok = all(map(s.in_normalizer, logicals)) and len(residues.rows) == L
     deadline.check()
 

@@ -19,7 +19,13 @@ the rows before it, and the kernel read off the fully reduced rows.
 
 Stabilizer groups on Pauli objects, which StabilizerGroup replaced with
 (x, z) int rows: a group with every element listed, and the code-pair
-generators that paired each vertex of supp(h) with the lowest one.
+generators that paired each vertex of supp(h) with the lowest one.  The
+Pauli-object API that the package dropped once only tests called it:
+pauli_mul, the reference for stabilizer._product; group_from_paulis, a
+StabilizerGroup built from Paulis; and sign-sensitive group membership on
+the row reduction that tests every basis row in insertion order, each row
+carrying its generator-combination mask (reference_reduced_basis,
+reference_reduce and reference_in_group).
 
 verify_codewords as it was before a label set that forms a subspace with
 zero was walked on its zero-label pairs only: every pair, in
@@ -39,7 +45,7 @@ The twin pairs of span(Z)'s weight-2 class as _z_class found them before
 it bucketed vertices by neighbourhood: every pair u < v tested in turn.
 
 Helpers that only the tests call: classical_min_distance, which ldpc_embed
-folded into its one walk; graph_stabilizers, pauli_expectation,
+folded into its one walk; degrees, graph_stabilizers, pauli_expectation,
 the edge-space helpers s_vector and odd_degree_vertices, and transpose,
 the column view Gf2Matrix no longer keeps.
 """
@@ -61,13 +67,72 @@ from tqograph.stabilizer import (
     _orbit,
     _orbit_roots,
     logical_strings,
-    pauli_mul,
 )
+
+
+def pauli_mul(p: Pauli, q: Pauli) -> Pauli:
+    """(X^x1 Z^z1)(X^x2 Z^z2) picks up (-1)^{z1.x2} when reordering."""
+    if p.n != q.n:
+        raise ValueError("length mismatch")
+    sign = p.sign * q.sign * (-1 if dot(p.z, q.x) else 1)
+    return Pauli(p.x ^ q.x, p.z ^ q.z, sign)
+
+
+def group_from_paulis(n: int, paulis: Iterable[Pauli],
+                      symmetries: Sequence[Sequence[int]] = ()) -> StabilizerGroup:
+    """The group generated by the Paulis, in their order."""
+    paulis = tuple(paulis)
+    if any(p.n != n for p in paulis):
+        raise ValueError("generator length mismatch")
+    signs = sum(1 << i for i, p in enumerate(paulis) if p.sign < 0)
+    return StabilizerGroup(n, [(p.x.bits, p.z.bits) for p in paulis], signs, symmetries)
+
+
+def reference_reduced_basis(s: StabilizerGroup) -> Tuple[Tuple[int, int, int], ...]:
+    """(pivot, row, combination mask) of each independent generator row, in
+    generator order, each reduced by the rows kept before it."""
+    basis = []
+    for idx, g in enumerate(s.generators):
+        r, comb = reference_reduce(basis, g.x.bits | (g.z.bits << s.n))
+        comb ^= 1 << idx
+        if r:
+            basis.append(((r & -r).bit_length() - 1, r, comb))
+    return tuple(basis)
+
+
+def reference_reduce(basis, r: int) -> Tuple[int, int]:
+    """The residue of r and the combination mask of the rows it took,
+    testing every basis row in insertion order."""
+    comb = 0
+    for piv, row, c in basis:
+        if (r >> piv) & 1:
+            r ^= row
+            comb ^= c
+    return r, comb
+
+
+def reference_in_group(s: StabilizerGroup, basis, p: Pauli) -> bool:
+    """Sign-sensitive membership of p in s, basis its reference_reduced_basis:
+    p's vector reduces to zero, and the product of the generators that took
+    it there carries p's sign (well defined, as the generators commute)."""
+    r, comb = reference_reduce(basis, p.x.bits | (p.z.bits << s.n))
+    if r:
+        return False
+    prod = Pauli.from_text("I" * s.n)
+    for idx, g in enumerate(s.generators):
+        if (comb >> idx) & 1:
+            prod = pauli_mul(prod, g)
+    return prod.sign == p.sign
 
 
 def graph_stabilizers(g: Graph) -> StabilizerGroup:
     """Generator i is X on vertex i and Z on each of its neighbors."""
     return StabilizerGroup(g.n, [(1 << i, r) for i, r in enumerate(g.adjacency().row_bits)])
+
+
+def degrees(g: Graph) -> List[int]:
+    """Vertex degrees, the bit counts of the adjacency rows."""
+    return [r.bit_count() for r in g.adjacency().row_bits]
 
 
 def transpose(rows: Iterable[int], width: int) -> Tuple[int, ...]:
@@ -89,7 +154,7 @@ def s_vector(g: Graph, v: int) -> BitString:
     """Edge-indicator bitstring of all edges incident to vertex v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return BitString.from_indices(g.m, (i for i, (a, b) in enumerate(g.edges) if v in (a, b)))
+    return BitString(g.m, sum(1 << i for i, (a, b) in enumerate(g.edges) if v in (a, b)))
 
 
 @dataclass(frozen=True)
@@ -348,7 +413,7 @@ def connected_normalizer_min_weight(s, w_max):
             if best is not None and key >= best:
                 continue
             xb, zb = key >> n, key & low
-            if not s.in_group(Pauli(BitString(n, xb), BitString(n, zb))):
+            if s._echelon().reduce(xb | zb << n):
                 best = key
         if best is not None:
             return w, Pauli(BitString(n, best >> n), BitString(n, best & low))
@@ -391,7 +456,7 @@ def hadamard_conjugate(s: StabilizerGroup, b: Iterable[int]) -> StabilizerGroup:
         xb = (g.x.bits & ~mask) | (g.z.bits & mask)
         zb = (g.z.bits & ~mask) | (g.x.bits & mask)
         gens.append(Pauli(BitString(s.n, xb), BitString(s.n, zb), g.sign))
-    return StabilizerGroup.from_paulis(s.n, gens)
+    return group_from_paulis(s.n, gens)
 
 
 def reference_gen_3d_code_derived(L) -> StabilizerGroup:
@@ -415,12 +480,12 @@ def reference_gen_3d_code_derived(L) -> StabilizerGroup:
             p = pauli_mul(s(i, j, k), s(i + 1, j, k))
         prods.append(p)
     hub_plane = [v(1, j, k) for j in range(1, L + 1) for k in range(1, L + 1)]
-    return hadamard_conjugate(StabilizerGroup.from_paulis(g.n, prods), hub_plane)
+    return hadamard_conjugate(group_from_paulis(g.n, prods), hub_plane)
 
 
 def reference_product(paulis: Sequence[Pauli]) -> Pauli:
     """The ordered product, one pauli_mul per factor."""
-    prod = Pauli.identity(paulis[0].n)
+    prod = Pauli.from_text("I" * paulis[0].n)
     for p in paulis:
         prod = pauli_mul(prod, p)
     return prod
@@ -430,7 +495,7 @@ def reference_layers_hold(gens: Sequence[Pauli], L) -> bool:
     """Each layer k's product over (i, j) in order is +identity."""
     for k in range(L):
         prod = reference_product([gens[(i * L + j) * L + k] for i in range(L) for j in range(L)])
-        if not (prod.is_identity() and prod.sign == 1):
+        if prod.weight() or prod.sign != 1:
             return False
     return True
 
@@ -476,7 +541,7 @@ class ReferencePauliGroup:
         if error is not None:
             raise ValueError(error)
         self.n, self.gens = n, list(gens)
-        self.elements = {(0, 0): Pauli.identity(n)}
+        self.elements = {(0, 0): Pauli.from_text("I" * n)}
         for g in gens:
             if (g.x.bits, g.z.bits) not in self.elements:
                 for p in list(self.elements.values()):
@@ -490,8 +555,10 @@ class ReferencePauliGroup:
         q = self.elements.get((p.x.bits, p.z.bits))
         return q is not None and (not sign_sensitive or q.sign == p.sign)
 
-    def in_normalizer(self, p: Pauli) -> bool:
-        return not any(dot(p.x, g.z) ^ dot(p.z, g.x) for g in self.gens)
+    def in_normalizer(self, p: Tuple[int, int]) -> bool:
+        """Whether the (x, z) row p commutes with every generator."""
+        x, z = p
+        return not any(((x & g.z.bits) ^ (z & g.x.bits)).bit_count() & 1 for g in self.gens)
 
 
 def reference_code_pair_stabilizers(g: Graph, h: BitString) -> StabilizerGroup:
@@ -501,11 +568,11 @@ def reference_code_pair_stabilizers(g: Graph, h: BitString) -> StabilizerGroup:
     base = graph_stabilizers(g).generators
     gens = []
     for r in Gf2Matrix.from_rows([h]).kernel_basis():
-        p = Pauli.identity(g.n)
+        p = Pauli.from_text("I" * g.n)
         for j in r.support():
             p = pauli_mul(p, base[j])
         gens.append(p)
-    return StabilizerGroup.from_paulis(g.n, gens)
+    return group_from_paulis(g.n, gens)
 
 
 def reference_verify_codewords(g: Graph, d: int, hs: Sequence[BitString]) -> VerifyVerdict:
@@ -519,7 +586,7 @@ def reference_verify_codewords(g: Graph, d: int, hs: Sequence[BitString]) -> Ver
             return VerifyVerdict(False, f"label {i} is the zero string")
         if any(dot(h, z) for z in zb):
             return VerifyVerdict(False, f"label {i} not orthogonal to Z: {h.to_text()}")
-    full = [BitString.zeros(g.n)] + hs
+    full = [BitString(g.n)] + hs
     for i, j in itertools.combinations(range(len(full)), 2):
         x = full[i] ^ full[j]
         if in_W(SetQuery(g, d), x):

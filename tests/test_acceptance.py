@@ -207,7 +207,7 @@ def multi_star_closed_c(q, m):
     free = [c * m for c in range(q)] if m >= 3 else list(range(n))
     closed = set()
     for mask in range(1, 1 << len(free)):
-        h = BitString.from_indices(n, (v for i, v in enumerate(free) if (mask >> i) & 1))
+        h = BitString(n, sum(1 << v for i, v in enumerate(free) if (mask >> i) & 1))
         if sum(any(h.bit(v) for v in range(c * m, (c + 1) * m)) for c in range(q)) >= m:
             closed.add(h)
     return closed
@@ -232,7 +232,7 @@ def test_criterion_05_multi_star_closed_form():
     g = multi_star(2, 2)
     closed = multi_star_closed_c(2, 2)
     invariant = all(
-        {BitString.from_indices(4, (perm[v] for v in h.support())) for h in closed}
+        {BitString(4, sum(1 << perm[v] for v in h.support())) for h in closed}
         == closed
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2))
     )
@@ -275,8 +275,8 @@ def test_criterion_07_toric_L5():
     L = 5
     g = toric(L)
     res = c_set(SetQuery(g, 5))
-    hx = BitString.from_indices(g.n, (toric_vertex(L, j, "x", L) for j in range(1, L + 1)))
-    hy = BitString.from_indices(g.n, (toric_vertex(1, j, "y", L) for j in range(1, L + 1)))
+    hx = BitString(g.n, sum(1 << toric_vertex(L, j, "x", L) for j in range(1, L + 1)))
+    hy = BitString(g.n, sum(1 << toric_vertex(1, j, "y", L) for j in range(1, L + 1)))
     want = {hx, hy, hx ^ hy}
     ok = res.exhaustive and set(res.members) == want
     report(

@@ -310,6 +310,33 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "star", "4", "--d", "2"])
         assert code == 1 and "codewords" in err
 
+    @pytest.mark.parametrize("argv, why", [
+        (["multi_star", "3", "3", "--d", "3", "--codewords", "LABELS", "--ldpc", "CODE",
+          "--m", "3"], "--codewords cannot be combined with --ldpc"),
+        (["multi_star", "3", "3", "--d", "3", "--codewords", "LABELS", "--ldpc", "CODE"],
+         "--codewords cannot be combined with --ldpc"),
+        (["star", "4", "--d", "2", "--codewords", "LABELS", "--m", "3"],
+         "--m applies only to --ldpc"),
+        (["star", "4", "--d", "2", "--m", "3"], "--m applies only to --ldpc"),
+    ], ids=["codewords-ldpc-m", "codewords-ldpc", "codewords-m", "m"])
+    def test_options_of_the_other_mode(self, capsys, tmp_path, argv, why):
+        # alone, each file passes: the labels, and the code at m = 3
+        labels, code_file = tmp_path / "labels.txt", tmp_path / "code.txt"
+        labels.write_text("100100100\n" if argv[0] == "multi_star" else "0110\n")
+        code_file.write_text("111\n")
+        argv = [{"LABELS": str(labels), "CODE": str(code_file)}.get(a, a) for a in argv]
+        code, out, err = run(capsys, ["verify"] + argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {why}\n"
+
+    @pytest.mark.parametrize("text", ["", "# no labels\n\n"], ids=["empty", "comment"])
+    def test_no_labels_is_an_error_line(self, capsys, tmp_path, text):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["verify", "star", "3", "--d", "2", "--codewords", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: no labels\n"
+
     def test_ldpc_too_many_rows_is_an_error_line(self, capsys, tmp_path):
         # 25 independent rows: too many codewords to exhaust, refused at once
         path = tmp_path / "code.txt"
@@ -451,6 +478,16 @@ class TestOracle:
         code, _, err = run(capsys, ["oracle", "star", "4"])
         assert code == 1 and "need --h/--d or --matrix-elements" in err
 
+    @pytest.mark.parametrize("argv, why", [
+        (["--h", "011", "--d", "2"], "--h and --d cannot be combined with --matrix-elements"),
+        (["--h", "011"], "--h cannot be combined with --matrix-elements"),
+        (["--d", "2"], "--d cannot be combined with --matrix-elements"),
+    ], ids=["h-d", "h", "d"])
+    def test_pair_options_with_matrix_elements(self, capsys, argv, why):
+        code, out, err = run(capsys, ["oracle", "star", "3", "--matrix-elements"] + argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {why}\n"
+
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TQO_BUDGET_MS", "0.0001")
         code, rep = run_json(capsys, ["oracle", "star", "4", "--h", "0110", "--d", "2"])
@@ -570,6 +607,12 @@ class TestScan:
         code, out, err = run(capsys, ["scan", "star", "3"])
         assert code == 1 and out == ""
         assert err == "error: empty graph\n"
+
+    @pytest.mark.parametrize("chunk", ["x", "3,x", "2,,2", ""], ids=repr)
+    def test_parameters_that_are_not_integers(self, capsys, chunk):
+        code, out, err = run(capsys, ["scan", "multi_star", "2,2", chunk])
+        assert code == 1 and out == ""
+        assert err == f"error: scan parameters {chunk!r} are not comma-joined integers\n"
 
 
 class TestOutputFormats:

@@ -1,13 +1,18 @@
 """Every name a module imports is used in it, or re-exported through __all__;
 every private function or class of the package, and every private name
-bound at its modules' top level, is used in the package; and every
-module-level constant of the package is read in the package."""
+bound at its modules' top level, is used in the package; every public
+function, class or method of the package is used in it, exported, or
+patched by the benchmark tracer; and every module-level constant of the
+package is read in the package."""
 
 import ast
 import pathlib
 import re
 
 import pytest
+
+import tqograph
+from test_tracer_targets import TARGETS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
@@ -86,20 +91,30 @@ def private_definitions(tree):
                     yield name.id, node
 
 
+def loads(trees):
+    """(name, node id) of each name or attribute read anywhere in the trees."""
+    return [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+
+def referenced_outside(name, node, refs):
+    """Whether one of refs (loads) reads name outside the definition node."""
+    inside = {id(n) for n in ast.walk(node)}
+    return any(ref_name == name and ref not in inside for ref_name, ref in refs)
+
+
 def unreferenced_private(sources):
     """(file, name, line) of each private definition (private_definitions)
     that no name or attribute in the sources refers to outside its own
     definition: a dead helper or setting, or one only the tests use."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    refs = loads(trees.values())
     out = []
     for file, tree in trees.items():
         for name, node in private_definitions(tree):
             if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                inside = {id(n) for n in ast.walk(node)}
-                if not any(ref_name == name and ref not in inside for ref_name, ref in refs):
+                if not referenced_outside(name, node, refs):
                     out.append((file, name, node.lineno))
     return out
 
@@ -132,6 +147,64 @@ def test_detects_an_unreferenced_private_module_name():
     }
     assert unreferenced_private(sources) == [
         ("a.py", "_dead", 2), ("a.py", "_also_dead", 3), ("a.py", "_x", 4), ("a.py", "_z", 4)]
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each module-level function or class, and
+    of each method of a module-level class, not named with a leading
+    underscore; nested functions aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item
+
+
+def unreferenced_public(sources, exempt=frozenset()):
+    """(file, qualified name, line) of each public definition
+    (public_definitions) that no name or attribute in the sources refers to
+    outside its own definition, matched by its last name, unless (module,
+    qualified name) is in exempt: dead code, or API only the tests use."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = loads(trees.values())
+    out = []
+    for file, tree in trees.items():
+        module = pathlib.PurePath(file).stem
+        for qualname, node in public_definitions(tree):
+            if ((module, qualname) not in exempt
+                    and not referenced_outside(qualname.rsplit(".", 1)[-1], node, refs)):
+                out.append((file, qualname, node.lineno))
+    return out
+
+
+def test_public_names_are_used_exported_or_traced():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    exported = {(getattr(tqograph, name).__module__.rsplit(".", 1)[-1], name)
+                for name in tqograph.__all__}
+    assert unreferenced_public(sources, exported | set(TARGETS)) == []
+
+
+def test_detects_an_unreferenced_public_name():
+    # a call inside its own definition is no use; an exempt name, a private
+    # or dunder method and a nested function are not checked
+    sources = {
+        "a.py": ("def used(): pass\ndef dead(): pass\ndef exported(): pass\n"
+                 "def recursive(n): return recursive(n - 1)\n"
+                 "class Kept:\n    def method(self): pass\n    def dead_method(self): pass\n"
+                 "    def traced(self): pass\n    def _private(self): pass\n"
+                 "    def __init__(self): pass\n"
+                 "class Dead:\n    pass\n"
+                 "def outer():\n    def inner(): pass\n"),
+        "b.py": "from a import used, Kept, outer\nused()\nKept().method()\nouter()\n",
+    }
+    exempt = {("a", "exported"), ("a", "Kept.traced")}
+    assert unreferenced_public(sources, exempt) == [
+        ("a.py", "dead", 2), ("a.py", "recursive", 4), ("a.py", "Kept.dead_method", 7),
+        ("a.py", "Dead", 11)]
 
 
 def unread_constants(sources):

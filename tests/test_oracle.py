@@ -151,7 +151,7 @@ class TestGraphState:
     def test_basis_state_sign_flip(self):
         g = star(3)
         base = build_graph_state(g)
-        flipped = graph_basis_state(g, BitString.basis(3, 1))
+        flipped = graph_basis_state(g, BitString(3, 1 << 1))
         idx = np.arange(8)
         signs = 1 - 2 * ((idx >> 1) & 1)
         assert np.allclose(flipped.amps, base.amps * signs)
@@ -166,7 +166,7 @@ class TestGraphState:
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
-            graph_basis_state(star(3), BitString.zeros(4))
+            graph_basis_state(star(3), BitString(4))
 
 
 class TestPauliMatrixElement:
@@ -200,7 +200,7 @@ class TestPauliMatrixElement:
             psi = build_graph_state(g)
             a = g.adjacency()
             for i in range(g.n):
-                k = BitString.basis(g.n, i)
+                k = BitString(g.n, 1 << i)
                 val = pauli_expectation(psi, k, a.mat_vec(k))
                 assert abs(val - 1.0) < TOL
 
@@ -211,7 +211,7 @@ class TestPauliMatrixElement:
         h = BitString.from_text("1010")
         psi = graph_basis_state(g, h)
         for i in range(4):
-            k = BitString.basis(4, i)
+            k = BitString(4, 1 << i)
             val = pauli_expectation(psi, k, a.mat_vec(k))
             assert abs(val - (-1.0 if h.bit(i) else 1.0)) < TOL
 
@@ -219,9 +219,9 @@ class TestPauliMatrixElement:
         psi = build_graph_state(star(3))
         phi = build_graph_state(star(4))
         with pytest.raises(ValueError):
-            pauli_matrix_element(phi, psi, BitString.zeros(3), BitString.zeros(3))
+            pauli_matrix_element(phi, psi, BitString(3), BitString(3))
         with pytest.raises(ValueError):
-            pauli_matrix_element(psi, psi, BitString.zeros(4), BitString.zeros(3))
+            pauli_matrix_element(psi, psi, BitString(4), BitString(3))
 
 
 class TestPauliPairs:
@@ -256,7 +256,7 @@ class TestQeccCheck:
 
     def test_all_ones_label_fails_on_complete(self):
         g = complete(4)
-        states = [build_graph_state(g), graph_basis_state(g, BitString.ones(4))]
+        states = [build_graph_state(g), graph_basis_state(g, BitString(4, 0b1111))]
         verdict = brute_force_qecc_check(states, 2)
         assert not verdict.ok
         i, j, k, l = verdict.witness
