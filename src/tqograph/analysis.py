@@ -22,8 +22,8 @@ starts on T_2 anyway) the kernel reads the weight-2 count whose keys are W's
 T_2 (_WState.pairs): a node with two qubits left is grown only when some
 weight-2 Pauli has its syndrome, two at weight 4, where its own prefix is one.
 Every completion passes, so every hit, basis, C-set and certificate stays.
-Each class is kept beside W's tables (_WState), so it is enumerated once per
-graph; every basis of Zp is the kernel of one z_span_basis (zperp_basis).
+Each class and the kernel are kept with W's tables in one record per graph
+(_WState); every basis of Zp is the kernel of one z_span_basis (zperp_basis).
 
 W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
@@ -106,31 +106,25 @@ def graph_basis_inner_analytic(
     return -1 if (dot(h, k) ^ sigma(a, k)) else 1
 
 
-@functools.lru_cache(maxsize=1)
-def _z_kernel(a: Gf2Matrix) -> Callable[..., Iterator[int]]:
-    """gf2.cluster_xors on the generators X_v Z^{A_v}, kept for the next query
-    on the same graph; X, Z, Y at v: the syndrome, then x bit v."""
-    n = a.cols
-    return cluster_xors([(c | 1 << (n + v), 1 << v, (c ^ 1 << v) | 1 << (n + v))
-                         for v, c in enumerate(a.row_bits)], n)
-
-
 def _z_class(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[int]:
     """Beside the singles e_v, enough k of Z with S_k of weight w >= 2 to span
-    all (z_span_basis), sorted: at w = 2 the twin pairs u < v, whose keys A_u
-    or A_u + e_u agree (no A_u equals an A_v + e_v); from w = 3 the kernel's
-    hits.  Kept in _WState once whole: a budget stop keeps nothing for w."""
-    n, cols, classes = a.cols, a.row_bits, _w_state(a).z_classes
+    all (z_span_basis), sorted: at w = 2 the twin pairs u < v, whose X or Y
+    syndromes agree (no X_u equals a Y_v); from w = 3 _WState.kernel's hits.
+    Kept in _WState once whole: a budget stop keeps nothing for w."""
+    n, state = a.cols, _w_state(a)
+    classes = state.z_classes
     if w not in classes and w == 2:
-        twins: Dict[int, List[int]] = {}  # key A_v or A_v + e_v: those v
-        for v, c in enumerate(cols):
-            twins.setdefault(c, []).append(1 << v)
-            twins.setdefault(c | 1 << v, []).append(1 << v)
+        twins: Dict[int, List[int]] = {}  # X or Y syndrome at v: those v
+        for v, (x, _, y) in enumerate(state.choices):
+            twins.setdefault(x, []).append(1 << v)
+            twins.setdefault(y, []).append(1 << v)
         classes[w] = sorted(x | y for b in twins.values() for x, y in itertools.combinations(b, 2))
     elif w not in classes:
         _w_tables(a, 2, deadline)  # W's T_2, and the weight-2 count the kernel prunes by
-        hits = _z_kernel(a)(range(n), w, deadline, _w_state(a).pairs)
-        classes[w] = sorted(x >> n for x in hits)
+        if state.kernel is None:  # at the first such class: x bit v above X_v and Y_v
+            state.kernel = cluster_xors([(x | 1 << (n + v), z, y | 1 << (n + v))
+                                         for v, (x, z, y) in enumerate(state.choices)], n)
+        classes[w] = sorted(x >> n for x in state.kernel(range(n), w, deadline, state.pairs))
     return classes[w]
 
 
@@ -177,29 +171,29 @@ def zperp_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
 
 @dataclass
 class _WState:
-    """The W tables and span(Z)'s classes of one graph, grown in place by
-    _w_tables, _w_member and _z_class: each weight class is enumerated once
-    per graph."""
+    """All the analysis keeps of one graph, grown in place by _w_tables,
+    _w_member and _z_class: each weight class is enumerated once per graph."""
+    choices: List[Tuple[int, int, int]]  # v: the syndromes of X_v, Z_v, Y_v
     tables: List[AbstractSet[int]] = field(default_factory=lambda: [frozenset((0,))])  # T_0, ...
     flips: Dict[int, Tuple[int, ...]] = field(default_factory=dict)  # 1 << c: flips of check c
     pairs: Optional[Dict[int, int]] = None  # syndrome: weight-2 Paulis with it; keys T_2
     z_classes: Dict[int, List[int]] = field(default_factory=dict)  # w: _z_class(a, w)
+    kernel: Optional[Callable[..., Iterator[int]]] = None  # span(Z)'s gf2.cluster_xors
 
 
 @functools.lru_cache(maxsize=1)
 def _w_state(a: Gf2Matrix) -> _WState:
-    """The _WState of the last graph."""
-    return _WState()
+    """The _WState of the last graph, made with its single-qubit syndromes."""
+    return _WState([(c, 1 << v, c ^ 1 << v) for v, c in enumerate(a.row_bits)])
 
 
 def _w_tables(a: Gf2Matrix, w: int, deadline: Deadline = NEVER) -> List[AbstractSet[int]]:
     """T_0 .. T_w at least, T_k being T_(k-1) joined with the syndromes of the
-    weight-k Paulis (X, Z and Y at v: A_v, e_v and their xor).  T_2 is the
-    keys of _WState.pairs, kept for the Z span: gf2.pair_counts, T_1 added at
-    count 0.  A budget stop leaves the tables and the count as they were."""
+    weight-k Paulis, xors of _WState.choices on k qubits.  T_2 is the keys of
+    _WState.pairs, kept for the Z span: gf2.pair_counts, T_1 added at count
+    0.  A budget stop leaves the tables and the count as they were."""
     state = _w_state(a)
-    tables = state.tables
-    choices = [(c, 1 << v, c ^ (1 << v)) for v, c in enumerate(a.row_bits)]
+    tables, choices = state.tables, state.choices
     while (k := len(tables)) <= w:
         if k == 2:
             pairs = pair_counts(choices, deadline)
@@ -220,16 +214,16 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
     the last rise reach a quarter of the next weight class's Paulis, at 4 to
     7 times their cost each (cset lattice 4 3 --d 7 rises once: 2.2 s, not
     12 s).  Tables come at the first query: an empty walk builds none."""
-    n, cols, top = a.cols, a.row_bits, d // 2 if t is None else t
+    n, top = a.cols, d // 2 if t is None else t
     t = min(top, 2) if t is None else t
-    base = tables = sizes = flips = None
+    base = tables = sizes = flips = choices = None
     peels = rise_at = 0
 
     def flips_of(bit: int) -> Tuple[int, ...]:
         # Z_c, Y_c, then X_v, Y_v for v in N(c), c the index of bit; once each
-        col = cols[bit.bit_length() - 1]
-        out = [bit, col ^ bit] + [x for v in range(n) if col >> v & 1
-                                  for x in (cols[v], cols[v] ^ (1 << v))]
+        col, z, y = choices[bit.bit_length() - 1]
+        out = [z, y] + [s for v, (xv, _, yv) in enumerate(choices) if col >> v & 1
+                        for s in (xv, yv)]
         flips[bit] = f = tuple(dict.fromkeys(out))
         return f
 
@@ -252,11 +246,12 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
         return False
 
     def member(h: int) -> bool:
-        nonlocal t, base, tables, sizes, flips, peels, rise_at
+        nonlocal t, base, tables, sizes, flips, choices, peels, rise_at
         if peels >= rise_at:  # the first query, or a rise
             tables = _w_tables(a, t + (base is not None), deadline)
-            t = min(top, len(tables) - 1)
-            base, flips, peels, sizes = tables[t], _w_state(a).flips, 0, [len(x) for x in tables]
+            t, state = min(top, len(tables) - 1), _w_state(a)
+            base, flips, choices = tables[t], state.flips, state.choices
+            peels, sizes = 0, [len(x) for x in tables]
             rise_at = math.inf if t == top else math.comb(n, t + 1) * 3 ** (t + 1) // 4
         return h in base or (t < d - 1 and peel(h, d - 1 - t))
 
@@ -397,10 +392,10 @@ def verify_codewords(
     stops once its 2^rank - 1 nonzero vectors are tested: a subspace with
     zero stops after its zero-label pairs.  Deadline checked at every pair.
     """
-    hs = list(hs)
+    q, hs = SetQuery(g, d), list(hs)  # an out-of-range d is a ValueError first
     if len(set(hs)) != len(hs):
         return VerifyVerdict(False, "duplicate labels")
-    zb = z_span_basis(SetQuery(g, d), deadline)
+    zb = z_span_basis(q, deadline)
     for i, h in enumerate(hs):
         if h.n != g.n:
             raise ValueError(f"label length {h.n} != {g.n}")

@@ -172,18 +172,23 @@ def cmd_verify(args, config: dict) -> Outcome:
 
 
 def cmd_oracle(args, config: dict) -> Outcome:
-    extra = [opt for opt, v in (("--h", args.h), ("--d", args.d)) if v is not None]
-    if args.matrix_elements and extra:
-        raise ValueError(f"{' and '.join(extra)} cannot be combined with --matrix-elements")
+    pair = [opt for opt in ("--h", "--d") if getattr(args, opt[2:]) is not None]
+    sampling = [opt for opt in ("--samples", "--seed") if getattr(args, opt[2:]) is not None]
+    if args.matrix_elements and pair:
+        raise ValueError(f"{' and '.join(pair)} cannot be combined with --matrix-elements")
+    if not args.matrix_elements and sampling:
+        raise ValueError(f"{' and '.join(sampling)} cannot be used without --matrix-elements")
     g = _graph(args, config)
     deadline = _deadline()
     if args.matrix_elements:
-        if args.samples < 1:
+        # unset: 100 samples from seed 0, the values the report's config shows
+        samples = 100 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        config.update(samples=samples, seed=seed)
+        if samples < 1:
             raise ValueError("--samples must be at least 1")
-        rng = random.Random(args.seed)
-        a = g.adjacency()
-        worst = 0.0
-        for i in range(args.samples):
+        rng, a, worst = random.Random(seed), g.adjacency(), 0.0
+        for i in range(samples):
             deadline.check()
             h, gg, k, l = (BitString(g.n, rng.getrandbits(g.n)) for _ in range(4))
             if not i % 2:
@@ -196,7 +201,7 @@ def cmd_oracle(args, config: dict) -> Outcome:
                 qoracle.graph_basis_state(g, gg), k, l)
             worst = max(worst, abs(lhs - rhs))
         ok = worst <= qoracle.DEFAULT_TOL
-        return {"samples": args.samples, "max_deviation": worst, "pass": ok}, ok, False
+        return {"samples": samples, "max_deviation": worst, "pass": ok}, ok, False
     if args.h is None:
         raise ValueError("need --h/--d or --matrix-elements")
     if args.d is None:
@@ -311,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--matrix-elements", action="store_true",
                    help="compare analytic vs state-vector matrix elements")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the --matrix-elements samples")
+    p.add_argument("--samples", type=int, default=None,
+                   help="--matrix-elements sample count (default 100)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the --matrix-elements samples (default 0)")
     _add_format(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -331,25 +331,21 @@ def cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callable[..., It
             single.setdefault(s, []).append((e, c))
     spread = max((s.bit_count() for s in single), default=0)
     # check -> the entries that flip it, and the checks grouped by how many
-    # entries flip them, fewest first; built when a growth first needs them
-    flips, tiers = [[] for _ in range(m)], []
-
-    def tables() -> None:
-        for entry in entries:
-            s = entry[1]
-            while s:
-                t = s & -s
-                flips[t.bit_length() - 1].append(entry)
-                s ^= t
-        tiers.extend(sum(1 << i for i, f in enumerate(flips) if len(f) == k)
-                     for k in sorted({len(f) for f in flips}))
+    # entries flip them, fewest first
+    flips = [[] for _ in range(m)]
+    for entry in entries:
+        s = entry[1]
+        while s:
+            t = s & -s
+            flips[t.bit_length() - 1].append(entry)
+            s ^= t
+    tiers = [sum(1 << i for i, f in enumerate(flips) if len(f) == k)
+             for k in sorted({len(f) for f in flips})]
 
     def xors(roots: Iterable[int], w: int, deadline: Deadline = NEVER,
              pairs: Optional[Mapping[int, int]] = None) -> Iterator[int]:
         nodes = itertools.count(1)  # growth nodes, for the deadline
         deadline.check()
-        if w > 2 and not tiers:
-            tables()
         # a node with two positions left needs this many weight-2 products
         # with its syndrome: its completion, and at w = 4 its own prefix too
         need = 0 if pairs is None else 1 + (w == 4)  # 0: no table, no check

@@ -100,8 +100,8 @@ class StabilizerGroup:
 
     Row reduction is a gf2.Echelon of the symplectic rows x | z << n, in
     generator order; a residue modulo the group is unique (Echelon gives
-    why), and 0 exactly on the group's elements up to sign.  _echelon()
-    fills _ech at its first call.  Frozen, and equal only to itself.
+    why), and 0 exactly on the group's elements up to sign.  _ech is that
+    Echelon, built with the group.  Frozen, and equal only to itself.
     """
 
     n: int
@@ -110,7 +110,7 @@ class StabilizerGroup:
     symmetries: Tuple[Tuple[int, ...], ...] = ()
     _xcols: Tuple[int, ...] = field(init=False)
     _zcols: Tuple[int, ...] = field(init=False)
-    _ech: Optional[Echelon] = field(default=None, init=False)
+    _ech: Echelon = field(init=False)
 
     def __post_init__(self):
         n, rows, signs = self.n, tuple(self.rows), self.signs
@@ -144,6 +144,7 @@ class StabilizerGroup:
                 gens = self.generators
                 a, b = gens[i], gens[(syn & -syn).bit_length() - 1]
                 raise ValueError(f"generators do not commute: {a.to_text()} vs {b.to_text()}")
+        object.__setattr__(self, "_ech", Echelon(x | z << n for x, z in rows))
 
     @property
     def generators(self) -> Tuple[Pauli, ...]:
@@ -152,15 +153,8 @@ class StabilizerGroup:
         return tuple(Pauli(BitString(n, x), BitString(n, z), -1 if signs >> i & 1 else 1)
                      for i, (x, z) in enumerate(self.rows))
 
-    def _echelon(self) -> Echelon:
-        """The Echelon of the generators' symplectic rows, built once."""
-        if self._ech is None:
-            n = self.n
-            object.__setattr__(self, "_ech", Echelon(x | z << n for x, z in self.rows))
-        return self._ech
-
     def rank(self) -> int:
-        return len(self._echelon().rows)
+        return len(self._ech.rows)
 
     def _syndrome(self, x: int, z: int) -> int:
         """Bit i set iff X^x Z^z anticommutes with generator i."""
@@ -355,7 +349,7 @@ def normalizer_min_weight(
     sx = [zc | 1 << (m + n + v) for v, zc in enumerate(s._zcols)]
     sz = [xc | 1 << (m + v) for v, xc in enumerate(s._xcols)]
     low, xors = (1 << n) - 1, cluster_xors([(a, b, a ^ b) for a, b in zip(sx, sz)], m)
-    reduce = s._echelon().reduce
+    reduce = s._ech.reduce
     try:
         for w in range(1, min(w_max, n) + 1):
             keys = [  # of the hits outside the group
@@ -431,10 +425,11 @@ def verify_3d_code(
     plus the derivation-chain equality against the graph-state construction.
     (a)-(c) and the derivation run on the (x, z) int rows of gen_3d_code and
     of the strings, and only the code's group is built (its constructor
-    checks that the generators commute).  The deadline is checked after the
-    build, (b), (c) and the derivation, where a stop raises
-    BudgetExceededError; a stop in the scan leaves a report that keeps
-    (a)-(c), with the budget message and the distance's lower bound.
+    checks that the generators commute and reduces them, which (b) reads).
+    The deadline is checked after the build, (b), (c) and the derivation,
+    where a stop raises BudgetExceededError; a stop in the scan leaves a
+    report that keeps (a)-(c), with the budget message and the distance's
+    lower bound.
     """
     s = gen_3d_code(L)
     deadline.check()
@@ -449,7 +444,7 @@ def verify_3d_code(
     # independent iff the strings are independent modulo the group; a string
     # inside the group leaves residue 0.
     logicals = logical_strings(L)
-    residues = Echelon(s._echelon().reduce(x | z << n) for x, z in logicals)
+    residues = Echelon(s._ech.reduce(x | z << n) for x, z in logicals)
     logicals_ok = all(map(s.in_normalizer, logicals)) and len(residues.rows) == L
     deadline.check()
 

@@ -280,24 +280,20 @@ def reference_cluster_xors(choices: Sequence[Tuple[int, ...]], m: int) -> Callab
             single.setdefault(c & low, []).append((e, c))
     spread = max((s.bit_count() for s in single), default=0)
     # check -> the entries that flip it, and the checks grouped by how many
-    # entries flip them, fewest first; built when a growth first needs them
-    flips, tiers = [[] for _ in range(m)], []
-
-    def tables() -> None:
-        for entry in entries:
-            s = entry[1] & low
-            while s:
-                t = s & -s
-                flips[t.bit_length() - 1].append(entry)
-                s ^= t
-        tiers.extend(sum(1 << i for i, f in enumerate(flips) if len(f) == k)
-                     for k in sorted({len(f) for f in flips}))
+    # entries flip them, fewest first
+    flips = [[] for _ in range(m)]
+    for entry in entries:
+        s = entry[1] & low
+        while s:
+            t = s & -s
+            flips[t.bit_length() - 1].append(entry)
+            s ^= t
+    tiers = [sum(1 << i for i, f in enumerate(flips) if len(f) == k)
+             for k in sorted({len(f) for f in flips})]
 
     def xors(roots: Iterable[int], w: int, deadline=gf2.NEVER) -> Iterator[int]:
         nodes = itertools.count(1)  # growth nodes, for the deadline
         deadline.check()
-        if w > 2 and not tiers:
-            tables()
 
         def grow(acc: int, left: int, open_: int) -> Iterator[List[int]]:
             # left >= 2 positions still to add to acc, whose syndrome is nonzero
@@ -413,7 +409,7 @@ def connected_normalizer_min_weight(s, w_max):
             if best is not None and key >= best:
                 continue
             xb, zb = key >> n, key & low
-            if s._echelon().reduce(xb | zb << n):
+            if s._ech.reduce(xb | zb << n):
                 best = key
         if best is not None:
             return w, Pauli(BitString(n, best >> n), BitString(n, best & low))

@@ -572,9 +572,7 @@ class TestWTables:
 
         monkeypatch.setattr(analysis, "cluster_xors", recording)
         analysis._w_state.cache_clear()
-        analysis._z_kernel.cache_clear()
         res = d_max(g)
-        analysis._z_kernel.cache_clear()
         assert weights == list(range(3, len(weights) + 3)), weights
         assert len(weights) <= max(res.value - 2, 0)
         assert all(counts)
@@ -602,14 +600,10 @@ class TestWTables:
         monkeypatch.setattr(analysis, "pair_counts", counting)
         monkeypatch.setattr(analysis, "cluster_xors", recording)
         analysis._w_state.cache_clear()
-        analysis._z_kernel.cache_clear()
-        try:
-            first = c_set(SetQuery(read_edge_list(str(path)), 4))
-            assert weights == [1, 2] and kernels == [18]
-            assert c_set(SetQuery(read_edge_list(str(path)), 4)) == first
-            assert weights == [1, 2] and kernels == [18]
-        finally:
-            analysis._z_kernel.cache_clear()
+        first = c_set(SetQuery(read_edge_list(str(path)), 4))
+        assert weights == [1, 2] and kernels == [18]
+        assert c_set(SetQuery(read_edge_list(str(path)), 4)) == first
+        assert weights == [1, 2] and kernels == [18]
 
 
 class CountingSet(frozenset):
@@ -759,7 +753,8 @@ class TestZSpanConnectedSupports:
         # until the span is full, and the single generators alone fill it
         # once every deg(v) + 1 <= d-1; the kernel reads the weight-2 count of
         # W's T_2, built here beforehand, so the Z span enumerates no support;
-        # the kept classes are dropped before each d, so each d runs them cold
+        # the kernel is dropped from the graph's record, so the spy builds it,
+        # and the kept classes before each d, so each d runs them cold
         calls = []
 
         def recording(choices, m):
@@ -781,7 +776,7 @@ class TestZSpanConnectedSupports:
                 m.setattr(analysis, "cluster_xors", recording)
                 m.setattr(analysis, "support_xors", forbidden)
                 m.setattr(analysis, "pair_counts", forbidden)
-                analysis._z_kernel.cache_clear()
+                analysis._w_state(g.adjacency()).kernel = None
                 for d in range(1, g.n + 2):
                     analysis._w_state(g.adjacency()).z_classes.clear()
                     calls.clear()
@@ -792,7 +787,6 @@ class TestZSpanConnectedSupports:
                     assert len(calls) <= max(min(d - 1, g.n) - 2, 0)
                     if all(deg + 1 <= d - 1 for deg in degrees(g)):
                         assert calls == [], (g.n, d)
-        analysis._z_kernel.cache_clear()
         assert calls == [] and z_span_basis(SetQuery(line_of_complete(5), 8)) != []
 
     def test_deadline_checked_within_a_root(self, monkeypatch):
@@ -816,10 +810,9 @@ class TestZSpanConnectedSupports:
             return rooted
 
         monkeypatch.setattr(analysis, "cluster_xors", tracking)
-        analysis._z_kernel.cache_clear()
+        analysis._w_state.cache_clear()
         q = SetQuery(toric(6), 6)
         assert len(z_span_basis(q, Recording())) == 70
-        analysis._z_kernel.cache_clear()
         assert max(seen.values()) >= 3
 
 
@@ -830,19 +823,18 @@ class TestZClassSequence:
 
     @staticmethod
     def kernels(g, monkeypatch):
-        """(the kernel _z_kernel builds for g, the reference on its choices)"""
-        made = []
+        """(the kernel _z_class builds for g, the reference on its choices)"""
+        made, a = [], g.adjacency()
 
         def recording(choices, m):
             made.append((choices, m))
             return cluster_xors(choices, m)
 
         monkeypatch.setattr(analysis, "cluster_xors", recording)
-        analysis._z_kernel.cache_clear()
-        xors = analysis._z_kernel(g.adjacency())
-        analysis._z_kernel.cache_clear()
+        analysis._w_state.cache_clear()
+        analysis._z_class(a, 3)
         (choices, m), = made
-        return xors, reference_cluster_xors(choices, m)
+        return analysis._w_state(a).kernel, reference_cluster_xors(choices, m)
 
     def test_kernel_on_random_graphs(self, monkeypatch):
         rng = random.Random("z-kernel-sequence")
@@ -906,16 +898,16 @@ class TestZClassSequence:
 
         g, where, now = toric(6), [], [None]
         a, z_class = g.adjacency(), analysis._z_class
-        analysis._z_kernel.cache_clear()
         analysis._w_state.cache_clear()  # a cold class 5: _z_class keeps each class
         analysis._w_tables(a, 2)  # the weight-2 count, built before any check is counted
         pairs = analysis._w_state(a).pairs
         counted = StopAt(None)
         assert list(z_class(a, 5, counted)) == []
         assert counted.checks > 2
+        kernel = analysis._w_state(a).kernel
         for stop in (2, counted.checks):
             with pytest.raises(Expired):
-                list(analysis._z_kernel(a)(range(g.n), 5, StopAt(stop), pairs))
+                list(kernel(range(g.n), 5, StopAt(stop), pairs))
             analysis._w_state.cache_clear()
             analysis._w_tables(a, 2)
             with pytest.raises(Expired):
@@ -932,18 +924,13 @@ class TestZClassSequence:
             def check(self):
                 where.append(now[0])
 
-        def cold():
-            analysis._w_state.cache_clear()
-            analysis._z_kernel.cache_clear()
-
         monkeypatch.setattr(analysis, "_z_class", marking)
-        cold()
+        analysis._w_state.cache_clear()
         assert d_max(g, Recording()).value == 6
         second = [i for i, w in enumerate(where) if w == 5][1]
-        cold()
+        analysis._w_state.cache_clear()
         res = d_max(g, RaiseAtCheck(second + 1))
         assert not res.ok and res.bracket == (5, None)
-        analysis._z_kernel.cache_clear()
 
 
 class TestZClassMemo:
@@ -966,18 +953,14 @@ class TestZClassMemo:
 
         monkeypatch.setattr(analysis, "cluster_xors", recording)
         analysis._w_state.cache_clear()
-        analysis._z_kernel.cache_clear()
-        try:
-            members = c_set(SetQuery(g, 4)).members
-            for _ in range(2):
-                assert verify_codewords(g, 4, members[:1])
-                assert in_C(SetQuery(g, 5), members[0]) is False
-                assert d_max(g).value == 4
-                assert c_set(SetQuery(g, 6)).zperp_basis == ()
-            assert weights == [3, 4]
-            assert sorted(analysis._w_state(g.adjacency()).z_classes) == [2, 3, 4]
-        finally:
-            analysis._z_kernel.cache_clear()
+        members = c_set(SetQuery(g, 4)).members
+        for _ in range(2):
+            assert verify_codewords(g, 4, members[:1])
+            assert in_C(SetQuery(g, 5), members[0]) is False
+            assert d_max(g).value == 4
+            assert c_set(SetQuery(g, 6)).zperp_basis == ()
+        assert weights == [3, 4]
+        assert sorted(analysis._w_state(g.adjacency()).z_classes) == [2, 3, 4]
 
     def test_budget_stop_inside_a_class_keeps_nothing(self):
         # toric 3: class 6 checks the deadline 18 times, and z_span_basis at
@@ -998,6 +981,20 @@ class TestZClassMemo:
         assert sorted(analysis._w_state(a).z_classes) == [2, 3]
         assert analysis._z_class(a, 6) == want_class
         assert z_span_basis(q) == want_span
+
+    def test_one_clear_resets_the_kernel(self, monkeypatch):
+        # the kernel is kept in the graph's record, so clearing _w_state drops
+        # it with the classes, and the next class of weight >= 3 builds it anew
+        a, built = toric(3).adjacency(), []
+
+        def recording(choices, m):
+            built.append(m)
+            return cluster_xors(choices, m)
+
+        want = analysis._z_class(a, 3)
+        analysis._w_state.cache_clear()
+        monkeypatch.setattr(analysis, "cluster_xors", recording)
+        assert analysis._z_class(a, 3) == want and built == [18]
 
     def test_zero_budget_stops_warm_queries(self):
         # every class the queries read is kept, so only the check at the
@@ -1157,23 +1154,18 @@ class TestDMax:
             def check(self):
                 where.append(tuple(now))
 
-        def cold():
-            analysis._w_state.cache_clear()
-            analysis._z_kernel.cache_clear()
-
         monkeypatch.setattr(analysis, "_z_class", z_marking)
         monkeypatch.setattr(analysis, "_w_member", w_marking)
-        cold()
+        analysis._w_state.cache_clear()
         want = d_max(g, Recording())
         assert want.value == 6 and len(analysis._w_state(g.adjacency()).tables) == 3
         stops = {where.index((5, "z class")): 4, where.index((6, "z class")): 5,
                  where.index((6, "member")): 5}
         for i, finished in stops.items():
-            cold()
+            analysis._w_state.cache_clear()
             res = d_max(g, RaiseAtCheck(i + 1))
             assert not res.ok and res.bracket == (finished, None), where[i]
         assert d_max(g) == want  # the caches a stop leaves still serve
-        analysis._z_kernel.cache_clear()
 
     def test_matches_the_per_probe_route_on_random_graphs(self):
         rng = random.Random("d-max-per-probe")
@@ -1223,6 +1215,13 @@ class TestVerifyCodewords:
         b = BitString.from_text("0110")
         v = verify_codewords(g, 2, [b, b])
         assert not v and v.witness == "duplicate labels"
+
+    def test_out_of_range_d_is_rejected_before_the_labels(self):
+        # repeated labels too: d is checked first, a ValueError and no verdict
+        b = BitString.from_text("0110")
+        for labels in ([b], [b, b]):
+            with pytest.raises(ValueError, match=r"need 1 <= d <= n\+1, got d=99"):
+                verify_codewords(star(4), 99, labels)
 
     def test_rook_pair_fails_with_xor_witness(self):
         g = line_of_bipartite(4)

@@ -203,6 +203,16 @@ class TestVerify:
         assert not rep["results"]["pass"]
         assert rep["results"]["witness"]
 
+    @pytest.mark.parametrize("labels", ["0110\n", "0110\n0110\n"], ids=["once", "twice"])
+    def test_out_of_range_d_is_an_error_line(self, capsys, tmp_path, labels):
+        # a repeated label is no verdict on a d the graph cannot have
+        path = tmp_path / "labels.txt"
+        path.write_text(labels)
+        code, out, err = run(
+            capsys, ["verify", "star", "4", "--d", "99", "--codewords", str(path)])
+        assert code == 1 and out == ""
+        assert err == "error: need 1 <= d <= n+1, got d=99\n"
+
     def test_ldpc(self, capsys, tmp_path):
         path = tmp_path / "code.txt"
         path.write_text("111\n")
@@ -487,6 +497,28 @@ class TestOracle:
         code, out, err = run(capsys, ["oracle", "star", "3", "--matrix-elements"] + argv)
         assert code == 1 and out == ""
         assert err == f"error: {why}\n"
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--h", "0110", "--d", "2", "--samples", "5", "--seed", "3"], "--samples and --seed"),
+        (["--h", "0110", "--d", "2", "--samples", "5"], "--samples"),
+        (["--seed", "3"], "--seed"),
+    ], ids=["h-samples-seed", "h-samples", "seed"])
+    def test_sample_options_without_matrix_elements(self, capsys, argv, why):
+        code, out, err = run(capsys, ["oracle", "star", "4"] + argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {why} cannot be used without --matrix-elements\n"
+
+    def test_config_shows_the_samples_used(self, capsys):
+        # the pair check draws no sample; --matrix-elements reports the
+        # count and seed it drew with, given or not
+        _, rep = run_json(capsys, ["oracle", "star", "4", "--h", "0110", "--d", "2"])
+        assert rep["config"]["samples"] is None and rep["config"]["seed"] is None
+        _, rep = run_json(capsys, ["oracle", "star", "3", "--matrix-elements"])
+        assert (rep["config"]["samples"], rep["config"]["seed"]) == (100, 0)
+        assert rep["results"]["samples"] == 100
+        _, rep = run_json(capsys, ["oracle", "star", "3", "--matrix-elements",
+                                   "--samples", "7", "--seed", "3"])
+        assert (rep["config"]["samples"], rep["config"]["seed"]) == (7, 3)
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TQO_BUDGET_MS", "0.0001")

@@ -236,7 +236,7 @@ class TestEchelon:
         assert Echelon().kernel_basis(0) == []
         assert Echelon([0b0011, 0b0110]).kernel_basis(4) == [0b0111, 0b1000]
 
-    def test_kernel_basis_of_a_growing_echelon(self):
+    def test_kernel_basis_as_rows_are_added(self):
         # rows added over several calls, as a search adds each weight class
         rng = random.Random(5)
         ech, rows = Echelon(), []

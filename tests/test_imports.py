@@ -92,10 +92,29 @@ def private_definitions(tree):
 
 
 def loads(trees):
-    """(name, node id) of each name or attribute read anywhere in the trees."""
-    return [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    """(name, node id) of each name or attribute read anywhere in the trees
+    (file: tree), but no attribute read through a module outside the files
+    that an absolute import binds (np.zeros, os.environ.get): that names the
+    outside module's API.  import tqograph or import a, for a file a.py,
+    binds one of the files' own modules."""
+    own = {part for file in trees for part in pathlib.PurePath(file).with_suffix("").parts}
+    out = []
+    for tree in trees.values():
+        outside = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name.split(".")[0] not in own}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Name, ast.Attribute)) or not isinstance(node.ctx, ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                out.append((node.id, id(node)))
+                continue
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in outside):
+                out.append((node.attr, id(node)))
+    return out
 
 
 def referenced_outside(name, node, refs):
@@ -109,7 +128,7 @@ def unreferenced_private(sources):
     that no name or attribute in the sources refers to outside its own
     definition: a dead helper or setting, or one only the tests use."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = loads(trees.values())
+    refs = loads(trees)
     out = []
     for file, tree in trees.items():
         for name, node in private_definitions(tree):
@@ -170,7 +189,7 @@ def unreferenced_public(sources, exempt=frozenset()):
     outside its own definition, matched by its last name, unless (module,
     qualified name) is in exempt: dead code, or API only the tests use."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    refs = loads(trees.values())
+    refs = loads(trees)
     out = []
     for file, tree in trees.items():
         module = pathlib.PurePath(file).stem
@@ -205,6 +224,19 @@ def test_detects_an_unreferenced_public_name():
     assert unreferenced_public(sources, exempt) == [
         ("a.py", "dead", 2), ("a.py", "recursive", 4), ("a.py", "Kept.dead_method", 7),
         ("a.py", "Dead", 11)]
+
+
+def test_a_read_through_an_outside_module_is_no_use():
+    # np.zeros and os.environ.get read numpy's and os's API, so they do not
+    # keep Bits.zeros or Bits.get; a read through the package's own module
+    # a, or on a value that a call returned, still counts
+    sources = {
+        "a.py": ("class Bits:\n    def zeros(self): pass\n    def get(self): pass\n"
+                 "    def ones(self): pass\n    def copy(self): pass\n"),
+        "b.py": ("import os\nimport numpy as np\nfrom . import a\n"
+                 "np.zeros(3)\nos.environ.get('X')\na.Bits().ones()\nnp.array(1).copy()\n"),
+    }
+    assert unreferenced_public(sources) == [("a.py", "Bits.zeros", 2), ("a.py", "Bits.get", 3)]
 
 
 def unread_constants(sources):

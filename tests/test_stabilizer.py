@@ -52,7 +52,7 @@ def commutes(p, q):
 
 def residue(s, p):
     """p's symplectic vector reduced modulo s: zero iff p is in s up to sign."""
-    return s._echelon().reduce(p.x.bits | p.z.bits << s.n)
+    return s._ech.reduce(p.x.bits | p.z.bits << s.n)
 
 
 def row_paulis(n, rows):
@@ -287,7 +287,7 @@ class TestStabilizerGroup:
             with pytest.raises(AttributeError):
                 setattr(s, name, None)
         assert s == s and s != StabilizerGroup(2, rows)
-        assert s._echelon() is s._echelon() and s.rank() == 2
+        assert len(s._ech.rows) == s.rank() == 2  # the Echelon is built with the group
         assert repr(s).startswith("<tqograph.stabilizer.StabilizerGroup object at ")
 
     def test_rejects_anticommuting(self):
@@ -389,7 +389,7 @@ class TestPivotReduction:
 
     def assert_same_reduction(self, rng, s, queries):
         basis = reference_reduced_basis(s)
-        ech = s._echelon()
+        ech = s._ech
         assert tuple(ech.rows.items()) == tuple((p, r) for p, r, _ in basis)
         assert ech.pivots == sum(1 << p for p, _, _ in basis)
         assert s.rank() == len(basis)
@@ -412,7 +412,7 @@ class TestPivotReduction:
         basis = reference_reduced_basis(s)
         for x, z in logical_strings(L):
             r = x | (z << s.n)
-            assert s._echelon().reduce(r) == reference_reduce(basis, r)[0]
+            assert s._ech.reduce(r) == reference_reduce(basis, r)[0]
 
 
 class TestGraphStabilizers:
