@@ -23,7 +23,8 @@ T_2 (_WState.pairs): a node with two qubits left is grown only when some
 weight-2 Pauli has its syndrome, two at weight 4, where its own prefix is one.
 Every completion passes, so every hit, basis, C-set and certificate stays.
 Each class and the kernel are kept with W's tables in one record per graph
-(_WState); every basis of Zp is the kernel of one z_span_basis (zperp_basis).
+(_WState); every basis of Zp is the kernel of one z_span_basis, kept there
+per d, so span(Z) is reduced once per (graph, d) (zperp_basis).
 
 W by meet in the middle, peeled down to a table.  A.m ^ l is the syndrome
 of the Pauli with X part m and Z part l: at vertex v, X contributes column
@@ -50,6 +51,16 @@ At a level j <= t where |flips| * |T_(j-1)| >= |T_j| it scans h ^ T_j
 against T_t instead, so by induction a level-j call does at most |T_j|
 lookups (at t = d // 2, no more than one scan of h ^ T_(d-1-t)); a level
 above T_t multiplies the calls by at most |flips|.
+
+A peel at level j >= 2 first packs h: it counts the lowest check c of h,
+clears near[c], the checks that some flip of c flips too (those within
+distance 2 of c), and repeats.  No single choice flips two packed checks,
+so a Pauli with syndrome h spends a qubit on each of them: with more than
+t + j packed, h is not in T_t ^ T_j and the peel answers no.  That drops
+only branches that could find nothing, so every answer stays.  It settles
+toric L's certificate at d = L at the first peel, as its L x-hubs lie
+pairwise 4 apart (dmax toric 9: 33 s -> 2.6 s).  A level-1 peel is a
+single scan, so it is not packed.
 
 Zp is walked by one int generator, _span_walk: at step c it xors in the
 step indexed by the lowest set bit of c.  With the kernel basis as the
@@ -164,21 +175,28 @@ def z_span_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
 
 def zperp_basis(q: SetQuery, deadline: Deadline = NEVER) -> List[BitString]:
     """Basis of Zp, the kernel of z_span_basis, in increasing order
-    (gf2.Echelon.kernel_basis)."""
-    rows = _z_span_rows(q, deadline)
-    return Gf2Matrix(len(rows), q.graph.n, rows).kernel_basis()
+    (gf2.Echelon.kernel_basis).  Kept in _WState per d once whole, so span(Z)
+    is reduced once per (graph, d); a budget stop keeps nothing."""
+    zperp = _w_state(q.graph.adjacency()).zperp
+    if q.d not in zperp:
+        rows = _z_span_rows(q, deadline)
+        zperp[q.d] = tuple(Gf2Matrix(len(rows), q.graph.n, rows).kernel_basis())
+    return list(zperp[q.d])
 
 
 @dataclass
 class _WState:
     """All the analysis keeps of one graph, grown in place by _w_tables,
-    _w_member and _z_class: each weight class is enumerated once per graph."""
+    _w_member, _z_class and zperp_basis: each weight class is enumerated once
+    per graph, and span(Z) reduced once per (graph, d)."""
     choices: List[Tuple[int, int, int]]  # v: the syndromes of X_v, Z_v, Y_v
     tables: List[AbstractSet[int]] = field(default_factory=lambda: [frozenset((0,))])  # T_0, ...
     flips: Dict[int, Tuple[int, ...]] = field(default_factory=dict)  # 1 << c: flips of check c
+    near: Dict[int, int] = field(default_factory=dict)  # 1 << c: the checks its flips flip
     pairs: Optional[Dict[int, int]] = None  # syndrome: weight-2 Paulis with it; keys T_2
     z_classes: Dict[int, List[int]] = field(default_factory=dict)  # w: _z_class(a, w)
     kernel: Optional[Callable[..., Iterator[int]]] = None  # span(Z)'s gf2.cluster_xors
+    zperp: Dict[int, Tuple[BitString, ...]] = field(default_factory=dict)  # d: zperp_basis
 
 
 @functools.lru_cache(maxsize=1)
@@ -213,10 +231,13 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
     tallest table built, and rises toward d // 2 once the peel calls since
     the last rise reach a quarter of the next weight class's Paulis, at 4 to
     7 times their cost each (cset lattice 4 3 --d 7 rises once: 2.2 s, not
-    12 s).  Tables come at the first query: an empty walk builds none."""
+    12 s).  A peel at level j >= 2 answers no when a packing of h holds more
+    than t + j checks, near[c] being built beside the flips of check c
+    (module docstring).  Tables come at the first query: an empty walk
+    builds none."""
     n, top = a.cols, d // 2 if t is None else t
     t = min(top, 2) if t is None else t
-    base = tables = sizes = flips = choices = None
+    base = tables = sizes = flips = near = choices = None
     peels = rise_at = 0
 
     def flips_of(bit: int) -> Tuple[int, ...]:
@@ -227,12 +248,25 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
         flips[bit] = f = tuple(dict.fromkeys(out))
         return f
 
+    def near_of(bit: int) -> int:
+        # the checks that the flips of bit's check flip: those within distance 2
+        near[bit] = x = functools.reduce(operator.or_, flips.get(bit) or flips_of(bit))
+        return x
+
     def peel(h: int, j: int) -> bool:
         # h in T_t ^ T_j, for j >= 1
         nonlocal peels
         peels += 1
         if not h:
             return True
+        if j > 1:  # more than t + j checks no choice flips two of: no
+            g, left = h, t + j
+            while g.bit_count() > left:  # the packing may still pass left
+                if not left:
+                    return False
+                left -= 1
+                b = g & -g
+                g &= ~(near.get(b) or near_of(b))
         f = flips.get(h & -h) or flips_of(h & -h)
         if j > t:  # above the tables
             deadline.check()
@@ -246,11 +280,11 @@ def _w_member(a: Gf2Matrix, d: int, deadline: Deadline = NEVER,
         return False
 
     def member(h: int) -> bool:
-        nonlocal t, base, tables, sizes, flips, choices, peels, rise_at
+        nonlocal t, base, tables, sizes, flips, near, choices, peels, rise_at
         if peels >= rise_at:  # the first query, or a rise
             tables = _w_tables(a, t + (base is not None), deadline)
             t, state = min(top, len(tables) - 1), _w_state(a)
-            base, flips, choices = tables[t], state.flips, state.choices
+            base, flips, near, choices = tables[t], state.flips, state.near, state.choices
             peels, sizes = 0, [len(x) for x in tables]
             rise_at = math.inf if t == top else math.comb(n, t + 1) * 3 ** (t + 1) // 4
         return h in base or (t < d - 1 and peel(h, d - 1 - t))
@@ -346,9 +380,10 @@ def d_max(g: Graph, deadline: Deadline = NEVER) -> DMaxResult:
     answer lies in [1, n].  The search walks up from d = 1 and stops at the
     first empty C; the least member found at the last nonempty d is the
     certificate, found by walking the prefix xors of the increasing
-    zperp_basis.  Each probe reduces span(Z) afresh from the classes kept per
-    graph (_z_class).  On budget exhaustion the bracket found so far is
-    returned instead of a value.  The empty graph has no answer: ValueError.
+    zperp_basis.  Each probe reduces span(Z) from the classes kept per graph
+    (_z_class) unless its Z^perp basis is kept already (zperp_basis).  On
+    budget exhaustion the bracket found so far is returned instead of a
+    value.  The empty graph has no answer: ValueError.
     """
     if g.n == 0:
         raise ValueError("empty graph")

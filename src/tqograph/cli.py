@@ -34,8 +34,9 @@ from . import stabilizer
 
 SCHEMA = "tqograph-report/1"
 Outcome = Tuple[dict, bool, bool]  # (results, ok, budget_exceeded)
-# parsed arguments that select the run or its output, kept out of the config
-_NOT_CONFIG = {"cmd", "func", "format", "graph_file", "open_boundary"}
+# parsed arguments that select the command or the output format, kept out of
+# the config
+_NOT_CONFIG = {"cmd", "func", "format"}
 
 COST_NOTE = (
     "Cost notes: the state-vector check (real amplitudes, n <= 14) takes one transposed "
@@ -48,7 +49,11 @@ COST_NOTE = (
     "enumerated once per graph.  With two qubits left, a Z-span Pauli grows only if a weight-2 "
     "Pauli (two at weight 4) has its syndrome, counted once per graph in a table keyed "
     "by W's weight-2 table; the code3d scan keeps no such count (1.2e6 syndromes at "
-    "L = 8).  cset and dmax walk the 2^r members of Z^perp, capped by TQO_BUDGET_MS."
+    "L = 8).  A W peel with two or more levels to go, and a code3d scan node, is "
+    "dropped when its syndrome holds more checks that no single choice flips two of "
+    "than it has qubits left: each such check needs a qubit of its own, so no answer "
+    "changes.  Z^perp is kept per graph and d.  cset and dmax walk the 2^r members of "
+    "Z^perp, capped by TQO_BUDGET_MS."
 )
 
 
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-distance-scan", dest="distance_scan",
                    action="store_false",
                    help="structure checks only (the scan, grown from qubit 0, "
-                        "takes about 0.1 s at L = 7 and 0.5 s at L = 8)")
+                        "takes about 0.1 s at L = 8 and 0.5 s at L = 9)")
     _add_format(p)
     p.set_defaults(func=cmd_code3d)
 

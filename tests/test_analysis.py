@@ -658,6 +658,34 @@ class TestWPeel:
             for d in range(1, n + 2):
                 self.assert_matches(g, d, range(1 << n))
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_random_graphs_every_height(self, dense):
+        # the check packing cuts peels at levels j >= 2, so every height
+        # t <= d // 2 runs it at other levels, beside the default rule
+        rng = random.Random(f"w-heights:{dense}")
+        cases = 0
+        for n in range(1, 13):
+            g, hs = (random_graph if dense else sparse_graph)(rng, n), range(1 << n)
+            for d in range(1, n + 2):
+                want = list(filter(reference_w_member(g, d), hs))
+                for t in [None, *range(d // 2 + 1)]:
+                    member = analysis._w_member(g.adjacency(), d, t=t)
+                    assert [h for h in hs if member(h)] == want, (g.edges, d, t)
+                    cases += len(hs)
+        assert cases > 200_000
+
+    def test_check_packing_settles_the_toric_certificates(self):
+        # the L x-hubs of toric L lie pairwise 4 apart, so no choice flips
+        # two of them and the certificate query at d = L fails at the first
+        # peel, above the tables, before its deadline check
+        for L in (6, 8):
+            g, res = toric(L), d_max(toric(L))
+            a, cert = g.adjacency(), res.certificate.bits
+            assert res.value == L and cert == sum(1 << (L * j + L - 1) for j in range(L))
+            dl = CountingDeadline()
+            assert not analysis._w_member(a, L, dl)(cert) and dl.checks == 0
+            assert len(analysis._w_state(a).tables) == 3  # t = 2, peeled from j = L - 3
+
     @pytest.mark.parametrize("g", [toric(3), lattice(4, 2)], ids=["toric3", "lattice42"])
     def test_peel_two_levels(self, g):
         # b = 2, and |flips| * |T_1| < |T_2| at every check: no query scans
@@ -935,7 +963,8 @@ class TestZClassSequence:
 
 class TestZClassMemo:
     """span(Z)'s weight classes are kept per graph beside W's tables
-    (_WState.z_classes), and every Z^perp comes from one z_span_basis."""
+    (_WState.z_classes), and every Z^perp comes from one z_span_basis and
+    is kept per d (_WState.zperp)."""
 
     def test_each_class_runs_once_per_graph(self, monkeypatch):
         # toric 3 (d_max 4): the kernel runs w = 3 for d = 4 and w = 4 for
@@ -982,6 +1011,29 @@ class TestZClassMemo:
         assert analysis._z_class(a, 6) == want_class
         assert z_span_basis(q) == want_span
 
+    def test_zperp_is_reduced_once_per_d(self, monkeypatch):
+        # toric 3: the first zperp_basis at each d reduces span(Z) and keeps
+        # the kernel; a stop inside the reduction keeps nothing, so d_max
+        # (probes 1 to 5) reduces again only at d = 1, 2 and 5
+        g, asked = toric(3), []
+        rows = analysis._z_span_rows
+
+        def spy(q, deadline):
+            asked.append(q.d)
+            return rows(q, deadline)
+
+        monkeypatch.setattr(analysis, "_z_span_rows", spy)
+        analysis._w_state.cache_clear()
+        want = [zperp_basis(SetQuery(g, d)) for d in (3, 4)]
+        with pytest.raises(BudgetExceededError, match="chosen check"):
+            zperp_basis(SetQuery(g, 5), RaiseAtCheck(2))  # in the kernel's class 4
+        assert sorted(analysis._w_state(g.adjacency()).zperp) == [3, 4]
+        assert d_max(g).value == 4 and asked == [3, 4, 5, 1, 2, 5]
+        assert [zperp_basis(SetQuery(g, d)) for d in (3, 4)] == want
+        assert c_set(SetQuery(g, 4)).zperp_basis == tuple(want[1]) and len(asked) == 6
+        analysis._w_state.cache_clear()
+        assert [zperp_basis(SetQuery(g, d)) for d in (3, 4)] == want
+
     def test_one_clear_resets_the_kernel(self, monkeypatch):
         # the kernel is kept in the graph's record, so clearing _w_state drops
         # it with the classes, and the next class of weight >= 3 builds it anew
@@ -997,8 +1049,9 @@ class TestZClassMemo:
         assert analysis._z_class(a, 3) == want and built == [18]
 
     def test_zero_budget_stops_warm_queries(self):
-        # every class the queries read is kept, so only the check at the
-        # start of z_span_basis and zperp_basis can stop them
+        # every class and Z^perp basis the queries read is kept, so only the
+        # check at the start of z_span_basis and those of the walks can stop
+        # them
         g = toric(3)
         q = SetQuery(g, 4)
         members = c_set(q).members
@@ -1125,11 +1178,11 @@ class TestDMax:
         assert not res.ok and res.bracket == (1, None) and "budget" in res.error
 
     def test_budget_stop_inside_a_z_class_or_a_deep_peel(self, monkeypatch):
-        # toric 6: probe d >= 4 runs the Z class of weight d - 1 before its
-        # walk, and probe 6 peels 3 levels down to T_2, one above the tables
-        # that probe 4 built; a stop in either leaves the bracket at the last
-        # probe that finished
-        g, now, where = toric(6), [0, ""], []
+        # lattice 4 3: probes 5 to 7 run the Z class of weight d - 1 before
+        # their walks, and probes 6 and 7 peel queries that the check packing
+        # does not settle above T_2, the tables probe 4 built; a stop in
+        # either leaves the bracket at the last probe that finished
+        g, now, where = lattice(4, 3), [0, ""], []
         z_class, w_member = analysis._z_class, analysis._w_member
 
         def z_marking(a, w, deadline):
@@ -1158,9 +1211,9 @@ class TestDMax:
         monkeypatch.setattr(analysis, "_w_member", w_marking)
         analysis._w_state.cache_clear()
         want = d_max(g, Recording())
-        assert want.value == 6 and len(analysis._w_state(g.adjacency()).tables) == 3
+        assert want.value == 7 and len(analysis._w_state(g.adjacency()).tables) == 3
         stops = {where.index((5, "z class")): 4, where.index((6, "z class")): 5,
-                 where.index((6, "member")): 5}
+                 where.index((6, "member")): 5, where.index((7, "member")): 6}
         for i, finished in stops.items():
             analysis._w_state.cache_clear()
             res = d_max(g, RaiseAtCheck(i + 1))

@@ -777,6 +777,21 @@ class TestReportPath:
         assert code == 2 and stopped["budget_exceeded"] and not stopped["ok"]
         assert stopped["config"] == plain["config"]
 
+    def test_config_names_the_graph(self, capsys, tmp_path):
+        # the boundary and the edge-list file select the graph, so they are
+        # part of the config like verify's --codewords and --ldpc paths
+        _, periodic = run_json(capsys, ["dmax", "lattice", "3", "2"])
+        _, open_ = run_json(capsys, ["dmax", "lattice", "3", "2", "--open-boundary"])
+        assert periodic["config"] == {"family": "lattice", "params": [3, 2], "n": 9,
+                                      "edges": 18, "graph_file": None, "open_boundary": False}
+        assert open_["config"] == {**periodic["config"], "edges": 12, "open_boundary": True}
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        _, rep = run_json(capsys, ["cset", "custom", "--graph-file", str(path), "--d", "2"])
+        assert rep["config"] == {"family": "custom", "params": [], "n": 3, "edges": 2, "d": 2,
+                                 "max_members": 1024, "graph_file": str(path),
+                                 "open_boundary": False}
+
 
 class TestBudget:
     """TQO_BUDGET_MS: one deadline path, with or without a budget."""

@@ -9,7 +9,7 @@ from tqograph.analysis import BudgetExceededError, d_max
 from tqograph.gf2 import BitString, Gf2Matrix, cluster_xors, dot, support_xors
 from tqograph.graphs import (
     FamilySpec, Graph, complete, gen_family, star, toric, toric3d, toric3d_vertex)
-from tqograph import stabilizer
+from tqograph import gf2, stabilizer
 from tqograph.oracle import build_graph_state, graph_basis_state
 from tqograph.stabilizer import (
     Pauli,
@@ -839,6 +839,32 @@ class TestKernelMatchesConnectedScan:
         # the connected scan's answer, from a run of about 10 s: Z along i
         # on qubits 0..4
         assert hit_text(normalizer_min_weight(gen_3d_code(5), 5)) == (5, "+" + "Z" * 5 + "I" * 120)
+
+    def test_3d_code_L9_witness(self):
+        # the scan without the check packing took about 3.5 s to the same
+        # answer: Z along i on qubits 0..8
+        assert hit_text(normalizer_min_weight(gen_3d_code(9), 9)) == (9, "+" + "Z" * 9 + "I" * 720)
+
+    def test_check_packing_cuts_growth_nodes(self, monkeypatch):
+        # gen_3d_code(7) at w = 7 from its one orbit root, the deadline
+        # checked at the start and at every node: 12,810 checks against the
+        # 22,573 of the generator reference, which packs nothing, and the
+        # same 3 hits in the same order
+        made = []
+
+        def recording(choices, m):
+            made.append((choices, m))
+            return cluster_xors(choices, m)
+
+        monkeypatch.setattr(stabilizer, "cluster_xors", recording)
+        monkeypatch.setattr(gf2, "CHECK_EVERY", 1)
+        s = gen_3d_code(7)
+        normalizer_min_weight(s, 1)
+        (choices, m), = made
+        pruned, plain = StopAtCheck(None), StopAtCheck(None)
+        got = list(cluster_xors(choices, m)([0], 7, pruned))
+        assert len(got) == 3 and got == list(reference_cluster_xors(choices, m)([0], 7, plain))
+        assert (pruned.checks, plain.checks) == (12_810, 22_573)
 
 
 class StopAtCheck:
